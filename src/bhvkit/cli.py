@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_link)
 
-    p = sub.add_parser("aut", help="exhaustive automorphism search on the link graph")
+    p = sub.add_parser("aut", help="exact automorphism group of the link graph, by stabiliser chain")
     p.add_argument("n", type=int)
     p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_aut)

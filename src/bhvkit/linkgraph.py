@@ -3,14 +3,18 @@
 Vertices are all canonical splits on n leaves; edges join compatible pairs.
 The size-k layers are Kneser graphs, whose maximum independent sets are the
 leaf stars, and the full automorphism group is realized by leaf relabelings.
-Both facts are checked here by exhaustive search at desk scale rather than
-assumed.
+Both facts are checked here by exact search at desk scale rather than
+assumed. Adjacency rows are vertex-index bitmasks built from per-leaf
+bitsets, and the automorphism group is read off a stabiliser chain: one
+automorphism per orbit point of each base point, so the group order is the
+product of the orbit lengths and no search walks the whole group.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import (
     KOutOfRange,
@@ -22,10 +26,9 @@ from .errors import (
 from .splits import (
     Permutation,
     Split,
-    apply_permutation,
-    are_compatible,
     check_leaf_count,
     enumerate_splits,
+    full_mask,
 )
 
 MAX_LINK_LEAVES = 12
@@ -37,6 +40,14 @@ DEFAULT_MIS_VERTEX_CAP = 25
 VertexPerm = tuple[int, ...]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class LinkGraph:
     """Undirected graph over splits; adjacency rows are vertex-index bitmasks."""
@@ -44,6 +55,11 @@ class LinkGraph:
     n: int
     vertices: tuple[Split, ...]
     adjacency: tuple[int, ...]
+    # canonical side mask -> vertex index, built once and never mutated
+    _index: dict[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {v.mask: i for i, v in enumerate(self.vertices)})
 
     @property
     def vertex_count(self) -> int:
@@ -54,10 +70,10 @@ class LinkGraph:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
     def index_of(self, v: Split) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise VertexNotFound(f"{v} is not a vertex of this graph") from None
+        i = self._index.get(v.mask) if isinstance(v, Split) and v.n == self.n else None
+        if i is None:
+            raise VertexNotFound(f"{v} is not a vertex of this graph")
+        return i
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
@@ -66,36 +82,47 @@ class LinkGraph:
         return bool(self.adjacency[i] >> j & 1)
 
     def neighbors(self, i: int) -> list[int]:
-        row = self.adjacency[i]
-        return [j for j in range(self.vertex_count) if row >> j & 1]
+        return list(_bits(self.adjacency[i]))
 
     def to_dot(self) -> str:
-        def name(v: Split) -> str:
-            return '"' + ",".join(map(str, v.side)) + '"'
-
+        names = ['"' + ",".join(map(str, v.side)) + '"' for v in self.vertices]
         lines = ["graph link {"]
-        for v in self.vertices:
-            lines.append(f"  {name(v)};")
-        for i in range(self.vertex_count):
-            for j in self.neighbors(i):
-                if i < j:
-                    lines.append(f"  {name(self.vertices[i])} -- {name(self.vertices[j])};")
+        lines += [f"  {name};" for name in names]
+        for i, row in enumerate(self.adjacency):
+            for j in _bits(row >> i + 1):
+                lines.append(f"  {names[i]} -- {names[i + 1 + j]};")
         lines.append("}")
         return "\n".join(lines)
 
 
 def build_link_graph(n: int) -> LinkGraph:
-    """Graph with every canonical split as a vertex and compatible pairs as edges."""
+    """Graph with every canonical split as a vertex and compatible pairs as edges.
+
+    Two splits are compatible when one of the four intersections of their
+    sides is empty. With holds[l] the bitset of vertices whose side contains
+    leaf l, the vertices whose side misses a leaf set X are ~OR(holds[X]) and
+    those whose side covers X are AND(holds[X]). A vertex's row is the union
+    of both for its side and for its complement, minus the vertex itself.
+    """
     check_leaf_count(n)
     if n > MAX_LINK_LEAVES:
         raise TooLarge(f"link graph capped at n = {MAX_LINK_LEAVES}, got {n}")
     vertices = tuple(enumerate_splits(n))
-    rows = [0] * len(vertices)
-    for i, u in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            if are_compatible(u, vertices[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    all_mask = (1 << len(vertices)) - 1
+    holds = [0] * n
+    for i, v in enumerate(vertices):
+        for leaf in _bits(v.mask):
+            holds[leaf] |= 1 << i
+    rows = []
+    for i, v in enumerate(vertices):
+        row = 0
+        for side in (v.mask, v.complement_mask):
+            meets, covers = 0, all_mask
+            for leaf in _bits(side):
+                meets |= holds[leaf]
+                covers &= holds[leaf]
+            row |= (all_mask ^ meets) | covers
+        rows.append(row & ~(1 << i))
     return LinkGraph(n, vertices, tuple(rows))
 
 
@@ -209,12 +236,8 @@ def maximum_independent_sets(
 
 def neighbors_of_size(g: LinkGraph, v: Split, size: int) -> set[Split]:
     """Neighbors of v whose canonical side has the given size."""
-    i = g.index_of(v)
-    row = g.adjacency[i]
     return {
-        g.vertices[j]
-        for j in range(g.vertex_count)
-        if row >> j & 1 and g.vertices[j].size == size
+        g.vertices[j] for j in g.neighbors(g.index_of(v)) if g.vertices[j].size == size
     }
 
 
@@ -248,35 +271,20 @@ def _vertex_signatures(g: LinkGraph) -> list[tuple]:
 
 def _compose(p: VertexPerm, q: VertexPerm) -> VertexPerm:
     """(p o q)(i) = p[q[i]]."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
-def _closure(gens: list[VertexPerm], nv: int) -> set[VertexPerm]:
-    identity = tuple(range(nv))
-    known = {identity}
-    frontier = [identity]
+def _grow_orbit(orbit: dict[int, VertexPerm], generators: list[VertexPerm]) -> None:
+    """Close an orbit, kept as point -> element taking the base point there,
+    under the generators."""
+    frontier = list(orbit.items())
     while frontier:
-        nxt = []
-        for e in frontier:
-            for gen in gens:
-                prod = _compose(gen, e)
-                if prod not in known:
-                    known.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return known
-
-
-def _generating_subset(elements: list[VertexPerm], nv: int) -> tuple[VertexPerm, ...]:
-    gens: list[VertexPerm] = []
-    known: set[VertexPerm] = {tuple(range(nv))}
-    for e in sorted(elements):
-        if e not in known:
-            gens.append(e)
-            known = _closure(gens, nv)
-            if len(known) == len(elements):
-                break
-    return tuple(gens)
+        point, element = frontier.pop()
+        for gen in generators:
+            image = gen[point]
+            if image not in orbit:
+                orbit[image] = _compose(gen, element)
+                frontier.append((image, orbit[image]))
 
 
 def is_vertex_automorphism(g: LinkGraph, perm: VertexPerm) -> bool:
@@ -296,90 +304,128 @@ def brute_force_automorphisms(
     node_cap: int = DEFAULT_NODE_CAP,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> AutomorphismGroup:
-    """Every adjacency-preserving vertex permutation, by backtracking.
+    """The full automorphism group, exactly, by a stabiliser chain.
 
     Candidate images start as the (degree, neighbor-degree multiset)
-    signature class of each vertex. Mapping v -> w propagates immediately:
-    every unmapped vertex keeps only candidates on the correct side of w's
-    adjacency. The vertex with the fewest candidates is assigned next, and
-    all complete assignments are collected, so the result is the full group.
+    signature class of each vertex. Mapping v -> w propagates: every
+    unmapped vertex keeps only candidates on the correct side of w's
+    adjacency. Base points b1, b2, ... are the vertices that still have more
+    than one candidate once the earlier ones are fixed to themselves, until
+    every candidate set is a single vertex.
+
+    Level by level, from the deepest up, the orbit of b_i under the
+    stabiliser of b1..b_(i-1) is grown from the generators found so far,
+    which all lie in that stabiliser. Each candidate of b_i still outside
+    the orbit is probed by a backtracking search that stops at the first
+    automorphism fixing b1..b_(i-1) and mapping b_i to it; a hit joins the
+    generators. The group order is the product of the orbit lengths, and
+    each element is the product of one orbit representative per level.
+
+    The name is kept from the earlier search that enumerated every element
+    node by node, because the CLI and callers use it; the group and its
+    sorted element list are the same, while the generating set may differ.
+    node_cap bounds all search nodes, failed probes included.
     """
     nv = g.vertex_count
     if nv > AUT_MAX_VERTICES:
         raise TooLarge(f"{nv} vertices exceeds automorphism cap {AUT_MAX_VERTICES}")
-    sig = _vertex_signatures(g)
     adj = g.adjacency
     all_mask = (1 << nv) - 1
-    base_cand = [
-        sum(1 << w for w in range(nv) if sig[w] == sig[v]) for v in range(nv)
-    ]
-
-    image = [-1] * nv
-    elements: list[VertexPerm] = []
     budget = node_cap
 
-    def extend(cand: list[int], unmapped: int):
+    def fix(cand: list[int], unmapped: int, v: int, w: int) -> list[int] | None:
+        """Candidates after mapping v -> w, or None once some vertex has none."""
+        narrowed = list(cand)
+        narrowed[v] = 1 << w
+        adj_v, adj_w = adj[v], adj[w]
+        for u in _bits(unmapped & ~(1 << v)):
+            keep = adj_w if adj_v >> u & 1 else all_mask ^ adj_w
+            narrowed[u] &= keep & ~(1 << w)
+            if not narrowed[u]:
+                return None
+        return narrowed
+
+    def first_automorphism(cand: list[int], unmapped: int) -> VertexPerm | None:
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise SearchBudgetExceeded(f"automorphism search exceeded {node_cap} nodes")
         if not unmapped:
-            elements.append(tuple(image))
-            return
-        v, fewest = -1, nv + 1
-        m = unmapped
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            count = cand[u].bit_count()
-            if count < fewest:
-                v, fewest = u, count
-                if count <= 1:
-                    break
-        if fewest == 0:
-            return
-        rest = unmapped & ~(1 << v)
-        adj_v = adj[v]
-        options = cand[v]
-        while options:
-            w = (options & -options).bit_length() - 1
-            options &= options - 1
-            narrowed = list(cand)
-            adj_w = adj[w]
-            ok = True
-            m = rest
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                keep = adj_w if adj_v >> u & 1 else all_mask & ~adj_w
-                narrowed[u] = narrowed[u] & keep & ~(1 << w)
-                if not narrowed[u]:
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                extend(narrowed, rest)
-                image[v] = -1
+            return tuple(c.bit_length() - 1 for c in cand)
+        v = min(_bits(unmapped), key=lambda u: cand[u].bit_count())
+        for w in _bits(cand[v]):
+            narrowed = fix(cand, unmapped, v, w)
+            if narrowed is not None:
+                found = first_automorphism(narrowed, unmapped & ~(1 << v))
+                if found is not None:
+                    return found
+        return None
 
-    extend(base_cand, all_mask)
-    elements.sort()
-    group_order = len(elements)
+    sig = _vertex_signatures(g)
+    cand = [sum(1 << w for w in range(nv) if sig[w] == sig[v]) for v in range(nv)]
+    unmapped = all_mask
+    levels = []
+    for b in range(nv):
+        if cand[b] & (cand[b] - 1):
+            levels.append((b, cand, unmapped))
+            cand = fix(cand, unmapped, b, b)
+            unmapped &= ~(1 << b)
+
+    identity = tuple(range(nv))
+    generators: list[VertexPerm] = []
+    transversals: list[list[VertexPerm]] = []
+    for b, cand, unmapped in reversed(levels):
+        orbit = {b: identity}
+        _grow_orbit(orbit, generators)
+        for w in _bits(cand[b]):
+            if w not in orbit:
+                probe = list(cand)
+                probe[b] = 1 << w
+                found = first_automorphism(probe, unmapped)
+                if found is not None:
+                    generators.append(found)
+                    _grow_orbit(orbit, generators)
+        transversals.append(list(orbit.values()))
+
+    group_order = math.prod(len(t) for t in transversals)
     if math.factorial(nv) % group_order:
         raise AssertionError("group order does not divide the vertex factorial")
-    generators = _generating_subset(elements, nv)
     for gen in generators:
         if not is_vertex_automorphism(g, gen):
             raise AssertionError("search produced a non-automorphism generator")
-    kept = tuple(elements) if group_order <= element_cap else None
-    return AutomorphismGroup(group_order, generators, kept)
+    elements = None
+    if group_order <= element_cap:
+        products = [identity]
+        for transversal in transversals:
+            products = [_compose(t, p) for t in transversal for p in products]
+        elements = tuple(sorted(products))
+    return AutomorphismGroup(group_order, tuple(generators), elements)
+
+
+def _subset_images(bits: list[int]) -> list[int]:
+    """table[m] = OR of bits[j] over the set bits j of m."""
+    table = [0]
+    for bit in bits:
+        table += [t | bit for t in table]
+    return table
 
 
 def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
-    """The vertex permutation induced by relabeling leaves through sigma."""
+    """The vertex permutation induced by relabeling leaves through sigma.
+
+    Each side mask is relabeled through two lookup tables, one per half of
+    the leaves; a half-size side whose image lacks leaf 1 is looked up by
+    its complement, the canonical form.
+    """
     if sigma.n != g.n:
         raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs graph on {g.n}")
-    lookup = {v: i for i, v in enumerate(g.vertices)}
-    return tuple(lookup[apply_permutation(sigma, v)] for v in g.vertices)
+    moved = [1 << (image - 1) for image in sigma.images]
+    half = g.n // 2
+    low, high = _subset_images(moved[:half]), _subset_images(moved[half:])
+    cut, full = (1 << half) - 1, full_mask(g.n)
+    index = g._index
+    images = (low[v.mask & cut] | high[v.mask >> half] for v in g.vertices)
+    return tuple(index[m] if m in index else index[full ^ m] for m in images)
 
 
 def link_report(g: LinkGraph) -> dict:

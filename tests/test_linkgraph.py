@@ -1,7 +1,10 @@
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvkit import (
     KOutOfRange,
@@ -27,6 +30,19 @@ from bhvkit import (
     upward_neighbors,
     verify_degrees,
 )
+from bhvkit.linkgraph import is_vertex_automorphism
+from helpers import compose, enumerate_automorphisms, pairwise_adjacency, relabel_by_make_split
+
+
+@lru_cache(maxsize=None)
+def cached_link_graph(n):
+    return build_link_graph(n)
+
+
+@st.composite
+def permutation_pairs(draw, max_n):
+    n = draw(st.integers(5, max_n))
+    return tuple(Permutation(tuple(draw(st.permutations(range(1, n + 1))))) for _ in range(2))
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +74,22 @@ def test_link5_is_petersen(link5):
 
 def test_link6_vertex_count(link6):
     assert link6.vertex_count == 25
+
+
+def test_adjacency_matches_pairwise_oracle():
+    for n in range(4, 11):
+        g = build_link_graph(n)
+        assert g.adjacency == pairwise_adjacency(g.vertices)
+
+
+def test_index_of_and_neighbors(link6):
+    assert [link6.index_of(v) for v in link6.vertices] == list(range(link6.vertex_count))
+    for i in range(link6.vertex_count):
+        assert link6.neighbors(i) == [j for j in range(link6.vertex_count) if link6.adjacent(i, j)]
+    layer = kneser_subgraph(link6, 2)
+    assert [layer.index_of(v) for v in layer.vertices] == list(range(layer.vertex_count))
+    with pytest.raises(VertexNotFound):
+        layer.index_of(make_split({1, 2, 3}, 6))
 
 
 def test_link_graph_size_cap():
@@ -269,9 +301,43 @@ def test_permutation_to_automorphism_transposition(link5):
     assert vp[idx[make_split({2, 3}, 5)]] == idx[make_split({1, 3}, 5)]
 
 
+@settings(deadline=None)
+@given(permutation_pairs(max_n=12))
+def test_relabeling_matches_make_split_oracle(pair):
+    sigma, _ = pair
+    g = cached_link_graph(sigma.n)
+    assert permutation_to_automorphism(sigma, g) == relabel_by_make_split(sigma, g)
+
+
+@settings(deadline=None)
+@given(permutation_pairs(max_n=12))
+def test_relabeling_is_a_homomorphism(pair):
+    sigma, tau = pair
+    g = cached_link_graph(sigma.n)
+    assert permutation_to_automorphism(sigma.compose(tau), g) == compose(
+        permutation_to_automorphism(sigma, g), permutation_to_automorphism(tau, g)
+    )
+
+
+@settings(deadline=None)
+@given(permutation_pairs(max_n=8))
+def test_relabeling_is_an_automorphism(pair):
+    sigma, _ = pair
+    g = cached_link_graph(sigma.n)
+    assert is_vertex_automorphism(g, permutation_to_automorphism(sigma, g))
+
+
+def test_elements_match_enumeration_oracle():
+    for n in range(4, 7):
+        g = build_link_graph(n)
+        group = brute_force_automorphisms(g)
+        assert list(group.elements) == enumerate_automorphisms(g)
+        assert group.order == (6 if n == 4 else math.factorial(n))
+
+
 def test_generators_generate_the_group(link5):
     group = brute_force_automorphisms(link5)
-    from bhvkit.linkgraph import _closure
+    from helpers import _closure
 
     assert len(_closure(list(group.generators), link5.vertex_count)) == group.order
 
@@ -284,6 +350,11 @@ def test_group_order_divides_vertex_factorial(link5):
 def test_search_budget_cap(link6):
     with pytest.raises(SearchBudgetExceeded):
         brute_force_automorphisms(link6, node_cap=10)
+
+
+def test_search_work_bound_n7(link7):
+    group = brute_force_automorphisms(link7, node_cap=10_000)
+    assert group.order == 5040
 
 
 def test_automorphism_vertex_cap():
