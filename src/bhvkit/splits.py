@@ -60,7 +60,9 @@ class Split:
 
     Construct via make_split unless the mask is already canonical. Splits
     sort by (n, side size, lexicographic side), the enumeration order used
-    throughout the package.
+    throughout the package. The comparison reads only the masks: between
+    sides of equal size, the one holding the lowest leaf of their
+    symmetric difference comes first.
     """
 
     n: int
@@ -102,7 +104,14 @@ class Split:
         return bool(self.mask >> (leaf - 1) & 1)
 
     def __lt__(self, other: "Split") -> bool:
-        return (self.n, self.size, self.side) < (other.n, other.size, other.side)
+        if self.n != other.n:
+            return self.n < other.n
+        a, b = self.mask, other.mask
+        size_a, size_b = a.bit_count(), b.bit_count()
+        if size_a != size_b:
+            return size_a < size_b
+        diff = a ^ b
+        return bool(a & diff & -diff)
 
     def to_json(self) -> dict:
         return {"n": self.n, "side": list(self.side)}
@@ -175,7 +184,6 @@ def enumerate_splits(n: int) -> list[Split]:
             # half-size splits: exactly one representative, the side with leaf 1
             for rest in combinations(range(2, n + 1), k - 1):
                 out.append(Split(n, mask_of((1,) + rest, n)))
-    out.sort()
     return out
 
 

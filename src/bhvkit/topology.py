@@ -3,15 +3,22 @@
 A topology is a set of pairwise-compatible splits on n leaves; it names a
 face of tree space with one coordinate per split. The unique unrooted tree
 realizing the set is rebuilt explicitly (InternalTree) so that degree
-sequences, orthant counts, and refinement enumeration all have a concrete
-combinatorial object to work from.
+sequences and orthant counts have a concrete combinatorial object to work
+from. The binary census is built by leaf insertion on clade masks: its
+trees share one Split per split, and a read-only index maps each split mask
+to the bitset of census trees holding it, so enumerating the refinements
+of a face, still an exhaustive filter over the census, is an AND of
+bitsets.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
+from types import MappingProxyType
 
 from .errors import (
     EnumerationTooLarge,
@@ -23,6 +30,7 @@ from .errors import (
 from .splits import Permutation, Split, apply_permutation, are_compatible, check_leaf_count, full_mask, leaves_of, make_split
 
 DEFAULT_ENUMERATION_CAP = 10**7
+_ALL_ONES = (1 << 64) - 1
 
 
 def double_factorial(m: int) -> int:
@@ -48,6 +56,17 @@ class Topology:
             raise TooManySplits(
                 f"{len(self.splits)} splits exceed n-3 = {self.n - 3}"
             )
+        # Canonical sides hold at most n/2 leaves and a half-size side holds
+        # leaf 1, so two never cover every leaf: the pair is compatible
+        # exactly when the sides are disjoint or nested.
+        masks = [s.mask for s in self.splits]
+        for i, a in enumerate(masks):
+            for b in masks[i + 1 :]:
+                both = a & b
+                if both and both != a and both != b:
+                    self._raise_first_incompatible()
+
+    def _raise_first_incompatible(self):
         ordered = sorted(self.splits)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1 :]:
@@ -66,10 +85,6 @@ class Topology:
     def permute(self, sigma: Permutation) -> "Topology":
         """Relabel all leaves through sigma."""
         return Topology(self.n, frozenset(apply_permutation(sigma, s) for s in self.splits))
-
-    def refines(self, other: "Topology") -> bool:
-        """True if this topology's split set contains the other's."""
-        return self.n == other.n and other.splits <= self.splits
 
     def to_json(self) -> dict:
         return {"n": self.n, "splits": [list(s.side) for s in self.sorted_splits]}
@@ -239,70 +254,102 @@ def count_refining_orthants(t: Topology) -> int:
 
 
 @lru_cache(maxsize=8)
-def _all_binary_topologies(n: int) -> tuple[Topology, ...]:
-    """Every binary topology on n leaves, generated by leaf insertion.
+def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
+    """Every binary topology on n leaves, plus an index from each split
+    mask to the int bitset of census positions whose tree holds it.
 
-    Leaf k is attached to each edge of every tree on k-1 leaves; this
-    realizes the classical bijection, so no deduplication is needed.
+    Trees are rooted at leaf 1 and each edge is named by its clade, the
+    leaf mask below it. Inserting leaf k on the edge with clade C adds k
+    to every clade containing C, then appends C and {k}. Every edge of
+    every tree on k-1 leaves takes leaf k once, which realizes the
+    classical bijection, so no deduplication is needed. The internal
+    splits are the clades of size 2..n-2, complemented where canonical
+    form asks; one Split per mask is shared by every tree.
     """
-    check_leaf_count(n)
+    shared = {
+        clade: make_split(leaves_of(clade), n)
+        for clade in range(2, 1 << n, 2)
+        if 2 <= clade.bit_count() <= n - 2
+    }
+    trees: list[Topology] = []
 
-    def splits_of(edge_list):
-        # adjacency over leaves 1..n and internal node ids > n
-        adj: dict[int, list[int]] = {}
-        for u, v in edge_list:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        splits = []
-        for u, v in edge_list:
-            if u <= n or v <= n:
-                continue
-            seen = {u, v}
-            stack = [v]
-            mask = 0
-            while stack:
-                w = stack.pop()
-                if w <= n:
-                    mask |= 1 << (w - 1)
-                    continue
-                for x in adj[w]:
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            splits.append(make_split(leaves_of(mask), n))
-        return splits
-
-    def grow(k, edges):
+    def grow(k: int, clades: list[int]):
         if k > n:
-            yield edges
+            trees.append(Topology(n, frozenset(shared[c] for c in clades if c in shared)))
             return
-        w = n + k - 2  # internal node ids n+2 .. 2n-2; n+1 is the seed node
-        for i in range(len(edges)):
-            u, v = edges[i]
-            yield from grow(k + 1, edges[:i] + edges[i + 1:] + [(u, w), (v, w), (k, w)])
+        leaf = 1 << (k - 1)
+        for below in clades:
+            grow(k + 1, [c | leaf if c & below == below else c for c in clades] + [below, leaf])
 
-    seed = [(1, n + 1), (2, n + 1), (3, n + 1)]
-    return tuple(Topology(n, frozenset(splits_of(e))) for e in grow(4, seed))
+    grow(4, [0b10, 0b100, 0b110])
+    rows = {s.mask: bytearray((len(trees) + 7) // 8) for s in shared.values()}
+    for i, t in enumerate(trees):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for s in t.splits:
+            rows[s.mask][byte] |= bit
+    index = {mask: int.from_bytes(row, "little") for mask, row in rows.items()}
+    return tuple(trees), MappingProxyType(index)
+
+
+def _select(items: tuple, bits: int) -> list:
+    """The items at the set bits of a non-negative int, in order.
+
+    Reads the bitset one 64-bit word at a time: zero words are skipped and
+    all-ones words taken as a slice (peeling bits off the big int with
+    `x & -x` would be quadratic in its length).
+    """
+    nwords = (bits.bit_length() + 63) // 64
+    words = array("Q", bits.to_bytes(8 * nwords, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    out = []
+    for j, word in enumerate(words):
+        if not word:
+            continue
+        base = 64 * j
+        if word == _ALL_ONES:
+            out.extend(items[base : base + 64])
+            continue
+        while word:
+            low = word & -word
+            out.append(items[base + low.bit_length() - 1])
+            word ^= low
+    return out
+
+
+def _checked_census(n: int, cap: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
+    """The census of n, after raising EnumerationTooLarge if its size
+    (2n-5)!! exceeds the cap."""
+    check_leaf_count(n)
+    expected = double_factorial(2 * n - 5)
+    if expected > cap:
+        raise EnumerationTooLarge(f"(2n-5)!! = {expected} exceeds cap {cap}")
+    return _census(n)
 
 
 def enumerate_binary_topologies(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Iterate all (2n-5)!! binary topologies on n leaves, no repeats.
 
-    Raises EnumerationTooLarge up front when the census exceeds the cap.
+    The census is built once per n by leaf insertion on clade masks and
+    cached; its trees share one Split object per split. Raises
+    EnumerationTooLarge up front when the census exceeds the cap.
     """
-    check_leaf_count(n)
-    expected = double_factorial(2 * n - 5)
-    if expected > cap:
-        raise EnumerationTooLarge(f"(2n-5)!! = {expected} exceeds cap {cap}")
-    return iter(_all_binary_topologies(n))
+    return iter(_checked_census(n, cap)[0])
 
 
 def enumerate_binary_refinements(t: Topology, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Topology]:
-    """All binary topologies whose split sets contain t.splits.
+    """All binary topologies whose split sets contain t.splits, in census order.
 
-    Exhaustive filter over the full binary census; serves as the brute-force
-    oracle for count_refining_orthants.
+    Still an exhaustive filter over the full binary census, independent of
+    the (2d-5)!! formula it checks: the census index gives, per split, the
+    bitset of census trees holding it, and the trees at the set bits of
+    their AND are returned. Serves as the brute-force oracle for
+    count_refining_orthants.
     """
     if is_binary(t):
         return [t]
-    return [b for b in enumerate_binary_topologies(t.n, cap) if t.splits <= b.splits]
+    trees, index = _checked_census(t.n, cap)
+    bits = (1 << len(trees)) - 1
+    for s in t.splits:
+        bits &= index[s.mask]
+    return _select(trees, bits)

@@ -9,7 +9,9 @@ from bhvkit import (
     apply_permutation,
     are_compatible,
     enumerate_binary_topologies,
+    make_split,
 )
+from bhvkit.splits import leaves_of
 
 
 @lru_cache(maxsize=8)
@@ -24,6 +26,49 @@ def all_faces(n: int) -> tuple[Topology, ...]:
             for sub in combinations(splits, r):
                 faces.add(frozenset(sub))
     return tuple(Topology(n, f) for f in sorted(faces, key=lambda f: (len(f), sorted(s.side for s in f))))
+
+
+def census_by_graph_walk(n: int) -> list[frozenset]:
+    """Split sets of every binary topology on n leaves, by leaf insertion on
+    an explicit edge list, reading each internal edge's split off a graph
+    walk. Independent of the clade-mask census it is used to check."""
+
+    def splits_of(edge_list):
+        # adjacency over leaves 1..n and internal node ids > n
+        adj: dict[int, list[int]] = {}
+        for u, v in edge_list:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        splits = []
+        for u, v in edge_list:
+            if u <= n or v <= n:
+                continue
+            seen = {u, v}
+            stack = [v]
+            mask = 0
+            while stack:
+                w = stack.pop()
+                if w <= n:
+                    mask |= 1 << (w - 1)
+                    continue
+                for x in adj[w]:
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+            splits.append(make_split(leaves_of(mask), n))
+        return splits
+
+    def grow(k, edges):
+        if k > n:
+            yield edges
+            return
+        w = n + k - 2  # internal node ids n+2 .. 2n-2; n+1 is the seed node
+        for i in range(len(edges)):
+            u, v = edges[i]
+            yield from grow(k + 1, edges[:i] + edges[i + 1:] + [(u, w), (v, w), (k, w)])
+
+    seed = [(1, n + 1), (2, n + 1), (3, n + 1)]
+    return [frozenset(splits_of(e)) for e in grow(4, seed)]
 
 
 def pairwise_adjacency(vertices) -> tuple[int, ...]:

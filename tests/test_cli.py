@@ -125,15 +125,28 @@ def test_count_refine_oracle(capsys):
 
 
 def test_count_cap(capsys):
-    code, _, err = run(capsys, "--cap", "100", "count", "6")
+    code, _, err = run(capsys, "--cap", "100", "count", "6", "--oracle")
     assert code == 2
     assert "105" in err
 
 
 def test_count_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("BHVKIT_CAP", "100")
-    code, _, _ = run(capsys, "count", "6")
+    code, _, _ = run(capsys, "count", "6", "--oracle")
     assert code == 2
+
+
+def test_count_closed_form_needs_no_census(capsys):
+    code, out, _ = run(capsys, "count", "12")
+    assert code == 0
+    assert out.strip() == "654729075"
+
+
+def test_count_oracle_past_cap(capsys):
+    code, out, err = run(capsys, "count", "12", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_dist_identical(capsys):

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvkit import (
     LeafCountMismatch,
@@ -80,6 +82,41 @@ def test_enumerate_splits_counts(n, count):
 
 def test_enumerate_splits_n4_sides():
     assert [s.side for s in enumerate_splits(4)] == [(1, 2), (1, 3), (1, 4)]
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_enumerate_splits_is_sorted(n):
+    out = enumerate_splits(n)
+    assert out == sorted(out)
+    assert out == sorted(out, key=lambda s: (s.size, s.side))
+
+
+@st.composite
+def split_pairs(draw):
+    """Two splits, usually on the same n; the second is often the first
+    with one leaf moved, so equal-size sides that share a prefix occur."""
+    n = draw(st.integers(4, 64))
+    side = draw(st.sets(st.integers(1, n), min_size=2, max_size=n - 2))
+    other_n = draw(st.sampled_from([n, n, n, draw(st.integers(4, 64))]))
+    if other_n == n and draw(st.booleans()):
+        moved = draw(st.sampled_from(sorted(side)))
+        target = draw(st.sampled_from(sorted(set(range(1, n + 1)) - side)))
+        other = side - {moved} | {target}
+    else:
+        other = draw(st.sets(st.integers(1, other_n), min_size=2, max_size=other_n - 2))
+    return make_split(side, n), make_split(other, other_n)
+
+
+@settings(deadline=None)
+@given(split_pairs())
+def test_split_order_matches_side_tuple_key(pair):
+    a, b = pair
+
+    def key(s):
+        return (s.n, s.size, s.side)
+
+    assert (a < b) == (key(a) < key(b))
+    assert (b < a) == (key(b) < key(a))
 
 
 def test_enumerate_splits_n6_sizes():

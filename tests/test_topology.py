@@ -21,7 +21,7 @@ from bhvkit import (
     make_topology,
     reconstruct_tree,
 )
-from helpers import all_faces
+from helpers import all_faces, census_by_graph_walk
 
 
 def splits(n, *sides):
@@ -132,6 +132,23 @@ def test_refinement_oracle_matches_formula():
             refinements = enumerate_binary_refinements(t)
             assert count_refining_orthants(t) == len(refinements)
             assert all(t.splits <= b.splits for b in refinements)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_census_matches_graph_walk_oracle(n):
+    census = [t.splits for t in enumerate_binary_topologies(n)]
+    assert len(set(census)) == len(census)
+    oracle = census_by_graph_walk(n)
+    assert len(set(oracle)) == len(oracle)
+    assert set(census) == set(oracle)
+
+
+def test_refinements_match_census_filter():
+    faces = [f for n in (4, 5, 6) for f in all_faces(n)]
+    faces += random.Random(7401).sample(all_faces(7), 100)
+    for t in faces:
+        census = list(enumerate_binary_topologies(t.n))
+        assert enumerate_binary_refinements(t) == [b for b in census if t.splits <= b.splits]
 
 
 def test_orthant_maximum_over_degree_sequences():
