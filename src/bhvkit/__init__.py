@@ -62,13 +62,13 @@ from .splits import (
     all_permutations,
     apply_permutation,
     are_compatible,
-    compatible_disjoint_or_nested,
     enumerate_splits,
     make_split,
+    split_of_mask,
 )
 from .topology import (
-    InternalTree,
     Topology,
+    clade_children,
     count_refining_orthants,
     degree_sequence,
     double_factorial,
@@ -76,7 +76,6 @@ from .topology import (
     enumerate_binary_topologies,
     is_binary,
     make_topology,
-    reconstruct_tree,
 )
 
 __version__ = "0.1.0"

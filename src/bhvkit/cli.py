@@ -49,7 +49,6 @@ from .topology import (
     enumerate_binary_refinements,
     is_binary,
     make_topology,
-    reconstruct_tree,
 )
 
 EXIT_OK = 0
@@ -195,7 +194,7 @@ def cmd_dist(args) -> int:
 def cmd_parse(args) -> int:
     for x in _load_trees(args.tree):
         if args.dot:
-            _emit(reconstruct_tree(x.topology).to_dot(), args.dot)
+            _emit(x.topology.to_dot(), args.dot)
         obj = x.to_json()
         obj["newick"] = to_newick(x)
         _emit(_dump(obj), args.json)

@@ -75,7 +75,7 @@ class VertexNotFound(BhvError):
 # ---------------------------------------------------------------------------
 
 class NonpositiveRadius(BhvError):
-    """Ball radius must be strictly positive."""
+    """Ball radius must be strictly positive and finite."""
 
 
 class EpsilonTooLarge(BhvError):

@@ -27,10 +27,11 @@ from .topology import Topology, count_refining_orthants, double_factorial, make_
 
 @dataclass
 class TreePoint:
-    """A topology with a positive length per split.
+    """A topology with a positive finite length per split.
 
-    Leaf-edge lengths may ride along as metadata but never enter coordinates,
-    norms, or distances. Treat instances as immutable.
+    Finite non-negative leaf-edge lengths may ride along as metadata but
+    never enter coordinates, norms, or distances. Treat instances as
+    immutable.
     """
 
     topology: Topology
@@ -43,10 +44,14 @@ class TreePoint:
         for s, w in self.lengths.items():
             if not w > 0:
                 raise ValueError(f"edge {s} has nonpositive length {w}; drop it from the topology")
+            if not math.isfinite(w):
+                raise ValueError(f"edge {s} has non-finite length {w}")
         if self.leaf_lengths is not None:
-            for leaf in self.leaf_lengths:
+            for leaf, w in self.leaf_lengths.items():
                 if not 1 <= leaf <= self.n:
                     raise ValueError(f"leaf {leaf} not in 1..{self.n}")
+                if not (w >= 0 and math.isfinite(w)):
+                    raise ValueError(f"leaf {leaf} has negative or non-finite length {w}")
 
     @property
     def n(self) -> int:
@@ -124,12 +129,16 @@ class BallVolume:
     coefficient: Fraction
 
 
+def _check_radius(eps: float):
+    if not (eps > 0 and math.isfinite(eps)):
+        raise NonpositiveRadius(f"radius must be positive and finite, got {eps}")
+
+
 def euclidean_ball_volume(m: int, eps: float) -> float:
     """Volume of a radius-eps ball in R^m: pi^(m/2) eps^m / Gamma(m/2 + 1)."""
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
-    if not eps > 0:
-        raise NonpositiveRadius(f"radius must be positive, got {eps}")
+    _check_radius(eps)
     return math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1)
 
 
@@ -140,8 +149,7 @@ def ball_volume(x: TreePoint, eps: float) -> BallVolume:
     no lower-dimensional face; otherwise EpsilonTooLarge is raised rather
     than returning a silently wrong number.
     """
-    if not eps > 0:
-        raise NonpositiveRadius(f"radius must be positive, got {eps}")
+    _check_radius(eps)
     min_edge = x.min_edge
     if min_edge is not None and eps >= min_edge:
         raise EpsilonTooLarge(min_edge)

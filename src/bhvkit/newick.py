@@ -8,6 +8,9 @@ rejected rather than skipped):
              | label [":" number]
     number  := nonnegative decimal (exponent notation allowed)
 
+Nesting deeper than 65 levels is rejected as a syntax error: no valid tree
+on at most 64 leaves goes deeper.
+
 Rooted input is unrooted by suppressing a degree-2 root, summing the two
 merged edge lengths. Internal edges of length zero are boundary edges and
 are dropped from the topology; leaf edge lengths are kept as metadata only.
@@ -26,8 +29,8 @@ from .errors import (
     UnknownLeafName,
 )
 from .measure import TreePoint
-from .splits import Split, leaves_of, mask_of, make_split
-from .topology import make_topology, reconstruct_tree
+from .splits import MAX_LEAVES, Split, full_mask, mask_of, split_of_mask
+from .topology import clade_children, make_topology
 
 _LABEL_END = set("():,;[]'\" \t\r\n")
 _REJECTED = set("[]'\"")
@@ -47,10 +50,16 @@ class NewickNode:
         return not self.children
 
 
+# No valid tree on MAX_LEAVES leaves nests deeper: below the root, every
+# internal node on a path adds at least one leaf off that path.
+_MAX_DEPTH = MAX_LEAVES + 1
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str):
         raise NewickSyntaxError(message, self.pos)
@@ -93,12 +102,16 @@ class _Parser:
 
     def subtree(self) -> NewickNode:
         if self.peek() == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                self.fail(f"nesting deeper than {_MAX_DEPTH} levels")
             self.pos += 1
             children = [self.subtree()]
             while self.peek() == ",":
                 self.pos += 1
                 children.append(self.subtree())
             self.expect(")")
+            self.depth -= 1
             label = self.label() or None
             return NewickNode(children, label, self.maybe_length())
         name = self.label()
@@ -197,7 +210,7 @@ def splits_from_tree(root: NewickNode, leaf_index: dict[str, int]) -> set[tuple[
                 length = child.length if child.length is not None else 0.0
                 if length < 0:
                     raise NegativeLength(f"negative branch length {child.length}")
-                records.add((make_split(leaves_of(child_mask), n), length))
+                records.add((split_of_mask(child_mask, n), length))
         return mask
 
     below(root, True)
@@ -241,28 +254,28 @@ def to_newick(x: TreePoint) -> str:
     """Canonical Newick string: rooted at the internal node holding leaf 1,
     children ordered by smallest descendant leaf, shortest round-trip
     lengths. parse_newick(to_newick(x)) reproduces x."""
-    tree = reconstruct_tree(x.topology)
-    root = tree.leaf_node[1]
+    children = clade_children(x.topology)
+    length_of = {s.clade: w for s, w in x.lengths.items()}
+    leaf_lengths = x.leaf_lengths or {}
 
-    def leaf_text(leaf: int) -> str:
-        if x.leaf_lengths and leaf in x.leaf_lengths:
-            return f"{leaf}:{_format_length(x.leaf_lengths[leaf])}"
-        return str(leaf)
-
-    def items_at(u: int, parent: int | None) -> str:
+    def items_at(node: int) -> str:
+        # items keyed by their lowest leaf bit, which is distinct per item
         items: list[tuple[int, str]] = []
-        for leaf in leaves_of(tree.node_leaves[u]):
-            items.append((leaf, leaf_text(leaf)))
-        for v, s in tree.adjacency[u].items():
-            if v == parent:
-                continue
-            sub = items_at(v, u)
-            smallest = min(leaves_of(tree.side_behind(u, v)))
-            items.append((smallest, f"({sub}):{_format_length(x.lengths[s])}"))
+        below = 0
+        for c in children[node]:
+            below |= c
+            items.append((c & -c, f"({items_at(c)}):{_format_length(length_of[c])}"))
+        own = node ^ below
+        while own:
+            low = own & -own
+            own ^= low
+            leaf = low.bit_length()
+            text = f"{leaf}:{_format_length(leaf_lengths[leaf])}" if leaf in leaf_lengths else str(leaf)
+            items.append((low, text))
         items.sort()
         return ",".join(text for _, text in items)
 
-    return f"({items_at(root, None)});"
+    return f"({items_at(full_mask(x.n))});"
 
 
 def iter_newick_lines(text: str):

@@ -99,6 +99,12 @@ class Split:
     def complement(self) -> tuple[int, ...]:
         return leaves_of(self.complement_mask)
 
+    @property
+    def clade(self) -> int:
+        """The side without leaf 1, as a mask: the leaves below this split's
+        edge when the tree hangs from leaf 1."""
+        return full_mask(self.n) ^ self.mask if self.mask & 1 else self.mask
+
     def contains(self, leaf: int) -> bool:
         """True if the canonical side contains the leaf."""
         return bool(self.mask >> (leaf - 1) & 1)
@@ -132,7 +138,16 @@ def make_split(subset: Iterable[int], n: int) -> Split:
     have at least two leaves.
     """
     check_leaf_count(n)
-    mask = mask_of(subset, n)
+    return split_of_mask(mask_of(subset, n), n)
+
+
+def split_of_mask(mask: int, n: int) -> Split:
+    """The canonical Split of either side of a bipartition, given as a leaf
+    mask within full_mask(n).
+
+    Keeps the smaller side; on a size tie, the side containing leaf 1.
+    Raises SubsetTooSmall unless both sides have at least two leaves.
+    """
     size = mask.bit_count()
     if size < 2 or n - size < 2:
         raise SubsetTooSmall(
@@ -154,19 +169,6 @@ def are_compatible(a: Split, b: Split) -> bool:
     am, bm = a.mask, b.mask
     ac, bc = a.complement_mask, b.complement_mask
     return not (am & bm) or not (am & bc) or not (ac & bm) or not (ac & bc)
-
-
-def compatible_disjoint_or_nested(a: Split, b: Split) -> bool:
-    """Compatibility via the reduced form: canonical sides ordered by size
-    are either disjoint or nested. Kept as an independent cross-check of
-    are_compatible.
-    """
-    if a.n != b.n:
-        raise LeafCountMismatch(f"splits over n={a.n} and n={b.n}")
-    if a.size > b.size:
-        a, b = b, a
-    am, bm = a.mask, b.mask
-    return not (am & bm) or (am & bm) == am
 
 
 def enumerate_splits(n: int) -> list[Split]:

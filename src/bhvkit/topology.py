@@ -1,10 +1,13 @@
 """Tree topologies as compatible split sets.
 
 A topology is a set of pairwise-compatible splits on n leaves; it names a
-face of tree space with one coordinate per split. The unique unrooted tree
-realizing the set is rebuilt explicitly (InternalTree) so that degree
-sequences and orthant counts have a concrete combinatorial object to work
-from. The binary census is built by leaf insertion on clade masks: its
+face of tree space with one coordinate per split. Hung from leaf 1, each
+split names the clade below its edge (Split.clade, the side without leaf
+1), and the clades of a compatible set form a laminar family. So the tree
+realizing the set needs no explicit graph: clade_children reads its nodes
+and child edges off mask containment, and degree sequences, orthant
+counts, the DOT rendering and the canonical Newick all follow from it.
+The binary census is built by leaf insertion on the same clade masks: its
 trees share one Split per split, and a read-only index maps each split mask
 to the bitset of census trees holding it, so enumerating the refinements
 of a face, still an exhaustive filter over the census, is an AND of
@@ -27,7 +30,17 @@ from .errors import (
     NegativeOrEven,
     TooManySplits,
 )
-from .splits import Permutation, Split, apply_permutation, are_compatible, check_leaf_count, full_mask, leaves_of, make_split
+from .splits import (
+    Permutation,
+    Split,
+    apply_permutation,
+    are_compatible,
+    check_leaf_count,
+    enumerate_splits,
+    full_mask,
+    leaves_of,
+    make_split,
+)
 
 DEFAULT_ENUMERATION_CAP = 10**7
 _ALL_ONES = (1 << 64) - 1
@@ -98,6 +111,36 @@ class Topology:
         inner = ", ".join("{" + ",".join(map(str, s.side)) + "}" for s in self.sorted_splits)
         return f"Topology(n={self.n}, splits=[{inner}])"
 
+    def to_dot(self) -> str:
+        """Graphviz rendering of the realizing tree: internal nodes as
+        points, leaves as plain labels, each internal edge labelled with its
+        split's canonical side.
+
+        Node i+1 is the canonical-side end of the i-th split in canonical
+        order and node 0 is the one node left over (canonical sides of one
+        node's edges never overlap, so no node is named twice).
+        """
+        children = clade_children(self)
+        parent = {c: node for node, kids in children.items() for c in kids}
+        node_id = dict.fromkeys(children, 0)
+        for i, s in enumerate(self.sorted_splits, start=1):
+            node_id[parent[s.clade] if s.mask & 1 else s.clade] = i
+        edges = sorted((*sorted((node_id[s.clade], node_id[parent[s.clade]])), s) for s in self.splits)
+        leaf_node = sorted(
+            (leaf, node_id[node])
+            for node, kids in children.items()
+            for leaf in leaves_of(_own_leaves(node, kids))
+        )
+        lines = ["graph internal_tree {"]
+        lines += [f"  n{u} [shape=point];" for u in range(len(children))]
+        lines += [f'  leaf{leaf} [shape=none, label="{leaf}"];' for leaf in range(1, self.n + 1)]
+        for u, v, s in edges:
+            label = ",".join(map(str, s.side))
+            lines.append(f'  n{u} -- n{v} [label="{{{label}}}"];')
+        lines += [f"  leaf{leaf} -- n{u};" for leaf, u in leaf_node]
+        lines.append("}")
+        return "\n".join(lines)
+
 
 def make_topology(splits, n: int) -> Topology:
     """Validate a split collection and wrap it as a Topology.
@@ -113,138 +156,44 @@ def is_binary(t: Topology) -> bool:
     return t.p == t.n - 3
 
 
-@dataclass
-class InternalTree:
-    """The unique unrooted tree realizing a topology.
+def clade_children(t: Topology) -> dict[int, list[int]]:
+    """The tree realizing t, hung from leaf 1, as a map from each internal
+    node to the clades of its child edges.
 
-    Internal nodes are indexed 0..p; each leaf attaches to exactly one
-    internal node and each split labels exactly one internal edge. Treat
-    instances as immutable once built.
+    A node is named by its clade: the full leaf mask for the root (the node
+    holding leaf 1) and Split.clade for the node below each split's edge.
+    Clades form a laminar family, so with clades sorted by size the parent
+    of a clade is the first larger clade containing it, or the root. The
+    leaves attached directly to a node are its clade minus its children.
     """
-
-    n: int
-    node_leaves: list[int]            # per node, bitmask of directly attached leaves
-    adjacency: list[dict[int, Split]]  # per node, neighbor -> split on that edge
-
-    @property
-    def node_count(self) -> int:
-        return len(self.node_leaves)
-
-    @property
-    def edges(self) -> list[tuple[int, int, Split]]:
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v, s in nbrs.items():
-                if u < v:
-                    out.append((u, v, s))
-        return out
-
-    @property
-    def leaf_node(self) -> dict[int, int]:
-        attach = {}
-        for u, mask in enumerate(self.node_leaves):
-            for leaf in leaves_of(mask):
-                attach[leaf] = u
-        return attach
-
-    def degree(self, u: int) -> int:
-        return self.node_leaves[u].bit_count() + len(self.adjacency[u])
-
-    def degrees(self) -> tuple[int, ...]:
-        """Node degrees, sorted descending."""
-        return tuple(sorted((self.degree(u) for u in range(self.node_count)), reverse=True))
-
-    def side_behind(self, u: int, v: int) -> int:
-        """Leaf bitmask of the component containing v after cutting edge (u, v).
-
-        Recomputed by traversal, independently of the stored edge labels, so
-        round-trip tests exercise the actual tree shape.
-        """
-        seen = {v}
-        stack = [v]
-        mask = 0
-        while stack:
-            w = stack.pop()
-            mask |= self.node_leaves[w]
-            for x in self.adjacency[w]:
-                if x not in seen and not (w == v and x == u):
-                    seen.add(x)
-                    stack.append(x)
-        return mask
-
-    def splits_by_cutting(self) -> set[Split]:
-        """Recompute the split of every internal edge from scratch."""
-        out = set()
-        for u, v, _ in self.edges:
-            out.add(make_split(leaves_of(self.side_behind(u, v)), self.n))
-        return out
-
-    def to_dot(self) -> str:
-        """Graphviz rendering: internal nodes as points, leaves as plain labels."""
-        lines = ["graph internal_tree {"]
-        for u in range(self.node_count):
-            lines.append(f'  n{u} [shape=point];')
-        for leaf in range(1, self.n + 1):
-            lines.append(f'  leaf{leaf} [shape=none, label="{leaf}"];')
-        for u, v, s in sorted(self.edges):
-            label = ",".join(map(str, s.side))
-            lines.append(f'  n{u} -- n{v} [label="{{{label}}}"];')
-        for leaf, u in sorted(self.leaf_node.items()):
-            lines.append(f"  leaf{leaf} -- n{u};")
-        lines.append("}")
-        return "\n".join(lines)
+    clades = sorted((s.clade for s in t.splits), key=int.bit_count)
+    root = full_mask(t.n)
+    children: dict[int, list[int]] = {c: [] for c in clades}
+    children[root] = []
+    for i, c in enumerate(clades):
+        parent = next((d for d in clades[i + 1 :] if d & c == c), root)
+        children[parent].append(c)
+    return children
 
 
-def reconstruct_tree(t: Topology) -> InternalTree:
-    """Build the unique tree whose internal-edge splits equal t.splits.
-
-    Starts from the star tree and inserts splits in increasing side size.
-    Each insertion pulls the split's side off a single node: compatibility
-    guarantees exactly one node has no edge straddling the side.
-    """
-    n = t.n
-    node_leaves = [full_mask(n)]
-    adjacency: list[dict[int, Split]] = [{}]
-    through: dict[tuple[int, int], int] = {}
-
-    for s in sorted(t.splits):
-        side, comp = s.mask, s.complement_mask
-        host = None
-        for u in range(len(node_leaves)):
-            if all(m & side == 0 or m & comp == 0 for m in
-                   (through[(u, v)] for v in adjacency[u])):
-                if host is not None:
-                    raise AssertionError(f"split {s} attachable at two nodes")
-                host = u
-        if host is None:
-            raise AssertionError(f"no attachment node for split {s}")
-
-        w = len(node_leaves)
-        node_leaves.append(node_leaves[host] & side)
-        node_leaves[host] &= comp
-        adjacency.append({})
-        moved = [v for v in adjacency[host] if through[(host, v)] & side]
-        for v in moved:
-            edge_split = adjacency[host].pop(v)
-            adjacency[v].pop(host)
-            adjacency[w][v] = edge_split
-            adjacency[v][w] = edge_split
-            through[(w, v)] = through.pop((host, v))
-            through[(v, w)] = through.pop((v, host))
-        adjacency[host][w] = s
-        adjacency[w][host] = s
-        through[(host, w)] = side
-        through[(w, host)] = comp
-
-    tree = InternalTree(n, node_leaves, adjacency)
-    if any(tree.degree(u) < 3 for u in range(tree.node_count)):
-        raise AssertionError("reconstruction produced a degree < 3 node")
-    return tree
+def _own_leaves(node: int, kids: list[int]) -> int:
+    """Leaf mask of the leaves attached directly to a node."""
+    below = 0
+    for c in kids:
+        below |= c
+    return node ^ below
 
 
 def degree_sequence(t: Topology) -> tuple[int, ...]:
-    """Internal-node degrees of the realized tree, sorted descending."""
-    return reconstruct_tree(t).degrees()
+    """Internal-node degrees of the realized tree, sorted descending: per
+    node, its child edges, its own leaves and, below the root, its parent
+    edge."""
+    root = full_mask(t.n)
+    degrees = [
+        len(kids) + _own_leaves(node, kids).bit_count() + (node != root)
+        for node, kids in clade_children(t).items()
+    ]
+    return tuple(sorted(degrees, reverse=True))
 
 
 def count_refining_orthants(t: Topology) -> int:
@@ -263,14 +212,10 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     to every clade containing C, then appends C and {k}. Every edge of
     every tree on k-1 leaves takes leaf k once, which realizes the
     classical bijection, so no deduplication is needed. The internal
-    splits are the clades of size 2..n-2, complemented where canonical
-    form asks; one Split per mask is shared by every tree.
+    splits are the clades of size 2..n-2; one Split per clade is shared
+    by every tree.
     """
-    shared = {
-        clade: make_split(leaves_of(clade), n)
-        for clade in range(2, 1 << n, 2)
-        if 2 <= clade.bit_count() <= n - 2
-    }
+    shared = {s.clade: s for s in enumerate_splits(n)}
     trees: list[Topology] = []
 
     def grow(k: int, clades: list[int]):

@@ -1,17 +1,21 @@
 """Shared brute-force helpers for the test suite."""
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from bhvkit import (
+    LeafCountMismatch,
     SearchBudgetExceeded,
+    Split,
     Topology,
+    TreePoint,
     apply_permutation,
     are_compatible,
     enumerate_binary_topologies,
     make_split,
 )
-from bhvkit.splits import leaves_of
+from bhvkit.splits import full_mask, leaves_of
 
 
 @lru_cache(maxsize=8)
@@ -176,3 +180,188 @@ def enumerate_automorphisms(g, node_cap: int = 5_000_000) -> list[tuple[int, ...
 
     extend(base_cand, all_mask)
     return sorted(elements)
+
+
+def compatible_disjoint_or_nested(a: Split, b: Split) -> bool:
+    """Compatibility via the reduced form: canonical sides ordered by size
+    are either disjoint or nested. An independent cross-check of
+    are_compatible.
+    """
+    if a.n != b.n:
+        raise LeafCountMismatch(f"splits over n={a.n} and n={b.n}")
+    if a.size > b.size:
+        a, b = b, a
+    am, bm = a.mask, b.mask
+    return not (am & bm) or (am & bm) == am
+
+
+@dataclass
+class InternalTree:
+    """The unique unrooted tree realizing a topology, as an explicit graph.
+
+    Internal nodes are indexed 0..p; each leaf attaches to exactly one
+    internal node and each split labels exactly one internal edge. The
+    oracle for the clade-mask tree view of bhvkit.topology.
+    """
+
+    n: int
+    node_leaves: list[int]            # per node, bitmask of directly attached leaves
+    adjacency: list[dict[int, Split]]  # per node, neighbor -> split on that edge
+
+    @property
+    def node_count(self) -> int:
+        return len(self.node_leaves)
+
+    @property
+    def edges(self) -> list[tuple[int, int, Split]]:
+        out = []
+        for u, nbrs in enumerate(self.adjacency):
+            for v, s in nbrs.items():
+                if u < v:
+                    out.append((u, v, s))
+        return out
+
+    @property
+    def leaf_node(self) -> dict[int, int]:
+        attach = {}
+        for u, mask in enumerate(self.node_leaves):
+            for leaf in leaves_of(mask):
+                attach[leaf] = u
+        return attach
+
+    def degree(self, u: int) -> int:
+        return self.node_leaves[u].bit_count() + len(self.adjacency[u])
+
+    def degrees(self) -> tuple[int, ...]:
+        """Node degrees, sorted descending."""
+        return tuple(sorted((self.degree(u) for u in range(self.node_count)), reverse=True))
+
+    def side_behind(self, u: int, v: int) -> int:
+        """Leaf bitmask of the component containing v after cutting edge (u, v).
+
+        Recomputed by traversal, independently of the stored edge labels, so
+        round-trip tests exercise the actual tree shape.
+        """
+        seen = {v}
+        stack = [v]
+        mask = 0
+        while stack:
+            w = stack.pop()
+            mask |= self.node_leaves[w]
+            for x in self.adjacency[w]:
+                if x not in seen and not (w == v and x == u):
+                    seen.add(x)
+                    stack.append(x)
+        return mask
+
+    def splits_by_cutting(self) -> set[Split]:
+        """Recompute the split of every internal edge from scratch."""
+        out = set()
+        for u, v, _ in self.edges:
+            out.add(make_split(leaves_of(self.side_behind(u, v)), self.n))
+        return out
+
+    def to_dot(self) -> str:
+        """Graphviz rendering: internal nodes as points, leaves as plain labels."""
+        lines = ["graph internal_tree {"]
+        for u in range(self.node_count):
+            lines.append(f'  n{u} [shape=point];')
+        for leaf in range(1, self.n + 1):
+            lines.append(f'  leaf{leaf} [shape=none, label="{leaf}"];')
+        for u, v, s in sorted(self.edges):
+            label = ",".join(map(str, s.side))
+            lines.append(f'  n{u} -- n{v} [label="{{{label}}}"];')
+        for leaf, u in sorted(self.leaf_node.items()):
+            lines.append(f"  leaf{leaf} -- n{u};")
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def reconstruct_tree(t: Topology) -> InternalTree:
+    """Build the unique tree whose internal-edge splits equal t.splits.
+
+    Starts from the star tree and inserts splits in increasing side size.
+    Each insertion pulls the split's side off a single node: compatibility
+    guarantees exactly one node has no edge straddling the side.
+    """
+    n = t.n
+    node_leaves = [full_mask(n)]
+    adjacency: list[dict[int, Split]] = [{}]
+    through: dict[tuple[int, int], int] = {}
+
+    for s in sorted(t.splits):
+        side, comp = s.mask, s.complement_mask
+        host = None
+        for u in range(len(node_leaves)):
+            if all(m & side == 0 or m & comp == 0 for m in
+                   (through[(u, v)] for v in adjacency[u])):
+                if host is not None:
+                    raise AssertionError(f"split {s} attachable at two nodes")
+                host = u
+        if host is None:
+            raise AssertionError(f"no attachment node for split {s}")
+
+        w = len(node_leaves)
+        node_leaves.append(node_leaves[host] & side)
+        node_leaves[host] &= comp
+        adjacency.append({})
+        moved = [v for v in adjacency[host] if through[(host, v)] & side]
+        for v in moved:
+            edge_split = adjacency[host].pop(v)
+            adjacency[v].pop(host)
+            adjacency[w][v] = edge_split
+            adjacency[v][w] = edge_split
+            through[(w, v)] = through.pop((host, v))
+            through[(v, w)] = through.pop((v, host))
+        adjacency[host][w] = s
+        adjacency[w][host] = s
+        through[(host, w)] = side
+        through[(w, host)] = comp
+
+    tree = InternalTree(n, node_leaves, adjacency)
+    if any(tree.degree(u) < 3 for u in range(tree.node_count)):
+        raise AssertionError("reconstruction produced a degree < 3 node")
+    return tree
+
+
+def to_newick_by_walk(x: TreePoint) -> str:
+    """Canonical Newick by walking the reconstructed graph from the node
+    holding leaf 1, ordering each node's items by the smallest leaf found
+    behind them with side_behind."""
+    tree = reconstruct_tree(x.topology)
+    root = tree.leaf_node[1]
+
+    def leaf_text(leaf: int) -> str:
+        if x.leaf_lengths and leaf in x.leaf_lengths:
+            return f"{leaf}:{float(x.leaf_lengths[leaf])!r}"
+        return str(leaf)
+
+    def items_at(u: int, parent: int | None) -> str:
+        items: list[tuple[int, str]] = []
+        for leaf in leaves_of(tree.node_leaves[u]):
+            items.append((leaf, leaf_text(leaf)))
+        for v, s in tree.adjacency[u].items():
+            if v == parent:
+                continue
+            sub = items_at(v, u)
+            smallest = min(leaves_of(tree.side_behind(u, v)))
+            items.append((smallest, f"({sub}):{float(x.lengths[s])!r}"))
+        items.sort()
+        return ",".join(text for _, text in items)
+
+    return f"({items_at(root, None)});"
+
+
+def random_face(rnd, n: int, keep: float = 0.7) -> Topology:
+    """A random face on n leaves: the clades of a random binary tree, built
+    by merging random pairs of subtrees until three remain, each kept with
+    probability keep."""
+    parts = [1 << i for i in range(n)]
+    kept = []
+    while len(parts) > 3:
+        i, j = rnd.sample(range(len(parts)), 2)
+        joined = parts[i] | parts[j]
+        parts = [p for k, p in enumerate(parts) if k not in (i, j)] + [joined]
+        if rnd.random() < keep:
+            kept.append(make_split(leaves_of(joined), n))
+    return Topology(n, frozenset(kept))

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bhvkit
 from bhvkit.cli import main
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
@@ -208,6 +211,49 @@ def test_parse_dot_renders_tree(capsys, tmp_path):
     assert target.read_text().startswith("graph internal_tree {")
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        '{"n":5,"edges":[{"side":[1,2],"length":1e999}]}',
+        '{"n":5,"edges":[],"leaf_lengths":{"1":-1.0}}',
+        '{"n":5,"edges":[],"leaf_lengths":{"1":1e999}}',
+        "((1,2):1e999,3,4,5);",
+    ],
+)
+def test_parse_rejects_infinite_and_negative_lengths(capsys, tree):
+    code, out, err = run(capsys, "parse", tree)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+
+
+def test_volume_rejects_infinite_eps(capsys):
+    code, out, err = run(capsys, "volume", "(1,2,3,4,5,6);", "--eps", "inf")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "finite" in err
+
+
+def test_parse_deep_nesting_is_one_error_line(capsys):
+    code, out, err = run(capsys, "parse", "(" * 3000 + "1,2" + ")" * 3000 + ";")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "nesting" in err
+
+
+def test_parse_dot_matches_graph_oracle(capsys):
+    from bhvkit import parse_newick
+    from helpers import reconstruct_tree
+
+    code, out, _ = run(capsys, "parse", FIG_TREE, "--dot", "-")
+    assert code == 0
+    dot = reconstruct_tree(parse_newick(FIG_TREE).topology).to_dot()
+    assert out.startswith(dot + "\n{")
+
+
 def test_count_bad_refine_json(capsys):
     code, _, err = run(capsys, "count", "6", "--refine", "[[1,2")
     assert code == 1
@@ -232,10 +278,14 @@ def test_json_to_file(capsys, tmp_path):
 
 
 def test_console_entry_point():
+    # the child finds bhvkit where this process did, installed or not
+    package_root = str(Path(bhvkit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bhvkit.cli", "count", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "15"

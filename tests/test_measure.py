@@ -71,6 +71,33 @@ def test_tree_point_requires_positive_lengths():
         TreePoint(t, {make_split({1, 2}, 6): 0.0})
 
 
+@pytest.mark.parametrize("w", [math.inf, math.nan])
+def test_tree_point_rejects_non_finite_lengths(w):
+    t = make_topology({make_split({1, 2}, 6)}, 6)
+    with pytest.raises(ValueError):
+        TreePoint(t, {make_split({1, 2}, 6): w})
+
+
+@pytest.mark.parametrize("w", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
+def test_tree_point_rejects_negative_or_non_finite_leaf_lengths(w):
+    with pytest.raises(ValueError):
+        TreePoint(make_topology((), 5), {}, {1: w})
+
+
+def test_tree_point_accepts_zero_leaf_length():
+    assert TreePoint(make_topology((), 5), {}, {1: 0.0}).leaf_lengths == {1: 0.0}
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_volumes_require_finite_radius(eps):
+    with pytest.raises(NonpositiveRadius):
+        euclidean_ball_volume(3, eps)
+    with pytest.raises(NonpositiveRadius):
+        ball_volume(cone_point(6), eps)
+    with pytest.raises(NonpositiveRadius):
+        ball_volume_bounds(6, 0, eps)
+
+
 def test_binary_point_volume_hits_lower_bound():
     x = point(6, [(( 1, 2), 0.4), ((1, 2, 3), 0.5), ((5, 6), 0.3)])
     vol = ball_volume(x, 0.1)

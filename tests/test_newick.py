@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvkit import (
     DegreeTwoInternal,
@@ -20,6 +22,7 @@ from bhvkit import (
     to_newick,
 )
 from bhvkit.newick import iter_newick_lines, parse_tree_string
+from helpers import random_face
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
 
@@ -192,3 +195,34 @@ def test_parse_tree_string_structure():
 def test_iter_newick_lines_skips_comments():
     text = "# header\n(1,2,3,4);\n\n  # note\n(1,2,3,4,5);\n"
     assert list(iter_newick_lines(text)) == ["(1,2,3,4);", "(1,2,3,4,5);"]
+
+
+def test_deep_nesting_is_a_syntax_error():
+    text = "(" * 3000 + "1,2" + ")" * 3000 + ";"
+    with pytest.raises(NewickSyntaxError):
+        parse_newick(text)
+
+
+def test_rooted_caterpillar_on_64_leaves_parses():
+    text = "(1,2)"
+    for leaf in range(3, 65):
+        text = f"({text}:0.5,{leaf})"
+    x = parse_newick(text + ";")
+    assert x.n == 64
+    assert x.p == 61
+    assert parse_newick(to_newick(x)) == x
+
+
+_LENGTHS = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+_LEAF_LENGTHS = st.floats(min_value=0, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(4, 64), st.randoms(use_true_random=False), st.data())
+def test_to_newick_round_trips_with_leaf_lengths(n, rnd, data):
+    t = random_face(rnd, n)
+    lengths = {s: data.draw(_LENGTHS) for s in t.sorted_splits}
+    leaves = data.draw(st.sets(st.integers(1, n)))
+    leaf_lengths = {leaf: data.draw(_LEAF_LENGTHS) for leaf in sorted(leaves)} or None
+    x = TreePoint(t, lengths, leaf_lengths)
+    assert parse_newick(to_newick(x)) == x

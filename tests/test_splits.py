@@ -14,10 +14,11 @@ from bhvkit import (
     all_permutations,
     apply_permutation,
     are_compatible,
-    compatible_disjoint_or_nested,
     enumerate_splits,
     make_split,
+    split_of_mask,
 )
+from helpers import compatible_disjoint_or_nested
 
 
 def test_make_split_keeps_smaller_side():
@@ -26,6 +27,27 @@ def test_make_split_keeps_smaller_side():
 
 def test_make_split_canonicalizes_to_complement():
     assert make_split({3, 4, 5, 6}, 6).side == (1, 2)
+
+
+def test_split_of_mask_agrees_with_make_split():
+    for n in (4, 5, 6, 7):
+        for mask in range(1, 1 << n):
+            if 2 <= mask.bit_count() <= n - 2:
+                side = [i + 1 for i in range(n) if mask >> i & 1]
+                assert split_of_mask(mask, n) == make_split(side, n)
+            else:
+                with pytest.raises(SubsetTooSmall):
+                    split_of_mask(mask, n)
+
+
+def test_clade_is_the_side_without_leaf_one():
+    assert make_split({1, 2}, 6).clade == 0b111100
+    assert make_split({3, 4}, 6).clade == 0b001100
+    assert make_split({1, 2, 3}, 6).clade == 0b111000
+    for n in (4, 5, 6, 7):
+        for s in enumerate_splits(n):
+            assert not s.clade & 1
+            assert split_of_mask(s.clade, n) == s
 
 
 def test_make_split_half_size_tie_goes_to_leaf_one():

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvkit import (
     EnumerationTooLarge,
@@ -11,6 +13,8 @@ from bhvkit import (
     Permutation,
     TooManySplits,
     Topology,
+    TreePoint,
+    clade_children,
     count_refining_orthants,
     degree_sequence,
     double_factorial,
@@ -19,9 +23,9 @@ from bhvkit import (
     is_binary,
     make_split,
     make_topology,
-    reconstruct_tree,
+    to_newick,
 )
-from helpers import all_faces, census_by_graph_walk
+from helpers import all_faces, census_by_graph_walk, random_face, reconstruct_tree, to_newick_by_walk
 
 
 def splits(n, *sides):
@@ -219,8 +223,42 @@ def test_topology_json_round_trip():
 
 
 def test_internal_tree_dot_export():
-    tree = reconstruct_tree(make_topology(splits(6, {1, 2}), 6))
-    dot = tree.to_dot()
+    dot = make_topology(splits(6, {1, 2}), 6).to_dot()
     assert dot.startswith("graph")
     assert "n0 -- n1" in dot
     assert 'label="{1,2}"' in dot
+
+
+def test_clade_children_example():
+    # hung from leaf 1: {1,2} names clade {3,4,5,6}, which holds {5,6}
+    t = make_topology(splits(6, {1, 2}, {5, 6}), 6)
+    assert clade_children(t) == {0b111111: [0b111100], 0b111100: [0b110000], 0b110000: []}
+    assert clade_children(make_topology((), 5)) == {0b11111: []}
+
+
+def _sample_point(t, rng):
+    lengths = {s: rng.choice((0.5, 1.0, 2.75, 1e-3)) for s in t.splits}
+    leaf = {leaf: rng.choice((0.0, 0.25, 3.0)) for leaf in range(1, t.n + 1) if rng.random() < 0.5}
+    return TreePoint(t, lengths, leaf or None)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_clade_view_matches_graph_oracle_all_faces(n):
+    rng = random.Random(5000 + n)
+    for t in all_faces(n):
+        tree = reconstruct_tree(t)
+        assert degree_sequence(t) == tree.degrees()
+        assert t.to_dot() == tree.to_dot()
+        x = _sample_point(t, rng)
+        assert to_newick(x) == to_newick_by_walk(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 64), st.randoms(use_true_random=False))
+def test_clade_view_matches_graph_oracle_random_faces(n, rnd):
+    t = random_face(rnd, n)
+    tree = reconstruct_tree(t)
+    assert degree_sequence(t) == tree.degrees()
+    assert t.to_dot() == tree.to_dot()
+    x = _sample_point(t, rnd)
+    assert to_newick(x) == to_newick_by_walk(x)
