@@ -55,7 +55,7 @@ from .measure import (
     is_cone_point,
     same_orthant_distance,
 )
-from .newick import NewickNode, parse_newick, splits_from_tree, to_newick
+from .newick import parse_newick, to_newick
 from .splits import (
     Permutation,
     Split,

@@ -35,7 +35,6 @@ from .measure import (
     TreePoint,
     ball_volume,
     ball_volume_bounds,
-    distance_upper_bound,
     is_cone_point,
     same_orthant_distance,
 )
@@ -185,7 +184,7 @@ def cmd_dist(args) -> int:
     report = {
         "same_orthant": same,
         "cone_path": cone,
-        "upper_bound": distance_upper_bound(a, b),
+        "upper_bound": cone if same is None else min(same, cone),
     }
     _emit(_dump(report), args.json)
     return EXIT_OK

@@ -114,8 +114,12 @@ class DuplicateLeaf(BhvError):
 
 
 class DegreeTwoInternal(BhvError):
-    """A non-root internal node has a single child, which no unrooted
-    tree can produce."""
+    """A Newick node has a single child, which no unrooted tree can
+    produce; carries the 0-based offset of the node's ')'."""
+
+    def __init__(self, position):
+        self.position = position
+        super().__init__(f"node with a single child (at offset {position})")
 
 
 class NegativeLength(BhvError):

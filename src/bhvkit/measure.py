@@ -10,35 +10,40 @@ dominance claims can be tested without float noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import EpsilonTooLarge, LeafCountMismatch, NonpositiveRadius, POutOfRange
 from .splits import (
     Permutation,
     Split,
     apply_permutation,
-    are_compatible,
     check_leaf_count,
     make_split,
+    pairwise_compatible,
 )
 from .topology import Topology, count_refining_orthants, double_factorial, make_topology
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreePoint:
     """A topology with a positive finite length per split.
 
     Finite non-negative leaf-edge lengths may ride along as metadata but
-    never enter coordinates, norms, or distances. Treat instances as
-    immutable.
+    never enter coordinates, norms, or distances. Immutable and hashable:
+    both length maps are read-only copies of the mappings passed in.
     """
 
     topology: Topology
-    lengths: dict[Split, float] = field(default_factory=dict)
-    leaf_lengths: dict[int, float] | None = None
+    lengths: Mapping[Split, float] = field(default_factory=dict)
+    leaf_lengths: Mapping[int, float] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", MappingProxyType(dict(self.lengths)))
+        if self.leaf_lengths is not None:
+            object.__setattr__(self, "leaf_lengths", MappingProxyType(dict(self.leaf_lengths)))
         if set(self.lengths) != set(self.topology.splits):
             raise ValueError("lengths must be keyed by exactly the topology's splits")
         for s, w in self.lengths.items():
@@ -52,6 +57,10 @@ class TreePoint:
                     raise ValueError(f"leaf {leaf} not in 1..{self.n}")
                 if not (w >= 0 and math.isfinite(w)):
                     raise ValueError(f"leaf {leaf} has negative or non-finite length {w}")
+
+    def __hash__(self) -> int:
+        leaf = None if self.leaf_lengths is None else frozenset(self.leaf_lengths.items())
+        return hash((self.topology, frozenset(self.lengths.items()), leaf))
 
     @property
     def n(self) -> int:
@@ -183,13 +192,11 @@ def same_orthant_distance(a: TreePoint, b: TreePoint) -> float | None:
     """
     if a.n != b.n:
         raise LeafCountMismatch(f"points over n={a.n} and n={b.n}")
-    union = sorted(set(a.topology.splits) | set(b.topology.splits))
-    for i, s in enumerate(union):
-        for t in union[i + 1 :]:
-            if not are_compatible(s, t):
-                return None
+    union = a.topology.splits | b.topology.splits
+    if not pairwise_compatible(union):
+        return None
     return math.sqrt(
-        sum((a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0)) ** 2 for s in union)
+        sum((a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0)) ** 2 for s in sorted(union))
     )
 
 

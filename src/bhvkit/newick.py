@@ -8,18 +8,29 @@ rejected rather than skipped):
              | label [":" number]
     number  := nonnegative decimal (exponent notation allowed)
 
-Nesting deeper than 65 levels is rejected as a syntax error: no valid tree
-on at most 64 leaves goes deeper.
+Whitespace (space, tab, CR, LF) may stand between any two tokens and ends
+a label. A branch length is the longest number at the head of the text
+after the ':'. A node with a single child breaks the grammar and is
+reported as DegreeTwoInternal at its ')'; nesting deeper than 65 levels is
+a syntax error: no valid tree on at most 64 leaves goes deeper.
 
-Rooted input is unrooted by suppressing a degree-2 root, summing the two
-merged edge lengths. Internal edges of length zero are boundary edges and
-are dropped from the topology; leaf edge lengths are kept as metadata only.
+Parsing is one pass over one regex tokenizer with an explicit stack of open
+nodes and no node objects. Leaf i of the text is bit i of a clade, and the
+leaves below a node are consecutive in the text, so each closed node's
+clade, the OR of its children's clades, is the range of leaves read
+between its '(' and ')'. Once the labels are resolved, prefix sums of the
+leaves' index bits turn each range into a clade mask.
+
+Rooted input is unrooted by suppressing a degree-2 root and summing the two
+merged edge lengths onto the edge that stays: a leaf edge if either child
+is a leaf, else the edge whose split both child clades name. Internal edges
+of length zero or missing are boundary edges and are dropped from the
+topology; leaf edge lengths are kept as metadata only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import (
     DegreeTwoInternal,
@@ -29,122 +40,121 @@ from .errors import (
     UnknownLeafName,
 )
 from .measure import TreePoint
-from .splits import MAX_LEAVES, Split, full_mask, mask_of, split_of_mask
+from .splits import MAX_LEAVES, full_mask, split_of_mask
 from .topology import clade_children, make_topology
 
-_LABEL_END = set("():,;[]'\" \t\r\n")
-_REJECTED = set("[]'\"")
-_NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-
-
-@dataclass
-class NewickNode:
-    """One node of a parsed Newick tree; leaves have no children."""
-
-    children: list["NewickNode"] = field(default_factory=list)
-    label: str | None = None
-    length: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
+# Whitespace runs, punctuation, a ':' with its number (matched as a prefix),
+# labels, and the rejected quote and bracket characters: every character
+# of the text falls in exactly one token.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+"
+    r"|[(),;]"
+    r"|:[ \t\r\n]*(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)?"
+    r"|[^():,;\[\]'\" \t\r\n]+"
+    r"|[\[\]'\"]"
+)
+_SPACE = " \t\r\n"
+_REJECTED = "[]'\""
 
 # No valid tree on MAX_LEAVES leaves nests deeper: below the root, every
 # internal node on a path adds at least one leaf off that path.
 _MAX_DEPTH = MAX_LEAVES + 1
 
+# What the tokens read so far allow next: a subtree; after a ')', a label, a
+# length or a separator; after a label, a length or a separator; after a
+# length, a separator; after the ';', nothing.
+_SUBTREE, _CLOSED, _LABELED, _MEASURED, _DONE = range(5)
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def fail(self, message: str):
-        raise NewickSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def label(self) -> str:
-        self.skip_ws()
-        if self.peek() in _REJECTED:
-            self.fail("quoted labels and bracket comments are not supported")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _LABEL_END:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def maybe_length(self) -> float | None:
-        if self.peek() != ":":
-            return None
-        self.pos += 1
-        self.skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a branch length")
-        self.pos = m.end()
-        value = float(m.group())
-        if value < 0:
-            raise NegativeLength(f"negative branch length {m.group()}")
-        return value
-
-    def subtree(self) -> NewickNode:
-        if self.peek() == "(":
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                self.fail(f"nesting deeper than {_MAX_DEPTH} levels")
-            self.pos += 1
-            children = [self.subtree()]
-            while self.peek() == ",":
-                self.pos += 1
-                children.append(self.subtree())
-            self.expect(")")
-            self.depth -= 1
-            label = self.label() or None
-            return NewickNode(children, label, self.maybe_length())
-        name = self.label()
-        if not name:
-            self.fail("expected '(' or a leaf label")
-        return NewickNode([], name, self.maybe_length())
-
-    def tree(self) -> NewickNode:
-        root = self.subtree()
-        self.expect(";")
-        if self.peek():
-            self.fail("trailing text after ';'")
-        return root
+# An edge as read: the range first..end-1 of text-order leaves below it and
+# its length, None when missing.
+_Item = tuple[int, int, float | None]
 
 
-def parse_tree_string(text: str) -> NewickNode:
-    """Parse one Newick statement into a node tree."""
-    return _Parser(text).tree()
+def _scan(text: str) -> tuple[list[str], list[_Item]]:
+    """One pass over a Newick statement.
 
-
-def _collect_leaves(node: NewickNode, out: list[NewickNode]):
-    if node.is_leaf:
-        out.append(node)
-    for child in node.children:
-        _collect_leaves(child, out)
+    Returns the leaf names in text order and one item per edge of the
+    unrooted tree; an item with end - first == 1 is a leaf edge.
+    """
+    names: list[str] = []
+    items: list[_Item] = []  # edges not at the root
+    stack: list[list[_Item]] = []  # the children read so far, per open node
+    root: list[_Item] = []
+    first = end = 0
+    length = None
+    state = _SUBTREE
+    pos = 0
+    for tok in _TOKEN.findall(text):
+        at = pos
+        pos += len(tok)
+        c = tok[0]
+        if c in _SPACE:
+            continue
+        if c in _REJECTED:
+            raise NewickSyntaxError("quoted labels and bracket comments are not supported", at)
+        if state == _SUBTREE:
+            if c == "(":
+                if len(stack) == _MAX_DEPTH:
+                    raise NewickSyntaxError(f"nesting deeper than {_MAX_DEPTH} levels", at)
+                stack.append([])
+                continue
+            if c in "),;:":
+                raise NewickSyntaxError("expected '(' or a leaf label", at)
+            first, end, length = len(names), len(names) + 1, None
+            names.append(tok)
+            state = _LABELED
+        elif state == _DONE:
+            raise NewickSyntaxError("trailing text after ';'", at)
+        elif c == ":" and state != _MEASURED:
+            number = tok[1:].lstrip(_SPACE)
+            if not number:
+                raise NewickSyntaxError("expected a branch length", pos)
+            length = float(number)
+            if length < 0:
+                raise NegativeLength(f"negative branch length {number}")
+            state = _MEASURED
+        elif state == _CLOSED and c not in "(),;":
+            state = _LABELED  # internal node labels are read and ignored
+        elif c == "," and stack:
+            stack[-1].append((first, end, length))
+            state = _SUBTREE
+        elif c == ")" and stack:
+            kids = stack.pop()
+            kids.append((first, end, length))
+            if len(kids) == 1:
+                raise DegreeTwoInternal(at)
+            if stack:
+                items += kids
+            else:
+                root = kids
+            first, length = kids[0][0], None
+            state = _CLOSED
+        elif c == ";" and not stack:
+            state = _DONE
+        else:
+            raise NewickSyntaxError("expected ')'" if stack else "expected ';'", at)
+    if state != _DONE:
+        expected = "'(' or a leaf label" if state == _SUBTREE else "')'" if stack else "';'"
+        raise NewickSyntaxError(f"expected {expected}", pos)
+    if not root:
+        root = [(first, end, length)]  # the whole tree is one leaf
+    elif len(root) == 2:
+        (a0, a1, wa), (b0, b1, wb) = root
+        if a1 - a0 > 1 or b1 - b0 > 1:
+            # Unroot: the first internal child becomes the root, and the
+            # other child's edge takes both lengths.
+            merged = None if wa is None and wb is None else (wa or 0.0) + (wb or 0.0)
+            root = [(b0, b1, merged) if a1 - a0 > 1 else (a0, a1, merged)]
+    return names, items + root
 
 
 def _resolve_labels(names: list[str], label_map: dict[str, int] | None) -> dict[str, int]:
     """Map leaf names to indices 1..n.
 
-    With no map: all-numeric names must be exactly 1..n; purely non-numeric
-    names are assigned by lexicographic sort. Anything else needs an
-    explicit map, since sorting "10" before "2" would scramble labels.
+    With no map: names of ASCII digits only must be exactly 1..n; purely
+    non-numeric names are assigned by lexicographic sort. Anything else
+    needs an explicit map, since sorting "10" before "2" would scramble
+    labels.
     """
     n = len(names)
     if label_map is not None:
@@ -156,7 +166,7 @@ def _resolve_labels(names: list[str], label_map: dict[str, int] | None) -> dict[
         if missing:
             raise UnknownLeafName(f"leaf name {missing[0]!r} not in label map")
         return {name: label_map[name] for name in names}
-    numeric = [name for name in names if name.isdigit()]
+    numeric = [name for name in names if name.isascii() and name.isdigit()]
     if numeric:
         if len(numeric) != n:
             raise UnknownLeafName(
@@ -171,52 +181,6 @@ def _resolve_labels(names: list[str], label_map: dict[str, int] | None) -> dict[
     return {name: i for i, name in enumerate(sorted(names), start=1)}
 
 
-def _unroot(root: NewickNode) -> NewickNode:
-    """Suppress a degree-2 root by merging its two incident edges."""
-    if len(root.children) != 2:
-        return root
-    a, b = root.children
-    keep, other = (a, b) if a.children else (b, a)
-    if not keep.children:
-        return root  # two-leaf tree; rejected later by the leaf-count check
-    if keep.length is None and other.length is None:
-        merged = None
-    else:
-        merged = (keep.length or 0.0) + (other.length or 0.0)
-    moved = NewickNode(other.children, other.label, merged)
-    return NewickNode(keep.children + [moved], keep.label, None)
-
-
-def splits_from_tree(root: NewickNode, leaf_index: dict[str, int]) -> set[tuple[Split, float]]:
-    """One (split, length) pair per internal edge of an unrooted node tree.
-
-    The split side is the leaf set cut off below the edge; missing lengths
-    count as zero. Raises DegreeTwoInternal for a non-root single-child node
-    and NegativeLength for hand-built nodes with negative lengths.
-    """
-    n = len(leaf_index)
-    records: set[tuple[Split, float]] = set()
-
-    def below(node: NewickNode, at_root: bool) -> int:
-        if node.is_leaf:
-            return mask_of([leaf_index[node.label]], n)
-        if len(node.children) < 2 and not at_root:
-            raise DegreeTwoInternal("internal node with a single child")
-        mask = 0
-        for child in node.children:
-            child_mask = below(child, False)
-            mask |= child_mask
-            if not child.is_leaf:
-                length = child.length if child.length is not None else 0.0
-                if length < 0:
-                    raise NegativeLength(f"negative branch length {child.length}")
-                records.add((split_of_mask(child_mask, n), length))
-        return mask
-
-    below(root, True)
-    return records
-
-
 def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoint:
     """Parse one Newick statement into a TreePoint.
 
@@ -224,25 +188,26 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
     internal edges are dropped from the topology and leaf edge lengths are
     retained as metadata.
     """
-    root = _unroot(parse_tree_string(text))
-
-    leaves: list[NewickNode] = []
-    _collect_leaves(root, leaves)
-    names = [leaf.label for leaf in leaves]
+    names, items = _scan(text)
     seen = set()
     for name in names:
         if name in seen:
             raise DuplicateLeaf(name)
         seen.add(name)
-    leaf_index = _resolve_labels(names, label_map)
-
-    records = splits_from_tree(root, leaf_index)
-    lengths = {s: w for s, w in records if w > 0}
-    leaf_lengths = {
-        leaf_index[leaf.label]: leaf.length for leaf in leaves if leaf.length is not None
-    }
-    topology = make_topology(lengths.keys(), len(names))
-    return TreePoint(topology, lengths, leaf_lengths or None)
+    index = _resolve_labels(names, label_map)
+    n = len(names)
+    below = [0]  # below[i]: the index bits of the first i leaves of the text
+    for name in names:
+        below.append(below[-1] | 1 << (index[name] - 1))
+    lengths = {}
+    leaf_lengths = {}
+    for first, end, w in items:
+        if end - first == 1:
+            if w is not None:
+                leaf_lengths[index[names[first]]] = w
+        elif w:
+            lengths[split_of_mask(below[end] ^ below[first], n)] = w
+    return TreePoint(make_topology(lengths, n), lengths, leaf_lengths or None)
 
 
 def _format_length(w: float) -> str:

@@ -171,6 +171,22 @@ def are_compatible(a: Split, b: Split) -> bool:
     return not (am & bm) or not (am & bc) or not (ac & bm) or not (ac & bc)
 
 
+def pairwise_compatible(splits: Iterable[Split]) -> bool:
+    """True if splits on one leaf set are pairwise compatible.
+
+    Canonical sides hold at most n/2 leaves and a half-size side holds leaf
+    1, so two never cover every leaf: a pair is compatible exactly when its
+    sides are disjoint or nested.
+    """
+    masks = [s.mask for s in splits]
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            both = a & b
+            if both and both != a and both != b:
+                return False
+    return True
+
+
 def enumerate_splits(n: int) -> list[Split]:
     """All canonical splits on n leaves, ordered by (size, lexicographic side).
 

@@ -40,6 +40,7 @@ from .splits import (
     full_mask,
     leaves_of,
     make_split,
+    pairwise_compatible,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -69,22 +70,12 @@ class Topology:
             raise TooManySplits(
                 f"{len(self.splits)} splits exceed n-3 = {self.n - 3}"
             )
-        # Canonical sides hold at most n/2 leaves and a half-size side holds
-        # leaf 1, so two never cover every leaf: the pair is compatible
-        # exactly when the sides are disjoint or nested.
-        masks = [s.mask for s in self.splits]
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                both = a & b
-                if both and both != a and both != b:
-                    self._raise_first_incompatible()
-
-    def _raise_first_incompatible(self):
-        ordered = sorted(self.splits)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                if not are_compatible(a, b):
-                    raise IncompatiblePair(a, b)
+        if not pairwise_compatible(self.splits):
+            ordered = sorted(self.splits)
+            for i, a in enumerate(ordered):
+                for b in ordered[i + 1 :]:
+                    if not are_compatible(a, b):
+                        raise IncompatiblePair(a, b)
 
     @property
     def p(self) -> int:

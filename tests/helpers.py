@@ -1,11 +1,16 @@
 """Shared brute-force helpers for the test suite."""
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
 from bhvkit import (
+    DegreeTwoInternal,
+    DuplicateLeaf,
     LeafCountMismatch,
+    NegativeLength,
+    NewickSyntaxError,
     SearchBudgetExceeded,
     Split,
     Topology,
@@ -14,8 +19,10 @@ from bhvkit import (
     are_compatible,
     enumerate_binary_topologies,
     make_split,
+    make_topology,
 )
-from bhvkit.splits import full_mask, leaves_of
+from bhvkit.newick import _resolve_labels
+from bhvkit.splits import MAX_LEAVES, full_mask, leaves_of, mask_of, split_of_mask
 
 
 @lru_cache(maxsize=8)
@@ -365,3 +372,195 @@ def random_face(rnd, n: int, keep: float = 0.7) -> Topology:
         if rnd.random() < keep:
             kept.append(make_split(leaves_of(joined), n))
     return Topology(n, frozenset(kept))
+
+
+# ---------------------------------------------------------------------------
+# Newick by node tree: a recursive character-level parser that builds
+# explicit nodes, unroots them and walks them for splits. The oracle for
+# the one-pass clade-mask parser in bhvkit.newick.
+# ---------------------------------------------------------------------------
+
+_LABEL_END = set("():,;[]'\" \t\r\n")
+_REJECTED = set("[]'\"")
+_NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+_MAX_DEPTH = MAX_LEAVES + 1
+
+
+@dataclass
+class NewickNode:
+    """One node of a parsed Newick tree; leaves have no children."""
+
+    children: list["NewickNode"] = field(default_factory=list)
+    label: str | None = None
+    length: float | None = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def fail(self, message: str):
+        raise NewickSyntaxError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}")
+        self.pos += 1
+
+    def label(self) -> str:
+        self.skip_ws()
+        if self.peek() in _REJECTED:
+            self.fail("quoted labels and bracket comments are not supported")
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] not in _LABEL_END:
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def maybe_length(self) -> float | None:
+        if self.peek() != ":":
+            return None
+        self.pos += 1
+        self.skip_ws()
+        m = _NUMBER.match(self.text, self.pos)
+        if not m:
+            self.fail("expected a branch length")
+        self.pos = m.end()
+        value = float(m.group())
+        if value < 0:
+            raise NegativeLength(f"negative branch length {m.group()}")
+        return value
+
+    def subtree(self) -> NewickNode:
+        if self.peek() == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                self.fail(f"nesting deeper than {_MAX_DEPTH} levels")
+            self.pos += 1
+            children = [self.subtree()]
+            while self.peek() == ",":
+                self.pos += 1
+                children.append(self.subtree())
+            self.expect(")")
+            self.depth -= 1
+            label = self.label() or None
+            return NewickNode(children, label, self.maybe_length())
+        name = self.label()
+        if not name:
+            self.fail("expected '(' or a leaf label")
+        return NewickNode([], name, self.maybe_length())
+
+    def tree(self) -> NewickNode:
+        root = self.subtree()
+        self.expect(";")
+        if self.peek():
+            self.fail("trailing text after ';'")
+        return root
+
+
+def parse_tree_string(text: str) -> NewickNode:
+    """Parse one Newick statement into a node tree."""
+    return _Parser(text).tree()
+
+
+def collect_leaves(node: NewickNode, out: list[NewickNode]):
+    if node.is_leaf:
+        out.append(node)
+    for child in node.children:
+        collect_leaves(child, out)
+
+
+def unroot(root: NewickNode) -> NewickNode:
+    """Suppress a degree-2 root by merging its two incident edges."""
+    if len(root.children) != 2:
+        return root
+    a, b = root.children
+    keep, other = (a, b) if a.children else (b, a)
+    if not keep.children:
+        return root  # two-leaf tree; rejected later by the leaf-count check
+    if keep.length is None and other.length is None:
+        merged = None
+    else:
+        merged = (keep.length or 0.0) + (other.length or 0.0)
+    moved = NewickNode(other.children, other.label, merged)
+    return NewickNode(keep.children + [moved], keep.label, None)
+
+
+def splits_from_tree(root: NewickNode, leaf_index: dict[str, int]) -> set[tuple[Split, float]]:
+    """One (split, length) pair per internal edge of an unrooted node tree.
+
+    The split side is the leaf set cut off below the edge; missing lengths
+    count as zero. Raises DegreeTwoInternal (with no text offset) for a
+    non-root single-child node and NegativeLength for hand-built nodes with
+    negative lengths.
+    """
+    n = len(leaf_index)
+    records: set[tuple[Split, float]] = set()
+
+    def below(node: NewickNode, at_root: bool) -> int:
+        if node.is_leaf:
+            return mask_of([leaf_index[node.label]], n)
+        if len(node.children) < 2 and not at_root:
+            raise DegreeTwoInternal(None)
+        mask = 0
+        for child in node.children:
+            child_mask = below(child, False)
+            mask |= child_mask
+            if not child.is_leaf:
+                length = child.length if child.length is not None else 0.0
+                if length < 0:
+                    raise NegativeLength(f"negative branch length {child.length}")
+                records.add((split_of_mask(child_mask, n), length))
+        return mask
+
+    below(root, True)
+    return records
+
+
+def parse_newick_by_tree(text: str, label_map: dict[str, int] | None = None) -> TreePoint:
+    """parse_newick through an explicit node tree: parse, unroot, collect
+    the leaves, resolve their labels and walk the tree for splits."""
+    root = unroot(parse_tree_string(text))
+    leaves: list[NewickNode] = []
+    collect_leaves(root, leaves)
+    names = [leaf.label for leaf in leaves]
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateLeaf(name)
+        seen.add(name)
+    leaf_index = _resolve_labels(names, label_map)
+    records = splits_from_tree(root, leaf_index)
+    lengths = {s: w for s, w in records if w > 0}
+    leaf_lengths = {
+        leaf_index[leaf.label]: leaf.length for leaf in leaves if leaf.length is not None
+    }
+    return TreePoint(make_topology(lengths.keys(), len(names)), lengths, leaf_lengths or None)
+
+
+def has_single_child_node(text: str) -> bool:
+    """True if some '(' of the text is closed by a ')' with no ',' between
+    them at its own level: a node with a single child, whatever else the
+    text holds."""
+    commas = []
+    for ch in text:
+        if ch == "(":
+            commas.append(0)
+        elif ch == "," and commas:
+            commas[-1] += 1
+        elif ch == ")" and commas and commas.pop() == 0:
+            return True
+    return False

@@ -178,6 +178,25 @@ def test_dist_incompatible_uses_cone_path(capsys):
     assert report["cone_path"] == pytest.approx(2.0, rel=1e-12)
 
 
+def test_dist_computes_the_same_orthant_distance_once(capsys, monkeypatch):
+    import bhvkit.cli
+    import bhvkit.measure
+
+    calls = []
+    real = bhvkit.measure.same_orthant_distance
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(bhvkit.measure, "same_orthant_distance", counted)
+    monkeypatch.setattr(bhvkit.cli, "same_orthant_distance", counted)
+    code, out, _ = run(capsys, "dist", "((1,2):0.3,3,4,5,6);", "((1,2):0.8,3,4,5,6);")
+    assert code == 0
+    assert json.loads(out) == {"same_orthant": 0.5, "cone_path": 1.1, "upper_bound": 0.5}
+    assert len(calls) == 1
+
+
 def test_dist_leaf_mismatch(capsys):
     code, _, err = run(capsys, "dist", "(1,2,3,4,5);", "(1,2,3,4,5,6);")
     assert code == 4

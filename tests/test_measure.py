@@ -193,6 +193,38 @@ def test_volume_scales_with_radius_power():
         assert scaled.value == pytest.approx(c**3 * base.value, rel=1e-12)
 
 
+def test_tree_point_is_immutable():
+    x = point(6, [((1, 2), 1.0), ((4, 5), 2.0)], {1: 0.5})
+    with pytest.raises(AttributeError):
+        x.lengths.clear()
+    with pytest.raises(TypeError):
+        x.lengths[make_split({1, 2}, 6)] = 3.0
+    with pytest.raises(TypeError):
+        x.leaf_lengths[2] = 1.0
+    with pytest.raises(AttributeError):
+        x.lengths = {}
+
+
+def test_tree_point_copies_the_mappings_it_is_given():
+    lengths = {make_split({1, 2}, 6): 1.0}
+    leaf = {3: 0.5}
+    x = TreePoint(make_topology(lengths.keys(), 6), lengths, leaf)
+    lengths.clear()
+    leaf[4] = 1.0
+    assert x.lengths == {make_split({1, 2}, 6): 1.0}
+    assert x.leaf_lengths == {3: 0.5}
+
+
+def test_tree_point_hash_agrees_with_equality():
+    a = point(6, [((1, 2), 1.0), ((4, 5), 2.0)], {1: 0.5, 6: 0.0})
+    b = point(6, [((4, 5), 2.0), ((1, 2), 1.0)], {6: -0.0, 1: 0.5})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, point(6, [((1, 2), 1.0), ((4, 5), 2.0)])}) == 2
+    assert a.lengths == {make_split({1, 2}, 6): 1.0, make_split({4, 5}, 6): 2.0}
+    assert a.leaf_lengths == {1: 0.5, 6: 0.0}
+    assert a != point(6, [((1, 2), 1.0), ((4, 5), 2.5)], {1: 0.5, 6: 0.0})
+
+
 def test_same_orthant_distance_identity():
     x = point(6, [((1, 2), 0.3)])
     assert same_orthant_distance(x, x) == 0.0

@@ -8,7 +8,6 @@ from bhvkit import (
     DegreeTwoInternal,
     DuplicateLeaf,
     NegativeLength,
-    NewickNode,
     NewickSyntaxError,
     TreePoint,
     UnknownLeafName,
@@ -18,11 +17,17 @@ from bhvkit import (
     is_cone_point,
     make_split,
     parse_newick,
-    splits_from_tree,
     to_newick,
 )
-from bhvkit.newick import iter_newick_lines, parse_tree_string
-from helpers import random_face
+from bhvkit.newick import iter_newick_lines
+from helpers import (
+    NewickNode,
+    has_single_child_node,
+    parse_newick_by_tree,
+    parse_tree_string,
+    random_face,
+    splits_from_tree,
+)
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
 
@@ -111,8 +116,31 @@ def test_negative_length_rejected():
         parse_newick("((1,2):-0.5,3,4,5);")
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(((1,2)),3,4,5);", 7),  # below the root
+        ("((1,2,3,4));", 10),  # the root
+        ("(1);", 2),  # the root, over a single leaf
+    ],
+)
+def test_single_child_node_rejected_at_its_close(text, offset):
+    with pytest.raises(DegreeTwoInternal) as exc:
+        parse_newick(text)
+    assert exc.value.position == offset
+    assert text[offset] == ")"
+
+
+def test_single_child_node_reported_before_later_faults():
+    with pytest.raises(DegreeTwoInternal):
+        parse_newick("((1),1,2,3);")  # also a duplicate leaf
+    with pytest.raises(DegreeTwoInternal):
+        parse_newick("((1),2,3,x);")  # also mixed names
+
+
 def test_degree_two_internal_from_hand_built_node():
-    # the grammar cannot produce single-child nodes, but hand-built trees can
+    # parse_newick rejects single-child nodes at their ')', but the node
+    # trees of the oracle can still be built by hand with one
     chain = NewickNode([NewickNode([NewickNode(label="1"), NewickNode(label="2")], None, 0.5)], None, None)
     root = NewickNode([chain, NewickNode(label="3"), NewickNode(label="4")])
     with pytest.raises(DegreeTwoInternal):
@@ -140,6 +168,14 @@ def test_lexicographic_assignment_for_names():
 def test_mixed_names_require_map():
     with pytest.raises(UnknownLeafName):
         parse_newick("((1,bee):0.5,cat,dog);")
+
+
+def test_unicode_digits_are_not_numeric_names():
+    # "²".isdigit() is true, but int("²") fails
+    with pytest.raises(UnknownLeafName):
+        parse_newick("(²,1,2,3);")
+    x = parse_newick("((²,³):0.5,a,b);")
+    assert x.topology.splits == {make_split({3, 4}, 4)}  # sorted: a b ² ³
 
 
 def test_numeric_names_must_be_complete_range():
@@ -203,6 +239,14 @@ def test_deep_nesting_is_a_syntax_error():
         parse_newick(text)
 
 
+def test_nesting_bound_is_65_levels():
+    with pytest.raises(DegreeTwoInternal):  # 65 levels pass the depth bound
+        parse_newick("(" * 65 + "1,2" + ")" * 65 + ";")
+    with pytest.raises(NewickSyntaxError) as exc:
+        parse_newick("(" * 66 + "1,2" + ")" * 66 + ";")
+    assert exc.value.position == 65
+
+
 def test_rooted_caterpillar_on_64_leaves_parses():
     text = "(1,2)"
     for leaf in range(3, 65):
@@ -226,3 +270,90 @@ def test_to_newick_round_trips_with_leaf_lengths(n, rnd, data):
     leaf_lengths = {leaf: data.draw(_LEAF_LENGTHS) for leaf in sorted(leaves)} or None
     x = TreePoint(t, lengths, leaf_lengths)
     assert parse_newick(to_newick(x)) == x
+
+
+# Random statements for the equivalence with the node-tree oracle.
+_WS = ["", "", "", " ", "\t", "\n", "\r\n "]
+_MUTANT_CHARS = "(),;:[]'\" \t0123456789.eE+-ab²"
+
+
+def _random_statement(rnd, n: int, style: str, rooted: bool):
+    """A valid Newick statement on n leaves and the label map it needs:
+    random nesting, missing, zero and positive lengths, stray whitespace."""
+    if style == "numeric":
+        names = [str(i) for i in range(1, n + 1)]
+    else:
+        names = [f"t{rnd.randrange(10**6)}_{i}" for i in range(n)]
+    label_map = None
+    if style == "map":
+        images = list(range(1, n + 1))
+        rnd.shuffle(images)
+        label_map = dict(zip(names, images))
+    rnd.shuffle(names)
+
+    def ws():
+        return rnd.choice(_WS)
+
+    def length():
+        roll = rnd.random()
+        if roll < 0.3:
+            return ""
+        w = 0.0 if roll < 0.5 else rnd.choice([rnd.uniform(0, 5), rnd.randint(1, 9), 1e-300, 2.5e10])
+        return f"{ws()}:{ws()}{w!r}"
+
+    items = [f"{ws()}{name}{length()}" for name in names]
+    top = 2 if rooted else rnd.randint(3, n)
+    while len(items) > top:
+        k = rnd.randint(2, min(4, len(items) - top + 1))
+        picked = sorted(rnd.sample(range(len(items)), k))
+        group = [items[i] for i in picked]
+        items = [item for i, item in enumerate(items) if i not in picked]
+        label = rnd.choice(["", "", "x"])
+        items.insert(rnd.randrange(len(items) + 1), f"({','.join(group)}){ws()}{label}{length()}")
+    return f"{ws()}({','.join(items)}){ws()};{ws()}", label_map
+
+
+def _outcome(parse, label_map, text):
+    try:
+        return parse(text, label_map)
+    except Exception as exc:  # the class and offset are what the oracle must match
+        return type(exc), getattr(exc, "position", None)
+
+
+_STYLES = st.sampled_from(["numeric", "names", "map"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 20), _STYLES, st.booleans(), st.randoms(use_true_random=False))
+def test_parse_matches_node_tree_oracle(n, style, rooted, rnd):
+    text, label_map = _random_statement(rnd, n, style, rooted)
+    x = parse_newick(text, label_map)
+    assert x == parse_newick_by_tree(text, label_map)
+    assert hash(x) == hash(parse_newick_by_tree(text, label_map))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 12),
+    _STYLES,
+    st.booleans(),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["delete", "insert", "replace"]),
+    st.sampled_from(_MUTANT_CHARS),
+)
+def test_parse_mutants_match_node_tree_oracle(n, style, rooted, rnd, edit, ch):
+    text, label_map = _random_statement(rnd, n, style, rooted)
+    i = rnd.randrange(len(text))
+    if edit == "delete":
+        text = text[:i] + text[i + 1 :]
+    elif edit == "insert":
+        text = text[:i] + ch + text[i:]
+    else:
+        text = text[:i] + ch + text[i + 1 :]
+    got = _outcome(parse_newick, label_map, text)
+    want = _outcome(parse_newick_by_tree, label_map, text)
+    if got != want:
+        # a single-child node is reported at its ')', before faults the
+        # oracle finds first
+        assert isinstance(got, tuple) and got[0] is DegreeTwoInternal
+        assert has_single_child_node(text)

@@ -18,6 +18,7 @@ from bhvkit import (
     make_split,
     split_of_mask,
 )
+from bhvkit.splits import pairwise_compatible
 from helpers import compatible_disjoint_or_nested
 
 
@@ -178,6 +179,19 @@ def test_compatibility_definitions_agree():
         for a in splits:
             for b in splits:
                 assert are_compatible(a, b) == compatible_disjoint_or_nested(a, b)
+
+
+def test_pairwise_compatible_agrees_with_are_compatible():
+    for n in range(4, 8):
+        splits = enumerate_splits(n)
+        for a, b in combinations(splits, 2):
+            assert pairwise_compatible([a, b]) == are_compatible(a, b)
+    rng = random.Random(515)
+    for _ in range(2000):
+        n = rng.randint(5, 12)
+        chosen = rng.sample(enumerate_splits(n), rng.randint(0, 5))
+        expected = all(are_compatible(a, b) for a, b in combinations(chosen, 2))
+        assert pairwise_compatible(chosen) == expected
 
 
 def test_enumeration_order_is_size_then_lex():
