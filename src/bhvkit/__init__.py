@@ -37,6 +37,7 @@ from .linkgraph import (
     downward_neighbors,
     ekr_independent_sets,
     kneser_subgraph,
+    leaf_relabeling,
     link_report,
     maximum_independent_sets,
     neighbors_of_size,

@@ -4,8 +4,12 @@ Subcommands: link, aut, volume, count, dist, parse. Every subcommand emits
 deterministic output: fixed key order, shortest round-trip float formatting
 (via json), so identical inputs give byte-identical bytes.
 
-Exit codes: 0 success, 1 internal verification failure, 2 size/budget cap,
-3 epsilon too large, 4 leaf-count mismatch.
+`aut n` runs for 5 <= n <= 10; "realized" certifies Aut = image of S_n from
+the order n! and a leaf relabeling for every generator the search found.
+A tree source must hold a tree, and each `dist` argument exactly one.
+
+Exit codes: 0 success, 1 verification failure or rejected input, 2
+size/budget cap, 3 epsilon too large, 4 leaf-count mismatch.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .errors import (
 from .linkgraph import (
     brute_force_automorphisms,
     build_link_graph,
+    leaf_relabeling,
     link_report,
-    permutation_to_automorphism,
 )
 from .measure import (
     TreePoint,
@@ -39,7 +43,7 @@ from .measure import (
     same_orthant_distance,
 )
 from .newick import iter_newick_lines, parse_newick, to_newick
-from .splits import all_permutations, make_split
+from .splits import make_split
 from .topology import (
     DEFAULT_ENUMERATION_CAP,
     count_refining_orthants,
@@ -77,14 +81,14 @@ def _parse_tree_line(line: str) -> TreePoint:
 def _load_trees(arg: str) -> list[TreePoint]:
     """Tree argument: '-' for stdin, an existing file (one tree per line,
     '#' comments skipped), or an inline string. Each tree may be Newick or
-    the JSON tree-point schema."""
-    if arg == "-":
-        content = sys.stdin.read()
-        return [_parse_tree_line(line) for line in iter_newick_lines(content)]
-    if os.path.isfile(arg):
-        content = Path(arg).read_text(encoding="utf-8")
-        return [_parse_tree_line(line) for line in iter_newick_lines(content)]
-    return [_parse_tree_line(arg)]
+    the JSON tree-point schema. A source with no tree is an error."""
+    if arg != "-" and not os.path.isfile(arg):
+        return [_parse_tree_line(arg)]
+    content = sys.stdin.read() if arg == "-" else Path(arg).read_text(encoding="utf-8")
+    trees = [_parse_tree_line(line) for line in iter_newick_lines(content)]
+    if not trees:
+        raise ValueError(f"{arg}: no tree found")
+    return trees
 
 
 def cmd_link(args) -> int:
@@ -97,25 +101,21 @@ def cmd_link(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    if args.n == 4:
+    if args.n < 5:
         print(
-            "aut 4 refused: the n=4 link graph is three isolated vertices with "
+            f"aut {args.n} refused: the group-equals-leaf-permutations check only "
+            "applies for n >= 5; the n=4 link graph is three isolated vertices with "
             "automorphism group of order 6, while there are 4! = 24 leaf "
-            "relabelings; the relabeling action is not faithful at n=4, so the "
-            "group-equals-leaf-permutations check only applies for n >= 5.",
+            "relabelings, so the relabeling action is not faithful at n=4.",
             file=sys.stderr,
         )
-        return EXIT_TOO_LARGE
-    if not 5 <= args.n <= 7:
-        print(f"aut supports 5 <= n <= 7, got {args.n}", file=sys.stderr)
         return EXIT_TOO_LARGE
     g = build_link_graph(args.n)
     group = brute_force_automorphisms(g)
     expected = math.factorial(args.n)
-    realized = False
-    if group.elements is not None and group.order == expected:
-        images = {permutation_to_automorphism(sigma, g) for sigma in all_permutations(args.n)}
-        realized = images == set(group.elements)
+    realized = group.order == expected and all(
+        leaf_relabeling(g, gen) is not None for gen in group.generators
+    )
     report = {
         "n": args.n,
         "aut_order": group.order,
@@ -177,8 +177,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    a = _load_trees(args.tree_a)[0]
-    b = _load_trees(args.tree_b)[0]
+    trees = _load_trees(args.tree_a), _load_trees(args.tree_b)
+    counts = tuple(map(len, trees))
+    if counts != (1, 1):
+        raise ValueError(f"dist takes one tree per argument, got {counts[0]} and {counts[1]}")
+    (a,), (b,) = trees
     same = same_orthant_distance(a, b)
     cone = a.norm + b.norm
     report = {
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_link)
 
-    p = sub.add_parser("aut", help="exact automorphism group of the link graph, by stabiliser chain")
+    p = sub.add_parser("aut", help="certify Aut(link) = S_n by stabiliser chain (5 <= n <= 10)")
     p.add_argument("n", type=int)
     p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_aut)

@@ -5,9 +5,9 @@ The size-k layers are Kneser graphs, whose maximum independent sets are the
 leaf stars, and the full automorphism group is realized by leaf relabelings.
 Both facts are checked here by exact search at desk scale rather than
 assumed. Adjacency rows are vertex-index bitmasks built from per-leaf
-bitsets, and the automorphism group is read off a stabiliser chain: one
-automorphism per orbit point of each base point, so the group order is the
-product of the orbit lengths and no search walks the whole group.
+bitsets. The automorphism group is read off a stabiliser chain, whose
+order is the product of its orbit lengths, and leaf_relabeling certifies
+from its generators that it is the image of S_n; no step walks n! elements.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .splits import (
 )
 
 MAX_LINK_LEAVES = 12
-AUT_MAX_VERTICES = 60
+AUT_MAX_VERTICES = 501
 DEFAULT_NODE_CAP = 5_000_000
-DEFAULT_ELEMENT_CAP = 100_000
+ELEMENT_CAP = 10_000  # lists the 7! elements at n=7; 8! would outcost the search
 DEFAULT_MIS_VERTEX_CAP = 25
 
 VertexPerm = tuple[int, ...]
@@ -150,13 +150,7 @@ def kneser_subgraph(g: LinkGraph, k: int) -> LinkGraph:
     if k < 2 or 2 * k > g.n:
         raise KOutOfRange(f"need 2 <= k <= n/2, got k={k} for n={g.n}")
     keep = [i for i, v in enumerate(g.vertices) if v.size == k]
-    pos = {i: j for j, i in enumerate(keep)}
-    rows = [0] * len(keep)
-    for j, i in enumerate(keep):
-        row = g.adjacency[i]
-        for i2 in keep:
-            if row >> i2 & 1:
-                rows[j] |= 1 << pos[i2]
+    rows = (sum(1 << j for j, u in enumerate(keep) if g.adjacency[i] >> u & 1) for i in keep)
     return LinkGraph(g.n, tuple(g.vertices[i] for i in keep), tuple(rows))
 
 
@@ -177,32 +171,16 @@ def maximum_independent_sets(
 ) -> list[frozenset[Split]]:
     """All independent sets of maximum size, by exact branch and bound.
 
-    A greedy independent set seeds the size bound; branches that cannot
-    reach it are cut. Branching removes the highest-degree candidate first
-    so the include branch prunes hard.
+    Branching takes the highest-degree candidate, include before exclude,
+    so the first branch to run out of candidates holds a maximal set; it
+    sets the size bound, and branches that cannot reach the bound are cut.
     """
     nv = g.vertex_count
     if nv > max_vertices:
         raise TooLarge(f"{nv} vertices exceeds configured cap {max_vertices}")
     adj = g.adjacency
-
-    # greedy seed: repeatedly take a minimum-degree vertex of what remains
-    remaining = (1 << nv) - 1
-    greedy = 0
-    while remaining:
-        best_v, best_deg = -1, nv + 1
-        m = remaining
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (adj[v] & remaining).bit_count()
-            if d < best_deg:
-                best_v, best_deg = v, d
-        greedy += 1
-        remaining &= ~((1 << best_v) | adj[best_v])
-
     order = sorted(range(nv), key=lambda v: adj[v].bit_count(), reverse=True)
-    best = greedy
+    best = 0
     results: list[int] = []
     budget = node_cap
 
@@ -213,12 +191,10 @@ def maximum_independent_sets(
             raise SearchBudgetExceeded(f"independent-set search exceeded {node_cap} nodes")
         if size + cand.bit_count() < best:
             return
-        if not cand:
+        if not cand:  # size >= best, or the bound above would have cut it
             if size > best:
-                best = size
-                results = [chosen]
-            elif size == best:
-                results.append(chosen)
+                best, results = size, []
+            results.append(chosen)
             return
         for v in order:
             if cand >> v & 1:
@@ -227,9 +203,7 @@ def maximum_independent_sets(
         search(chosen, size, cand & ~(1 << v))
 
     search(0, 0, (1 << nv) - 1)
-    sets = [
-        frozenset(g.vertices[v] for v in range(nv) if mask >> v & 1) for mask in results
-    ]
+    sets = [frozenset(g.vertices[v] for v in _bits(mask)) for mask in results]
     sets.sort(key=lambda s: sorted(sp.side for sp in s))
     return sets
 
@@ -253,20 +227,12 @@ def downward_neighbors(g: LinkGraph, v: Split) -> set[Split]:
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """Search result: group order, a small generating set, and (when the
-    order is modest) the complete element list as vertex permutations."""
+    """Search result: group order, a generating set, and (when the order is
+    at most ELEMENT_CAP) the complete element list as vertex permutations."""
 
     order: int
     generators: tuple[VertexPerm, ...]
     elements: tuple[VertexPerm, ...] | None
-
-
-def _vertex_signatures(g: LinkGraph) -> list[tuple]:
-    degs = [g.degree(i) for i in range(g.vertex_count)]
-    return [
-        (degs[i], tuple(sorted(degs[j] for j in g.neighbors(i))))
-        for i in range(g.vertex_count)
-    ]
 
 
 def _compose(p: VertexPerm, q: VertexPerm) -> VertexPerm:
@@ -288,26 +254,20 @@ def _grow_orbit(orbit: dict[int, VertexPerm], generators: list[VertexPerm]) -> N
 
 
 def is_vertex_automorphism(g: LinkGraph, perm: VertexPerm) -> bool:
-    """Exhaustive adjacency-preservation check for a vertex permutation."""
-    nv = g.vertex_count
-    if sorted(perm) != list(range(nv)):
+    """Exhaustive check that a vertex permutation maps each row onto its image's row."""
+    adj = g.adjacency
+    if sorted(perm) != list(range(len(adj))):
         return False
-    return all(
-        g.adjacent(i, j) == g.adjacent(perm[i], perm[j])
-        for i in range(nv)
-        for j in range(i + 1, nv)
+    return all(  # distinct bits map to distinct bits, so the sum is their OR
+        sum(1 << perm[j] for j in _bits(row)) == adj[perm[i]] for i, row in enumerate(adj)
     )
 
 
-def brute_force_automorphisms(
-    g: LinkGraph,
-    node_cap: int = DEFAULT_NODE_CAP,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-) -> AutomorphismGroup:
+def brute_force_automorphisms(g: LinkGraph, node_cap: int = DEFAULT_NODE_CAP) -> AutomorphismGroup:
     """The full automorphism group, exactly, by a stabiliser chain.
 
-    Candidate images start as the (degree, neighbor-degree multiset)
-    signature class of each vertex. Mapping v -> w propagates: every
+    Candidate images start as the degree class of each vertex, since an
+    automorphism preserves degree. Mapping v -> w propagates: every
     unmapped vertex keeps only candidates on the correct side of w's
     adjacency. Base points b1, b2, ... are the vertices that still have more
     than one candidate once the earlier ones are fixed to themselves, until
@@ -318,13 +278,11 @@ def brute_force_automorphisms(
     which all lie in that stabiliser. Each candidate of b_i still outside
     the orbit is probed by a backtracking search that stops at the first
     automorphism fixing b1..b_(i-1) and mapping b_i to it; a hit joins the
-    generators. The group order is the product of the orbit lengths, and
-    each element is the product of one orbit representative per level.
-
-    The name is kept from the earlier search that enumerated every element
-    node by node, because the CLI and callers use it; the group and its
-    sorted element list are the same, while the generating set may differ.
-    node_cap bounds all search nodes, failed probes included.
+    generators. A probe maps single-candidate vertices in a loop and
+    recurses only where it branches. The orbits are grown from the
+    generators, so they generate the group; its order is the product of the
+    orbit lengths. Up to ELEMENT_CAP, elements lists the products of one
+    orbit representative per level. node_cap bounds all search nodes.
     """
     nv = g.vertex_count
     if nv > AUT_MAX_VERTICES:
@@ -347,12 +305,19 @@ def brute_force_automorphisms(
 
     def first_automorphism(cand: list[int], unmapped: int) -> VertexPerm | None:
         nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise SearchBudgetExceeded(f"automorphism search exceeded {node_cap} nodes")
-        if not unmapped:
-            return tuple(c.bit_length() - 1 for c in cand)
-        v = min(_bits(unmapped), key=lambda u: cand[u].bit_count())
+        while True:
+            budget -= 1
+            if budget < 0:
+                raise SearchBudgetExceeded(f"automorphism search exceeded {node_cap} nodes")
+            if not unmapped:
+                return tuple(c.bit_length() - 1 for c in cand)
+            v = min(_bits(unmapped), key=lambda u: cand[u].bit_count())
+            if cand[v] & (cand[v] - 1):
+                break
+            cand = fix(cand, unmapped, v, cand[v].bit_length() - 1)
+            if cand is None:
+                return None
+            unmapped &= ~(1 << v)
         for w in _bits(cand[v]):
             narrowed = fix(cand, unmapped, v, w)
             if narrowed is not None:
@@ -361,8 +326,10 @@ def brute_force_automorphisms(
                     return found
         return None
 
-    sig = _vertex_signatures(g)
-    cand = [sum(1 << w for w in range(nv) if sig[w] == sig[v]) for v in range(nv)]
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        by_degree[row.bit_count()] = by_degree.get(row.bit_count(), 0) | 1 << v
+    cand = [by_degree[row.bit_count()] for row in adj]
     unmapped = all_mask
     levels = []
     for b in range(nv):
@@ -394,7 +361,7 @@ def brute_force_automorphisms(
         if not is_vertex_automorphism(g, gen):
             raise AssertionError("search produced a non-automorphism generator")
     elements = None
-    if group_order <= element_cap:
+    if group_order <= ELEMENT_CAP:
         products = [identity]
         for transversal in transversals:
             products = [_compose(t, p) for t in transversal for p in products]
@@ -426,6 +393,31 @@ def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
     index = g._index
     images = (low[v.mask & cut] | high[v.mask >> half] for v in g.vertices)
     return tuple(index[m] if m in index else index[full ^ m] for m in images)
+
+
+def leaf_relabeling(g: LinkGraph, perm: VertexPerm) -> Permutation | None:
+    """The sigma with permutation_to_automorphism(sigma, g) == perm, else None.
+
+    A relabeling sends the pair {i, j} to {sigma(i), sigma(j)}, so sigma(i)
+    is the one leaf shared by the images of the pairs holding i; two such
+    pairs propose it, and relabeling through the proposed sigma must give
+    perm back. None also for n < 5, where the action is not faithful.
+
+    Relabelings are automorphisms, so the image of S_n lies in Aut. If each
+    of a generating set of Aut has a leaf relabeling, Aut lies in that image
+    too; if also |Aut| = n!, Aut is S_n acting on the leaves.
+    """
+    n, index, vertices = g.n, g._index, g.vertices
+    if n < 5 or sorted(perm) != list(range(len(vertices))):
+        return None
+    images = []
+    for i in range(n):
+        a, b = (vertices[perm[index[1 << i | 1 << (i + d) % n]]].mask for d in (1, 2))
+        images.append((a & b).bit_length())
+    if sorted(images) != list(range(1, n + 1)):
+        return None
+    sigma = Permutation(tuple(images))
+    return sigma if permutation_to_automorphism(sigma, g) == tuple(perm) else None
 
 
 def link_report(g: LinkGraph) -> dict:

@@ -109,6 +109,9 @@ class Split:
         """True if the canonical side contains the leaf."""
         return bool(self.mask >> (leaf - 1) & 1)
 
+    def __hash__(self) -> int:  # equal splits have equal masks
+        return hash(self.mask)
+
     def __lt__(self, other: "Split") -> bool:
         if self.n != other.n:
             return self.n < other.n

@@ -1,5 +1,6 @@
 """Shared brute-force helpers for the test suite."""
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -15,11 +16,13 @@ from bhvkit import (
     Split,
     Topology,
     TreePoint,
+    all_permutations,
     apply_permutation,
     are_compatible,
     enumerate_binary_topologies,
     make_split,
     make_topology,
+    permutation_to_automorphism,
 )
 from bhvkit.newick import _resolve_labels
 from bhvkit.splits import MAX_LEAVES, full_mask, leaves_of, mask_of, split_of_mask
@@ -98,6 +101,27 @@ def relabel_by_make_split(sigma, g) -> tuple[int, ...]:
     relabeled side and a lookup of the resulting Split."""
     lookup = {v: i for i, v in enumerate(g.vertices)}
     return tuple(lookup[apply_permutation(sigma, v)] for v in g.vertices)
+
+
+def preserves_adjacency_pairwise(g, perm) -> bool:
+    """Adjacency preservation by one comparison per vertex pair."""
+    nv = g.vertex_count
+    if sorted(perm) != list(range(nv)):
+        return False
+    return all(
+        g.adjacent(i, j) == g.adjacent(perm[i], perm[j])
+        for i in range(nv)
+        for j in range(i + 1, nv)
+    )
+
+
+def realized_by_sweep(g, group) -> bool:
+    """Aut = image of S_n, by relabeling through all n! permutations and
+    comparing the image set with the group's element list."""
+    if group.elements is None or group.order != math.factorial(g.n):
+        return False
+    images = {permutation_to_automorphism(sigma, g) for sigma in all_permutations(g.n)}
+    return images == set(group.elements)
 
 
 def compose(p, q):

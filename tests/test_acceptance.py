@@ -32,6 +32,7 @@ from bhvkit import (
     is_binary,
     is_cone_point,
     kneser_subgraph,
+    leaf_relabeling,
     make_split,
     maximum_independent_sets,
     parse_newick,
@@ -92,19 +93,26 @@ def test_criterion_02_orthant_census():
 def test_criterion_03_automorphism_group():
     start = time.monotonic()
     ok = True
-    for n in (5, 6):
+    for n in range(5, 11):
         g = build_link_graph(n)
         group = brute_force_automorphisms(g)
         ok = ok and group.order == math.factorial(n)
-        preimages = {}
-        for sigma in all_permutations(n):
-            vp = permutation_to_automorphism(sigma, g)
-            ok = ok and vp not in preimages
-            preimages[vp] = sigma
-        ok = ok and set(group.elements) == set(preimages)
+        ok = ok and all(leaf_relabeling(g, gen) is not None for gen in group.generators)
+        if n <= 6:
+            preimages = {}
+            for sigma in all_permutations(n):
+                vp = permutation_to_automorphism(sigma, g)
+                ok = ok and vp not in preimages
+                preimages[vp] = sigma
+            ok = ok and set(group.elements) == set(preimages)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
-    report(3, f"automorphism group has order n! and equals the leaf relabelings, n=5,6 ({elapsed:.2f}s)", ok)
+    report(
+        3,
+        "automorphism group has order n! and its generators are leaf relabelings, n=5..10; "
+        f"equal to the n! relabelings, n=5,6 ({elapsed:.2f}s)",
+        ok,
+    )
 
 
 def test_criterion_04_orthant_count_oracle():
@@ -183,17 +191,21 @@ def test_criterion_08_relabeling_invariance():
 def test_criterion_09_ekr_maximum_independent_sets():
     start = time.monotonic()
     ok = True
-    for n in (5, 6, 7):
+    layers = [(n, 2) for n in range(5, 11)] + [(n, 3) for n in range(7, 10)]
+    for n, k in layers:
         g = build_link_graph(n)
-        layer = kneser_subgraph(g, 2)
-        found = maximum_independent_sets(layer, max_vertices=25)
-        stars = ekr_independent_sets(g, 2)
+        found = maximum_independent_sets(kneser_subgraph(g, k), max_vertices=math.comb(n, k))
         ok = ok and len(found) == n
-        ok = ok and all(len(s) == math.comb(n - 1, 1) for s in found)
-        ok = ok and set(found) == set(stars)
+        ok = ok and all(len(s) == math.comb(n - 1, k - 1) for s in found)
+        ok = ok and set(found) == set(ekr_independent_sets(g, k))
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
-    report(9, f"size-2 layer has exactly the n leaf stars as maximum independent sets, n=5..7 ({elapsed:.2f}s)", ok)
+    report(
+        9,
+        "layers K(n,2), n=5..10, and K(n,3), n=7..9, have exactly the n leaf stars "
+        f"as maximum independent sets ({elapsed:.2f}s)",
+        ok,
+    )
 
 
 def test_criterion_10_newick_round_trip():

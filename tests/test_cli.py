@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import bhvkit
 from bhvkit.cli import main
+from helpers import realized_by_sweep
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
 
@@ -65,8 +67,59 @@ def test_aut_5(capsys):
 
 
 def test_aut_range(capsys):
-    code, _, err = run(capsys, "aut", "8")
-    assert code == 2
+    for n in ("3", "11"):
+        code, out, err = run(capsys, "aut", n)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_aut_8_is_certified(capsys):
+    code, out, _ = run(capsys, "aut", "8")
+    assert code == 0
+    report = json.loads(out)
+    assert report["aut_order"] == report["expected_order"] == math.factorial(8)
+    assert report["realized"] is True
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_aut_certificate_agrees_with_sweep(capsys, n):
+    code, out, _ = run(capsys, "aut", str(n))
+    g = bhvkit.build_link_graph(n)
+    assert realized_by_sweep(g, bhvkit.brute_force_automorphisms(g))
+    assert json.loads(out)["realized"] is True
+    assert code == 0
+
+
+def doctored_aut(capsys, monkeypatch, n, doctor):
+    import bhvkit.cli
+
+    group = doctor(bhvkit.brute_force_automorphisms(bhvkit.build_link_graph(n)))
+    monkeypatch.setattr(bhvkit.cli, "brute_force_automorphisms", lambda g: group)
+    code, out, _ = run(capsys, "aut", str(n))
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_aut_rejects_a_fake_generator(capsys, monkeypatch, n):
+    def doctor(group):
+        fake = list(range(len(group.generators[0])))
+        fake[0], fake[-1] = fake[-1], fake[0]
+        return replace(group, generators=group.generators + (tuple(fake),), elements=None)
+
+    code, report = doctored_aut(capsys, monkeypatch, n, doctor)
+    assert code == 1
+    assert report["realized"] is False
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_aut_rejects_a_wrong_order(capsys, monkeypatch, n):
+    code, report = doctored_aut(
+        capsys, monkeypatch, n, lambda group: replace(group, order=group.order // 2, elements=None)
+    )
+    assert code == 1
+    assert report["realized"] is False
+    assert report["aut_order"] == math.factorial(n) // 2
 
 
 def test_volume_binary_tree(capsys):
@@ -195,6 +248,37 @@ def test_dist_computes_the_same_orthant_distance_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out) == {"same_orthant": 0.5, "cone_path": 1.1, "upper_bound": 0.5}
     assert len(calls) == 1
+
+
+def assert_rejected(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_dist_rejects_empty_files(capsys, tmp_path):
+    empty = tmp_path / "empty.nwk"
+    empty.write_text("# no trees\n")
+    assert_rejected(*run(capsys, "dist", str(empty), str(empty)))
+
+
+def test_dist_rejects_a_file_of_two_trees(capsys, tmp_path):
+    two = tmp_path / "two.nwk"
+    two.write_text("((1,2):0.3,3,4,5,6);\n((1,2):0.8,3,4,5,6);\n")
+    assert_rejected(*run(capsys, "dist", str(two), "((1,2):0.8,3,4,5,6);"))
+    assert_rejected(*run(capsys, "dist", "((1,2):0.8,3,4,5,6);", str(two)))
+
+
+def test_volume_rejects_an_empty_file(capsys, tmp_path):
+    empty = tmp_path / "empty.nwk"
+    empty.write_text("")
+    assert_rejected(*run(capsys, "volume", str(empty), "--eps", "0.1"))
+
+
+def test_parse_rejects_an_empty_file(capsys, tmp_path):
+    empty = tmp_path / "empty.nwk"
+    empty.write_text("\n")
+    assert_rejected(*run(capsys, "parse", str(empty)))
 
 
 def test_dist_leaf_mismatch(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 from functools import lru_cache
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from bhvkit import (
     downward_neighbors,
     ekr_independent_sets,
     kneser_subgraph,
+    leaf_relabeling,
     link_report,
     make_split,
     make_topology,
@@ -31,7 +33,13 @@ from bhvkit import (
     verify_degrees,
 )
 from bhvkit.linkgraph import is_vertex_automorphism
-from helpers import compose, enumerate_automorphisms, pairwise_adjacency, relabel_by_make_split
+from helpers import (
+    compose,
+    enumerate_automorphisms,
+    pairwise_adjacency,
+    preserves_adjacency_pairwise,
+    relabel_by_make_split,
+)
 
 
 @lru_cache(maxsize=None)
@@ -320,11 +328,55 @@ def test_relabeling_is_a_homomorphism(pair):
 
 
 @settings(deadline=None)
-@given(permutation_pairs(max_n=8))
-def test_relabeling_is_an_automorphism(pair):
+@given(permutation_pairs(max_n=8), st.integers(0, 2**16), st.integers(0, 2**16))
+def test_relabeling_is_an_automorphism(pair, a, b):
     sigma, _ = pair
     g = cached_link_graph(sigma.n)
-    assert is_vertex_automorphism(g, permutation_to_automorphism(sigma, g))
+    perm = permutation_to_automorphism(sigma, g)
+    assert is_vertex_automorphism(g, perm)
+    assert preserves_adjacency_pairwise(g, perm)
+    # the row check agrees with the pairwise oracle once two images are swapped
+    swapped = list(perm)
+    a, b = a % len(perm), b % len(perm)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    assert is_vertex_automorphism(g, swapped) == preserves_adjacency_pairwise(g, swapped)
+
+
+@settings(deadline=None)
+@given(permutation_pairs(max_n=12))
+def test_leaf_relabeling_inverts_relabeling(pair):
+    sigma, _ = pair
+    g = cached_link_graph(sigma.n)
+    assert leaf_relabeling(g, permutation_to_automorphism(sigma, g)) == sigma
+
+
+def swap(perm, i, j):
+    out = list(perm)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def test_leaf_relabeling_rejects_non_relabelings(link7):
+    sigma = Permutation.from_cycles(7, (1, 5, 2), (3, 7))
+    perm = permutation_to_automorphism(sigma, link7)
+    index = {v: i for i, v in enumerate(link7.vertices)}
+    pair_a, pair_b = index[make_split({1, 2}, 7)], index[make_split({3, 4}, 7)]
+    triple_a, triple_b = index[make_split({1, 2, 3}, 7)], index[make_split({4, 5, 6}, 7)]
+    assert leaf_relabeling(link7, perm) == sigma
+    # two pair vertices swapped
+    assert leaf_relabeling(link7, swap(perm, pair_a, pair_b)) is None
+    # two size-3 vertices swapped: the pairs still read sigma, but its
+    # relabeling is not the perm
+    assert leaf_relabeling(link7, swap(perm, triple_a, triple_b)) is None
+    # not vertex permutations: too short, a repeated image, an image out of range
+    assert leaf_relabeling(link7, perm[:-1]) is None
+    assert leaf_relabeling(link7, (perm[0],) + perm[:-1]) is None
+    assert leaf_relabeling(link7, (link7.vertex_count,) + perm[1:]) is None
+
+
+def test_leaf_relabeling_refuses_n4():
+    g = build_link_graph(4)
+    assert leaf_relabeling(g, tuple(range(g.vertex_count))) is None
 
 
 def test_elements_match_enumeration_oracle():
@@ -358,9 +410,29 @@ def test_search_work_bound_n7(link7):
 
 
 def test_automorphism_vertex_cap():
-    g8 = build_link_graph(8)  # 119 vertices
+    g11 = build_link_graph(11)  # 1,012 vertices
     with pytest.raises(TooLarge):
-        brute_force_automorphisms(g8)
+        brute_force_automorphisms(g11)
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_depth_does_not_grow_with_vertex_count():
+    # n=9 has 246 vertices; a search that recursed once per vertex would
+    # need more than 100 frames beyond the caller's
+    g = cached_link_graph(9)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        group = brute_force_automorphisms(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert group.order == math.factorial(9)
 
 
 def test_binary_topologies_are_maximal_cliques(link5, link6):

@@ -30,6 +30,15 @@ def test_make_split_canonicalizes_to_complement():
     assert make_split({3, 4, 5, 6}, 6).side == (1, 2)
 
 
+def test_equal_splits_hash_equal():
+    for n in (4, 5, 6, 7):
+        leaves = set(range(1, n + 1))
+        for side in (set(c) for k in range(2, n - 1) for c in combinations(leaves, k)):
+            a, b = make_split(side, n), make_split(leaves - side, n)
+            assert a == b == Split(n, a.mask)
+            assert hash(a) == hash(b) == hash(Split(n, a.mask)) == hash(a.mask)
+
+
 def test_split_of_mask_agrees_with_make_split():
     for n in (4, 5, 6, 7):
         for mask in range(1, 1 << n):
