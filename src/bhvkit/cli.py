@@ -1,12 +1,14 @@
 """Batch command-line front end.
 
-Subcommands: link, aut, volume, count, dist, parse. Every subcommand emits
-deterministic output: fixed key order, shortest round-trip float formatting
-(via json), so identical inputs give byte-identical bytes.
+Subcommands: link, aut, volume, count, dist, parse. Every report goes to
+stdout, deterministically: fixed key order, shortest round-trip floats (via
+json), so identical inputs give byte-identical bytes. Only `--dot PATH`
+writes a file; `parse` writes every tree's DOT there, in order.
 
 `aut n` runs for 5 <= n <= 10; "realized" certifies Aut = image of S_n from
 the order n! and a leaf relabeling for every generator the search found.
-A tree source must hold a tree, and each `dist` argument exactly one.
+`count n --oracle` runs for n <= 10 (a binary face needs no census). A
+tree source must hold a tree, and each `dist` argument exactly one.
 
 Exit codes: 0 success, 1 verification failure or rejected input, 2
 size/budget cap, 3 epsilon too large, 4 leaf-count mismatch.
@@ -45,7 +47,6 @@ from .measure import (
 from .newick import iter_newick_lines, parse_newick, to_newick
 from .splits import make_split
 from .topology import (
-    DEFAULT_ENUMERATION_CAP,
     count_refining_orthants,
     degree_sequence,
     double_factorial,
@@ -65,17 +66,26 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _emit(text: str, path: str | None):
-    if path is None or path == "-":
+def _emit(text: str, path: str):
+    """Write a --dot rendering to PATH, or to stdout for '-'."""
+    if path == "-":
         print(text)
-    else:
+        return
+    try:
         Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_tree_line(line: str) -> TreePoint:
-    if line.lstrip().startswith("{"):
+    if not line.lstrip().startswith("{"):
+        return parse_newick(line)
+    try:
         return TreePoint.from_json(json.loads(line))
-    return parse_newick(line)
+    except KeyError as exc:
+        raise ValueError(f"JSON tree lacks field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"JSON tree has a mistyped field: {exc}") from None
 
 
 def _load_trees(arg: str) -> list[TreePoint]:
@@ -96,7 +106,7 @@ def cmd_link(args) -> int:
     report = link_report(g)
     if args.dot:
         _emit(g.to_dot(), args.dot)
-    _emit(_dump(report), args.json)
+    print(_dump(report))
     return EXIT_OK if report["degrees_ok"] else EXIT_FAIL
 
 
@@ -123,7 +133,7 @@ def cmd_aut(args) -> int:
         "realized": realized,
         "generators": [list(gen) for gen in group.generators],
     }
-    _emit(_dump(report), args.json)
+    print(_dump(report))
     return EXIT_OK if realized else EXIT_FAIL
 
 
@@ -147,12 +157,11 @@ def cmd_volume(args) -> int:
                 }
             )
         )
-    _emit("\n".join(lines), args.json)
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
-    cap = args.cap
     if args.refine is not None:
         try:
             sides = json.loads(args.refine)
@@ -165,14 +174,10 @@ def cmd_count(args) -> int:
         face = make_topology((), args.n)
         value = double_factorial(2 * args.n - 5)
     if args.oracle:
-        census = double_factorial(2 * args.n - 5)
-        if census > cap:
-            raise EnumerationTooLarge(f"(2n-5)!! = {census} exceeds cap {cap}")
-        refinements = enumerate_binary_refinements(face, cap)
-        ok = len(refinements) == value
-        _emit(_dump({"count": value, "oracle_ok": ok}), args.json)
+        ok = len(enumerate_binary_refinements(face)) == value
+        print(_dump({"count": value, "oracle_ok": ok}))
         return EXIT_OK if ok else EXIT_FAIL
-    _emit(str(value), args.json)
+    print(value)
     return EXIT_OK
 
 
@@ -189,17 +194,18 @@ def cmd_dist(args) -> int:
         "cone_path": cone,
         "upper_bound": cone if same is None else min(same, cone),
     }
-    _emit(_dump(report), args.json)
+    print(_dump(report))
     return EXIT_OK
 
 
 def cmd_parse(args) -> int:
-    for x in _load_trees(args.tree):
-        if args.dot:
-            _emit(x.topology.to_dot(), args.dot)
-        obj = x.to_json()
-        obj["newick"] = to_newick(x)
-        _emit(_dump(obj), args.json)
+    trees = _load_trees(args.tree)
+    reports = [_dump({**x.to_json(), "newick": to_newick(x)}) for x in trees]
+    if args.dot == "-":
+        reports = [f"{x.topology.to_dot()}\n{r}" for x, r in zip(trees, reports)]
+    elif args.dot:
+        _emit("\n".join(x.topology.to_dot() for x in trees), args.dot)
+    print("\n".join(reports))
     return EXIT_OK
 
 
@@ -208,48 +214,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bhvkit",
         description="Combinatorics and local geometry of phylogenetic tree space.",
     )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=int(os.environ.get("BHVKIT_CAP", DEFAULT_ENUMERATION_CAP)),
-        help="enumeration item cap (env BHVKIT_CAP)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("link", help="build the split compatibility graph and verify degrees")
     p.add_argument("n", type=int)
     p.add_argument("--dot", metavar="PATH", help="write Graphviz output ('-' for stdout)")
-    p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("aut", help="certify Aut(link) = S_n by stabiliser chain (5 <= n <= 10)")
     p.add_argument("n", type=int)
-    p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("volume", help="epsilon-ball volume report for Newick trees")
     p.add_argument("tree", help="file, inline Newick, or '-' for stdin")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("count", help="orthant census or refining-orthant count")
     p.add_argument("n", type=int)
     p.add_argument("--refine", metavar="SPLITS_JSON", help='face splits, e.g. "[[1,2]]"')
-    p.add_argument("--oracle", action="store_true", help="cross-check by exhaustive enumeration")
-    p.add_argument("--json", metavar="PATH", default="-")
+    p.add_argument("--oracle", action="store_true", help="cross-check by census filter (n <= 10)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("dist", help="distance bounds between two trees")
     p.add_argument("tree_a")
     p.add_argument("tree_b")
-    p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("parse", help="parse Newick to the JSON tree-point schema")
     p.add_argument("tree")
-    p.add_argument("--dot", metavar="PATH", help="also render the reconstructed tree as Graphviz")
-    p.add_argument("--json", metavar="PATH", default="-")
+    p.add_argument("--dot", metavar="PATH", help="also write every tree as Graphviz ('-': stdout)")
     p.set_defaults(func=cmd_parse)
 
     return parser

@@ -43,7 +43,7 @@ class TooManySplits(BhvError):
 
 
 class EnumerationTooLarge(BhvError):
-    """A requested enumeration exceeds the configured item cap."""
+    """A requested census lies past its leaf bound (topology.MAX_CENSUS_LEAVES)."""
 
 
 class NegativeOrEven(BhvError):

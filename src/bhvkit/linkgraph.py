@@ -98,11 +98,12 @@ class LinkGraph:
 def build_link_graph(n: int) -> LinkGraph:
     """Graph with every canonical split as a vertex and compatible pairs as edges.
 
-    Two splits are compatible when one of the four intersections of their
-    sides is empty. With holds[l] the bitset of vertices whose side contains
-    leaf l, the vertices whose side misses a leaf set X are ~OR(holds[X]) and
-    those whose side covers X are AND(holds[X]). A vertex's row is the union
-    of both for its side and for its complement, minus the vertex itself.
+    Canonical sides are compatible exactly when they are disjoint or nested
+    (splits.pairwise_compatible). With holds[l] the bitset of vertices whose
+    side contains leaf l, the vertices whose side misses a leaf set X are
+    ~OR(holds[X]) and those whose side covers X are AND(holds[X]). A
+    vertex's row is the sides that miss its side, cover it or miss its
+    complement (lie inside it), minus the vertex itself.
     """
     check_leaf_count(n)
     if n > MAX_LINK_LEAVES:
@@ -115,14 +116,13 @@ def build_link_graph(n: int) -> LinkGraph:
             holds[leaf] |= 1 << i
     rows = []
     for i, v in enumerate(vertices):
-        row = 0
-        for side in (v.mask, v.complement_mask):
-            meets, covers = 0, all_mask
-            for leaf in _bits(side):
-                meets |= holds[leaf]
-                covers &= holds[leaf]
-            row |= (all_mask ^ meets) | covers
-        rows.append(row & ~(1 << i))
+        meets, covers, outside = 0, all_mask, 0
+        for leaf in _bits(v.mask):
+            meets |= holds[leaf]
+            covers &= holds[leaf]
+        for leaf in _bits(v.complement_mask):
+            outside |= holds[leaf]
+        rows.append(((all_mask ^ meets) | covers | (all_mask ^ outside)) & ~(1 << i))
     return LinkGraph(n, vertices, tuple(rows))
 
 

@@ -43,7 +43,7 @@ from .splits import (
     pairwise_compatible,
 )
 
-DEFAULT_ENUMERATION_CAP = 10**7
+MAX_CENSUS_LEAVES = 10  # 15!! = 2,027,025 trees; n=11 would hold 17!! = 34,459,425
 _ALL_ONES = (1 << 64) - 1
 
 
@@ -253,38 +253,39 @@ def _select(items: tuple, bits: int) -> list:
     return out
 
 
-def _checked_census(n: int, cap: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
-    """The census of n, after raising EnumerationTooLarge if its size
-    (2n-5)!! exceeds the cap."""
+def _checked_census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
+    """The census of n, after raising EnumerationTooLarge past MAX_CENSUS_LEAVES."""
     check_leaf_count(n)
-    expected = double_factorial(2 * n - 5)
-    if expected > cap:
-        raise EnumerationTooLarge(f"(2n-5)!! = {expected} exceeds cap {cap}")
+    if n > MAX_CENSUS_LEAVES:
+        size = double_factorial(2 * n - 5)
+        raise EnumerationTooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
+                                  f"(2n-5)!! = {size}")
     return _census(n)
 
 
-def enumerate_binary_topologies(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+def enumerate_binary_topologies(n: int):
     """Iterate all (2n-5)!! binary topologies on n leaves, no repeats.
 
     The census is built once per n by leaf insertion on clade masks and
     cached; its trees share one Split object per split. Raises
-    EnumerationTooLarge up front when the census exceeds the cap.
+    EnumerationTooLarge up front for n > MAX_CENSUS_LEAVES.
     """
-    return iter(_checked_census(n, cap)[0])
+    return iter(_checked_census(n)[0])
 
 
-def enumerate_binary_refinements(t: Topology, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Topology]:
+def enumerate_binary_refinements(t: Topology) -> list[Topology]:
     """All binary topologies whose split sets contain t.splits, in census order.
 
     Still an exhaustive filter over the full binary census, independent of
     the (2d-5)!! formula it checks: the census index gives, per split, the
     bitset of census trees holding it, and the trees at the set bits of
     their AND are returned. Serves as the brute-force oracle for
-    count_refining_orthants.
+    count_refining_orthants. A binary t is its own only refinement; any
+    other t raises EnumerationTooLarge for t.n > MAX_CENSUS_LEAVES.
     """
     if is_binary(t):
         return [t]
-    trees, index = _checked_census(t.n, cap)
+    trees, index = _checked_census(t.n)
     bits = (1 << len(trees)) - 1
     for s in t.splits:
         bits &= index[s.mask]

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import os
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import bhvkit
-from bhvkit.cli import main
+from bhvkit.cli import build_parser, main
+from bhvkit.topology import MAX_CENSUS_LEAVES
 from helpers import realized_by_sweep
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
@@ -181,15 +184,20 @@ def test_count_refine_oracle(capsys):
 
 
 def test_count_cap(capsys):
-    code, _, err = run(capsys, "--cap", "100", "count", "6", "--oracle")
+    code, out, err = run(capsys, "count", "11", "--oracle")
     assert code == 2
-    assert "105" in err
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"n = {MAX_CENSUS_LEAVES}" in err
+    assert "34459425" in err
 
 
-def test_count_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("BHVKIT_CAP", "100")
-    code, _, _ = run(capsys, "count", "6", "--oracle")
-    assert code == 2
+def test_count_binary_face_needs_no_census(capsys):
+    # a binary face is its own only refinement, so the leaf bound never applies
+    sides = [[1, 2], *([*range(1, k + 1)] for k in range(3, 11))]
+    code, out, _ = run(capsys, "count", "12", "--refine", json.dumps(sides), "--oracle")
+    assert code == 0
+    assert out == '{"count":1,"oracle_ok":true}\n'
 
 
 def test_count_closed_form_needs_no_census(capsys):
@@ -372,14 +380,6 @@ def test_output_is_byte_deterministic(capsys):
     assert len(outputs) == 1
 
 
-def test_json_to_file(capsys, tmp_path):
-    target = tmp_path / "report.json"
-    code, out, _ = run(capsys, "link", "5", "--json", str(target))
-    assert code == 0
-    assert out == ""
-    assert json.loads(target.read_text())["vertices"] == 10
-
-
 def test_console_entry_point():
     # the child finds bhvkit where this process did, installed or not
     package_root = str(Path(bhvkit.__file__).parents[1])
@@ -401,3 +401,79 @@ def test_stdin_input(monkeypatch, capsys):
     code, out, _ = run(capsys, "parse", "-")
     assert code == 0
     assert json.loads(out)["n"] == 5
+
+
+THREE_TREES = ["(1,2,(3,(4,5):0.5):0.25);", FIG_TREE, "(1,2,3,4,5,6,7);"]
+
+
+def test_parse_dot_holds_every_tree(capsys, tmp_path):
+    from bhvkit import parse_newick
+
+    source = tmp_path / "three.nwk"
+    source.write_text("\n".join(THREE_TREES) + "\n")
+    target = tmp_path / "trees.dot"
+    code, out, _ = run(capsys, "parse", str(source), "--dot", str(target))
+    assert code == 0
+    reports = out.splitlines()
+    assert len(reports) == 3
+    dots = [parse_newick(t).topology.to_dot() for t in THREE_TREES]
+    assert target.read_text() == "\n".join(dots) + "\n"
+    # with '-' each tree's DOT precedes its report on stdout
+    code, out, _ = run(capsys, "parse", str(source), "--dot", "-")
+    assert code == 0
+    assert out == "".join(f"{dot}\n{report}\n" for dot, report in zip(dots, reports))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("link", "5"), ("parse", FIG_TREE)],
+    ids=["link", "parse"],
+)
+def test_unwritable_dot_path_is_one_error_line(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, *argv, "--dot", str(target))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        '{"n":5}',
+        '{"n":5,"edges":[1]}',
+        '{"n":5,"edges":[{"side":[1,2]}]}',
+        '{"n":5,"edges":null}',
+        '{"n":5,"edges":[],"leaf_lengths":[1]}',
+        "[]",
+    ],
+)
+def test_malformed_json_tree_is_one_error_line(capsys, tree):
+    code, out, err = run(capsys, "parse", tree)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+
+
+def _option_strings(parser) -> list[str]:
+    return sorted(s for action in parser._actions for s in action.option_strings)
+
+
+def test_knob_inventory():
+    """Every option and parameter the CLI and census take; a new knob needs
+    a deliberate edit here."""
+    parser = build_parser()
+    assert _option_strings(parser) == ["--help", "-h"]
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: _option_strings(p) for name, p in sub.choices.items()} == {
+        "link": ["--dot", "--help", "-h"],
+        "aut": ["--help", "-h"],
+        "volume": ["--eps", "--help", "-h"],
+        "count": ["--help", "--oracle", "--refine", "-h"],
+        "dist": ["--help", "-h"],
+        "parse": ["--dot", "--help", "-h"],
+    }
+    for fn in (bhvkit.enumerate_binary_topologies, bhvkit.enumerate_binary_refinements):
+        assert len(inspect.signature(fn).parameters) == 1

@@ -196,8 +196,10 @@ def test_binary_topology_counts(n, count):
 
 
 def test_binary_enumeration_cap():
+    with pytest.raises(EnumerationTooLarge, match="n = 10, got 11"):
+        enumerate_binary_topologies(11)
     with pytest.raises(EnumerationTooLarge):
-        enumerate_binary_topologies(8, cap=100)
+        enumerate_binary_refinements(make_topology((), 11))
 
 
 def test_is_binary():
