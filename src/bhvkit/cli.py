@@ -49,7 +49,6 @@ from .splits import make_split
 from .topology import (
     count_refining_orthants,
     degree_sequence,
-    double_factorial,
     enumerate_binary_refinements,
     is_binary,
     make_topology,
@@ -104,7 +103,7 @@ def _load_trees(arg: str) -> list[TreePoint]:
 def cmd_link(args) -> int:
     g = build_link_graph(args.n)
     report = link_report(g)
-    if args.dot:
+    if args.dot is not None:
         _emit(g.to_dot(), args.dot)
     print(_dump(report))
     return EXIT_OK if report["degrees_ok"] else EXIT_FAIL
@@ -162,17 +161,15 @@ def cmd_volume(args) -> int:
 
 
 def cmd_count(args) -> int:
+    sides = []
     if args.refine is not None:
         try:
             sides = json.loads(args.refine)
         except json.JSONDecodeError as exc:
             print(f"error: --refine is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_FAIL
-        face = make_topology((make_split(side, args.n) for side in sides), args.n)
-        value = count_refining_orthants(face)
-    else:
-        face = make_topology((), args.n)
-        value = double_factorial(2 * args.n - 5)
+    face = make_topology((make_split(side, args.n) for side in sides), args.n)
+    value = count_refining_orthants(face)
     if args.oracle:
         ok = len(enumerate_binary_refinements(face)) == value
         print(_dump({"count": value, "oracle_ok": ok}))
@@ -203,7 +200,7 @@ def cmd_parse(args) -> int:
     reports = [_dump({**x.to_json(), "newick": to_newick(x)}) for x in trees]
     if args.dot == "-":
         reports = [f"{x.topology.to_dot()}\n{r}" for x, r in zip(trees, reports)]
-    elif args.dot:
+    elif args.dot is not None:
         _emit("\n".join(x.topology.to_dot() for x in trees), args.dot)
     print("\n".join(reports))
     return EXIT_OK

@@ -8,6 +8,8 @@ assumed. Adjacency rows are vertex-index bitmasks built from per-leaf
 bitsets. The automorphism group is read off a stabiliser chain, whose
 order is the product of its orbit lengths, and leaf_relabeling certifies
 from its generators that it is the image of S_n; no step walks n! elements.
+Both searches take only the graph: each stops after NODE_CAP search nodes,
+and the automorphism search also refuses graphs over AUT_MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from .splits import (
 
 MAX_LINK_LEAVES = 12
 AUT_MAX_VERTICES = 501
-DEFAULT_NODE_CAP = 5_000_000
+NODE_CAP = 5_000_000
 ELEMENT_CAP = 10_000  # lists the 7! elements at n=7; 8! would outcost the search
-DEFAULT_MIS_VERTEX_CAP = 25
 
 VertexPerm = tuple[int, ...]
 
@@ -164,31 +165,28 @@ def ekr_independent_sets(g: LinkGraph, k: int) -> list[frozenset[Split]]:
     return [frozenset(v for v in layer if v.contains(i)) for i in range(1, g.n + 1)]
 
 
-def maximum_independent_sets(
-    g: LinkGraph,
-    max_vertices: int = DEFAULT_MIS_VERTEX_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> list[frozenset[Split]]:
+def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
     """All independent sets of maximum size, by exact branch and bound.
 
     Branching takes the highest-degree candidate, include before exclude,
     so the first branch to run out of candidates holds a maximal set; it
     sets the size bound, and branches that cannot reach the bound are cut.
+    The search raises SearchBudgetExceeded after NODE_CAP nodes; that is
+    its only bound, since its cost tracks the nodes it expands, not the
+    vertex count.
     """
     nv = g.vertex_count
-    if nv > max_vertices:
-        raise TooLarge(f"{nv} vertices exceeds configured cap {max_vertices}")
     adj = g.adjacency
     order = sorted(range(nv), key=lambda v: adj[v].bit_count(), reverse=True)
     best = 0
     results: list[int] = []
-    budget = node_cap
+    budget = NODE_CAP
 
     def search(chosen: int, size: int, cand: int):
         nonlocal best, results, budget
         budget -= 1
         if budget < 0:
-            raise SearchBudgetExceeded(f"independent-set search exceeded {node_cap} nodes")
+            raise SearchBudgetExceeded(f"independent-set search exceeded {NODE_CAP} nodes")
         if size + cand.bit_count() < best:
             return
         if not cand:  # size >= best, or the bound above would have cut it
@@ -263,7 +261,7 @@ def is_vertex_automorphism(g: LinkGraph, perm: VertexPerm) -> bool:
     )
 
 
-def brute_force_automorphisms(g: LinkGraph, node_cap: int = DEFAULT_NODE_CAP) -> AutomorphismGroup:
+def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
     """The full automorphism group, exactly, by a stabiliser chain.
 
     Candidate images start as the degree class of each vertex, since an
@@ -282,14 +280,16 @@ def brute_force_automorphisms(g: LinkGraph, node_cap: int = DEFAULT_NODE_CAP) ->
     recurses only where it branches. The orbits are grown from the
     generators, so they generate the group; its order is the product of the
     orbit lengths. Up to ELEMENT_CAP, elements lists the products of one
-    orbit representative per level. node_cap bounds all search nodes.
+    orbit representative per level. Graphs over AUT_MAX_VERTICES raise
+    TooLarge before any search, and the probes together raise
+    SearchBudgetExceeded after NODE_CAP nodes.
     """
     nv = g.vertex_count
     if nv > AUT_MAX_VERTICES:
         raise TooLarge(f"{nv} vertices exceeds automorphism cap {AUT_MAX_VERTICES}")
     adj = g.adjacency
     all_mask = (1 << nv) - 1
-    budget = node_cap
+    budget = NODE_CAP
 
     def fix(cand: list[int], unmapped: int, v: int, w: int) -> list[int] | None:
         """Candidates after mapping v -> w, or None once some vertex has none."""
@@ -308,7 +308,7 @@ def brute_force_automorphisms(g: LinkGraph, node_cap: int = DEFAULT_NODE_CAP) ->
         while True:
             budget -= 1
             if budget < 0:
-                raise SearchBudgetExceeded(f"automorphism search exceeded {node_cap} nodes")
+                raise SearchBudgetExceeded(f"automorphism search exceeded {NODE_CAP} nodes")
             if not unmapped:
                 return tuple(c.bit_length() - 1 for c in cand)
             v = min(_bits(unmapped), key=lambda u: cand[u].bit_count())

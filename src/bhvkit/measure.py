@@ -32,8 +32,9 @@ class TreePoint:
     """A topology with a positive finite length per split.
 
     Finite non-negative leaf-edge lengths may ride along as metadata but
-    never enter coordinates, norms, or distances. Immutable and hashable:
-    both length maps are read-only copies of the mappings passed in.
+    never enter coordinates, norms, or distances; an empty leaf map is
+    stored as None. Immutable and hashable: both length maps are read-only
+    copies of the mappings passed in.
     """
 
     topology: Topology
@@ -42,8 +43,8 @@ class TreePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", MappingProxyType(dict(self.lengths)))
-        if self.leaf_lengths is not None:
-            object.__setattr__(self, "leaf_lengths", MappingProxyType(dict(self.leaf_lengths)))
+        leaf_lengths = MappingProxyType(dict(self.leaf_lengths)) if self.leaf_lengths else None
+        object.__setattr__(self, "leaf_lengths", leaf_lengths)
         if set(self.lengths) != set(self.topology.splits):
             raise ValueError("lengths must be keyed by exactly the topology's splits")
         for s, w in self.lengths.items():
@@ -90,7 +91,7 @@ class TreePoint:
             if self.leaf_lengths is not None
             else None
         )
-        return TreePoint(self.topology.permute(sigma), new_lengths, new_leaf)
+        return TreePoint(Topology(self.n, frozenset(new_lengths)), new_lengths, new_leaf)
 
     def to_json(self) -> dict:
         obj = {
@@ -106,14 +107,33 @@ class TreePoint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreePoint":
+        """Inverse of to_json. Lengths must be JSON numbers and each
+        leaf_lengths key the decimal label of its leaf, as to_json writes."""
         n = obj["n"]
         lengths = {}
         for e in obj["edges"]:
-            lengths[make_split(e["side"], n)] = float(e["length"])
+            lengths[make_split(e["side"], n)] = _json_number(e["length"])
         leaf = obj.get("leaf_lengths")
         if leaf is not None:
-            leaf = {int(k): float(v) for k, v in leaf.items()}
+            leaf = {_json_leaf(k): _json_number(v) for k, v in leaf.items()}
         return cls(make_topology(lengths.keys(), n), lengths, leaf)
+
+
+def _json_number(value) -> float:
+    """A JSON number as a float; true, false and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"length {value!r} is not a JSON number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("length is too large for a float") from None
+
+
+def _json_leaf(key: str) -> int:
+    """The leaf named by a leaf_lengths key, which must read exactly str(leaf)."""
+    if key.isascii() and key.isdigit() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"leaf_lengths key {key!r} is not a leaf label")
 
 
 def cone_point(n: int) -> TreePoint:

@@ -207,7 +207,7 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
                 leaf_lengths[index[names[first]]] = w
         elif w:
             lengths[split_of_mask(below[end] ^ below[first], n)] = w
-    return TreePoint(make_topology(lengths, n), lengths, leaf_lengths or None)
+    return TreePoint(make_topology(lengths, n), lengths, leaf_lengths)
 
 
 def _format_length(w: float) -> str:

@@ -96,10 +96,6 @@ class Split:
         return full_mask(self.n) ^ self.mask
 
     @property
-    def complement(self) -> tuple[int, ...]:
-        return leaves_of(self.complement_mask)
-
-    @property
     def clade(self) -> int:
         """The side without leaf 1, as a mask: the leaves below this split's
         edge when the tree hangs from leaf 1."""
@@ -121,13 +117,6 @@ class Split:
             return size_a < size_b
         diff = a ^ b
         return bool(a & diff & -diff)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "side": list(self.side)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Split":
-        return make_split(obj["side"], obj["n"])
 
     def __repr__(self) -> str:
         return f"Split({{{','.join(map(str, self.side))}}}, n={self.n})"

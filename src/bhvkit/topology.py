@@ -39,7 +39,6 @@ from .splits import (
     enumerate_splits,
     full_mask,
     leaves_of,
-    make_split,
     pairwise_compatible,
 )
 
@@ -89,14 +88,6 @@ class Topology:
     def permute(self, sigma: Permutation) -> "Topology":
         """Relabel all leaves through sigma."""
         return Topology(self.n, frozenset(apply_permutation(sigma, s) for s in self.splits))
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "splits": [list(s.side) for s in self.sorted_splits]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Topology":
-        n = obj["n"]
-        return cls(n, frozenset(make_split(side, n) for side in obj["splits"]))
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, s.side)) + "}" for s in self.sorted_splits)

@@ -194,7 +194,7 @@ def test_criterion_09_ekr_maximum_independent_sets():
     layers = [(n, 2) for n in range(5, 11)] + [(n, 3) for n in range(7, 10)]
     for n, k in layers:
         g = build_link_graph(n)
-        found = maximum_independent_sets(kneser_subgraph(g, k), max_vertices=math.comb(n, k))
+        found = maximum_independent_sets(kneser_subgraph(g, k))
         ok = ok and len(found) == n
         ok = ok and all(len(s) == math.comb(n - 1, k - 1) for s in found)
         ok = ok and set(found) == set(ekr_independent_sets(g, k))

@@ -439,6 +439,21 @@ def test_unwritable_dot_path_is_one_error_line(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("link", "5"), ("parse", FIG_TREE)],
+    ids=["link", "parse"],
+)
+def test_empty_dot_path_is_one_error_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--dot", "")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "tree",
     [
         '{"n":5}',
@@ -447,6 +462,12 @@ def test_unwritable_dot_path_is_one_error_line(capsys, tmp_path, argv):
         '{"n":5,"edges":null}',
         '{"n":5,"edges":[],"leaf_lengths":[1]}',
         "[]",
+        '{"n":5,"edges":[{"side":[1,2],"length":true}]}',
+        '{"n":5,"edges":[{"side":[1,2],"length":"0.5"}]}',
+        pytest.param('{"n":5,"edges":[{"side":[1,2],"length":1' + "0" * 400 + "}]}", id="huge-int"),
+        '{"n":5,"edges":[],"leaf_lengths":{"1":true}}',
+        '{"n":5,"edges":[],"leaf_lengths":{"01":1}}',
+        '{"n":5,"edges":[],"leaf_lengths":{" 1":1}}',
     ],
 )
 def test_malformed_json_tree_is_one_error_line(capsys, tree):
@@ -462,8 +483,8 @@ def _option_strings(parser) -> list[str]:
 
 
 def test_knob_inventory():
-    """Every option and parameter the CLI and census take; a new knob needs
-    a deliberate edit here."""
+    """Every option and parameter the CLI, census and searches take; a new
+    knob needs a deliberate edit here."""
     parser = build_parser()
     assert _option_strings(parser) == ["--help", "-h"]
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -475,5 +496,10 @@ def test_knob_inventory():
         "dist": ["--help", "-h"],
         "parse": ["--dot", "--help", "-h"],
     }
-    for fn in (bhvkit.enumerate_binary_topologies, bhvkit.enumerate_binary_refinements):
+    for fn in (
+        bhvkit.enumerate_binary_topologies,
+        bhvkit.enumerate_binary_refinements,
+        bhvkit.brute_force_automorphisms,
+        bhvkit.maximum_independent_sets,
+    ):
         assert len(inspect.signature(fn).parameters) == 1

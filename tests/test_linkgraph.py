@@ -32,6 +32,7 @@ from bhvkit import (
     upward_neighbors,
     verify_degrees,
 )
+from bhvkit import linkgraph
 from bhvkit.linkgraph import is_vertex_automorphism
 from helpers import (
     compose,
@@ -221,13 +222,17 @@ def test_maximum_independent_sets_edgeless_layer(link6):
 
 
 def test_maximum_independent_sets_vertex_cap(link7):
-    sub = kneser_subgraph(link7, 3)  # 35 vertices
-    with pytest.raises(TooLarge):
-        maximum_independent_sets(sub)
-    found = maximum_independent_sets(sub, max_vertices=40)
+    sub = kneser_subgraph(link7, 3)  # 35 vertices, once refused by a vertex cap
+    found = maximum_independent_sets(sub)
     assert len(found) == 7
     assert all(len(s) == 15 for s in found)
     assert set(found) == set(ekr_independent_sets(link7, 3))
+
+
+def test_maximum_independent_sets_node_cap(link7, monkeypatch):
+    monkeypatch.setattr(linkgraph, "NODE_CAP", 10)
+    with pytest.raises(SearchBudgetExceeded):
+        maximum_independent_sets(kneser_subgraph(link7, 3))
 
 
 def test_upward_neighbors_n6(link6):
@@ -399,13 +404,15 @@ def test_group_order_divides_vertex_factorial(link5):
     assert math.factorial(link5.vertex_count) % group.order == 0
 
 
-def test_search_budget_cap(link6):
+def test_search_budget_cap(link6, monkeypatch):
+    monkeypatch.setattr(linkgraph, "NODE_CAP", 10)
     with pytest.raises(SearchBudgetExceeded):
-        brute_force_automorphisms(link6, node_cap=10)
+        brute_force_automorphisms(link6)
 
 
-def test_search_work_bound_n7(link7):
-    group = brute_force_automorphisms(link7, node_cap=10_000)
+def test_search_work_bound_n7(link7, monkeypatch):
+    monkeypatch.setattr(linkgraph, "NODE_CAP", 10_000)
+    group = brute_force_automorphisms(link7)
     assert group.order == 5040
 
 

@@ -1,8 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvkit import (
     EpsilonTooLarge,
@@ -22,7 +25,7 @@ from bhvkit import (
     make_topology,
     same_orthant_distance,
 )
-from helpers import all_faces
+from helpers import all_faces, random_face
 
 
 def point(n, sides_lengths, leaf_lengths=None):
@@ -185,6 +188,12 @@ def test_volume_invariant_under_relabeling():
         assert v1.coefficient == v2.coefficient
 
 
+def test_permute_moves_splits_and_leaf_lengths():
+    x = point(6, [((1, 2), 0.25), ((1, 2, 3), 0.5)], leaf_lengths={1: 1.5, 4: 0.5})
+    y = x.permute(Permutation.from_cycles(6, (1, 4, 6)))
+    assert y == point(6, [((2, 4), 0.25), ((2, 3, 4), 0.5)], leaf_lengths={4: 1.5, 6: 0.5})
+
+
 def test_volume_scales_with_radius_power():
     x = point(6, [((1, 2), 1.0)])
     for c in (0.5, 2.0, 3.7):
@@ -309,3 +318,27 @@ def test_tree_point_json_round_trip():
         ],
         "leaf_lengths": {"1": 1.5, "4": 0.5},
     }
+
+
+def test_empty_leaf_map_is_none():
+    x = TreePoint(make_topology((), 5), {}, {})
+    assert x.leaf_lengths is None
+    again = TreePoint.from_json(x.to_json())
+    assert again == x and hash(again) == hash(x)
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tree_point_json_round_trip_property(data):
+    n = data.draw(st.integers(4, 9))
+    t = random_face(data.draw(st.randoms(use_true_random=False)), n)
+    positive = st.floats(min_value=0, exclude_min=True, **_FINITE)
+    lengths = {s: data.draw(positive) for s in t.sorted_splits}
+    leaf = data.draw(st.none() | st.dictionaries(st.integers(1, n), st.floats(min_value=0, **_FINITE)))
+    x = TreePoint(t, lengths, leaf)
+    again = TreePoint.from_json(json.loads(json.dumps(x.to_json())))
+    assert again == x
+    assert hash(again) == hash(x)
