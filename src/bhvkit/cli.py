@@ -5,8 +5,9 @@ stdout, deterministically: fixed key order, shortest round-trip floats (via
 json), so identical inputs give byte-identical bytes. Only `--dot PATH`
 writes a file; `parse` writes every tree's DOT there, in order.
 
-`aut n` runs for 5 <= n <= 10; "realized" certifies Aut = image of S_n from
-the order n! and a leaf relabeling for every generator the search found.
+`aut n` runs for 5 <= n <= 12, the n that `link` takes; "realized"
+certifies Aut = image of S_n from the order n! and a leaf relabeling for
+every generator the search found.
 `count n --oracle` runs for n <= 10 (a binary face needs no census). A
 tree source must hold a tree, and each `dist` argument exactly one.
 
@@ -166,8 +167,9 @@ def cmd_count(args) -> int:
         try:
             sides = json.loads(args.refine)
         except json.JSONDecodeError as exc:
-            print(f"error: --refine is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+            raise ValueError(f"--refine is not valid JSON: {exc}") from None
+    if not (isinstance(sides, list) and all(isinstance(side, list) for side in sides)):
+        raise ValueError("--refine must be a JSON list of leaf lists, e.g. [[1,2]]")
     face = make_topology((make_split(side, args.n) for side in sides), args.n)
     value = count_refining_orthants(face)
     if args.oracle:
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH", help="write Graphviz output ('-' for stdout)")
     p.set_defaults(func=cmd_link)
 
-    p = sub.add_parser("aut", help="certify Aut(link) = S_n by stabiliser chain (5 <= n <= 10)")
+    p = sub.add_parser("aut", help="certify Aut(link) = S_n by stabiliser chain (5 <= n <= 12)")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_aut)
 

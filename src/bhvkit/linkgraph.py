@@ -8,8 +8,8 @@ assumed. Adjacency rows are vertex-index bitmasks built from per-leaf
 bitsets. The automorphism group is read off a stabiliser chain, whose
 order is the product of its orbit lengths, and leaf_relabeling certifies
 from its generators that it is the image of S_n; no step walks n! elements.
-Both searches take only the graph: each stops after NODE_CAP search nodes,
-and the automorphism search also refuses graphs over AUT_MAX_VERTICES.
+Both searches take only the graph; NODE_CAP search nodes is the only bound
+on either, so the automorphism search runs on every graph build_link_graph makes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .splits import (
 )
 
 MAX_LINK_LEAVES = 12
-AUT_MAX_VERTICES = 501
 NODE_CAP = 5_000_000
 ELEMENT_CAP = 10_000  # lists the 7! elements at n=7; 8! would outcost the search
 
@@ -280,30 +279,32 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
     recurses only where it branches. The orbits are grown from the
     generators, so they generate the group; its order is the product of the
     orbit lengths. Up to ELEMENT_CAP, elements lists the products of one
-    orbit representative per level. Graphs over AUT_MAX_VERTICES raise
-    TooLarge before any search, and the probes together raise
+    orbit representative per level. The probes together raise
     SearchBudgetExceeded after NODE_CAP nodes.
     """
     nv = g.vertex_count
-    if nv > AUT_MAX_VERTICES:
-        raise TooLarge(f"{nv} vertices exceeds automorphism cap {AUT_MAX_VERTICES}")
     adj = g.adjacency
     all_mask = (1 << nv) - 1
     budget = NODE_CAP
 
-    def fix(cand: list[int], unmapped: int, v: int, w: int) -> list[int] | None:
-        """Candidates after mapping v -> w, or None once some vertex has none."""
+    def fix(cand: list[int], rest: int, v: int, w: int) -> tuple[list[int], int] | None:
+        """Map v -> w and narrow the candidates in rest; returns them and the vertex
+        of rest with the fewest left (lowest on a tie), or None once one has none."""
         narrowed = list(cand)
         narrowed[v] = 1 << w
-        adj_v, adj_w = adj[v], adj[w]
-        for u in _bits(unmapped & ~(1 << v)):
-            keep = adj_w if adj_v >> u & 1 else all_mask ^ adj_w
-            narrowed[u] &= keep & ~(1 << w)
-            if not narrowed[u]:
+        adj_v, inside, outside = adj[v], adj[w], all_mask ^ adj[w] ^ 1 << w
+        nxt, fewest = -1, nv + 1
+        for u in _bits(rest):
+            narrowed[u] &= inside if adj_v >> u & 1 else outside
+            count = narrowed[u].bit_count()
+            if not count:
                 return None
-        return narrowed
+            if count < fewest:
+                nxt, fewest = u, count
+        return narrowed, nxt
 
-    def first_automorphism(cand: list[int], unmapped: int) -> VertexPerm | None:
+    def first_automorphism(cand: list[int], v: int, unmapped: int) -> VertexPerm | None:
+        """The first automorphism within cand; v is the unmapped vertex to map next."""
         nonlocal budget
         while True:
             budget -= 1
@@ -311,19 +312,18 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
                 raise SearchBudgetExceeded(f"automorphism search exceeded {NODE_CAP} nodes")
             if not unmapped:
                 return tuple(c.bit_length() - 1 for c in cand)
-            v = min(_bits(unmapped), key=lambda u: cand[u].bit_count())
+            unmapped &= ~(1 << v)
             if cand[v] & (cand[v] - 1):
                 break
-            cand = fix(cand, unmapped, v, cand[v].bit_length() - 1)
-            if cand is None:
+            step = fix(cand, unmapped, v, cand[v].bit_length() - 1)
+            if step is None:
                 return None
-            unmapped &= ~(1 << v)
+            cand, v = step
         for w in _bits(cand[v]):
-            narrowed = fix(cand, unmapped, v, w)
-            if narrowed is not None:
-                found = first_automorphism(narrowed, unmapped & ~(1 << v))
-                if found is not None:
-                    return found
+            step = fix(cand, unmapped, v, w)
+            found = None if step is None else first_automorphism(*step, unmapped)
+            if found is not None:
+                return found
         return None
 
     by_degree: dict[int, int] = {}
@@ -334,21 +334,20 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
     levels = []
     for b in range(nv):
         if cand[b] & (cand[b] - 1):
-            levels.append((b, cand, unmapped))
-            cand = fix(cand, unmapped, b, b)
             unmapped &= ~(1 << b)
+            levels.append((b, cand, unmapped))
+            cand, _ = fix(cand, unmapped, b, b)
 
     identity = tuple(range(nv))
     generators: list[VertexPerm] = []
     transversals: list[list[VertexPerm]] = []
-    for b, cand, unmapped in reversed(levels):
+    for b, cand, rest in reversed(levels):
         orbit = {b: identity}
         _grow_orbit(orbit, generators)
         for w in _bits(cand[b]):
             if w not in orbit:
-                probe = list(cand)
-                probe[b] = 1 << w
-                found = first_automorphism(probe, unmapped)
+                step = fix(cand, rest, b, w)
+                found = None if step is None else first_automorphism(*step, rest)
                 if found is not None:
                     generators.append(found)
                     _grow_orbit(orbit, generators)

@@ -4,13 +4,14 @@ distance bounds.
 The volume of an epsilon-ball around a point depends only on how many
 binary orthants contain the point's face and on the face codimension; the
 coefficient s_F / 2^(n-3-p) is kept as an exact Fraction so equality and
-dominance claims can be tested without float noise.
+dominance claims can be tested without float noise. A volume, bound, norm or
+distance too large for a float raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -74,7 +75,8 @@ class TreePoint:
     @property
     def norm(self) -> float:
         """Euclidean norm of the internal edge-length vector."""
-        return math.sqrt(sum(self.lengths[s] ** 2 for s in self.topology.sorted_splits))
+        squares = (self.lengths[s] ** 2 for s in self.topology.sorted_splits)
+        return _finite("norm", lambda: math.sqrt(sum(squares)))
 
     @property
     def min_edge(self) -> float | None:
@@ -136,6 +138,17 @@ def _json_leaf(key: str) -> int:
     raise ValueError(f"leaf_lengths key {key!r} is not a leaf label")
 
 
+def _finite(what: str, compute: Callable[[], float]) -> float:
+    """compute(), or ValueError when it overflows a float (to inf or by raising)."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not a finite float")
+    return value
+
+
 def cone_point(n: int) -> TreePoint:
     """The star tree with no internal edges, common to every orthant."""
     return TreePoint(Topology(n), {})
@@ -168,7 +181,7 @@ def euclidean_ball_volume(m: int, eps: float) -> float:
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
     _check_radius(eps)
-    return math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1)
+    return _finite("ball volume", lambda: math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1))
 
 
 def ball_volume(x: TreePoint, eps: float) -> BallVolume:
@@ -185,7 +198,8 @@ def ball_volume(x: TreePoint, eps: float) -> BallVolume:
     n, p = x.n, x.p
     s_f = count_refining_orthants(x.topology)
     coefficient = Fraction(s_f, 2 ** (n - 3 - p))
-    value = float(coefficient) * euclidean_ball_volume(n - 3, eps)
+    a = euclidean_ball_volume(n - 3, eps)
+    value = _finite("ball volume", lambda: float(coefficient) * a)
     return BallVolume(value, n, p, s_f, eps, coefficient)
 
 
@@ -201,7 +215,7 @@ def ball_volume_bounds(n: int, p: int, eps: float) -> tuple[float, float]:
         raise POutOfRange(f"need 0 <= p <= n-3, got p={p} for n={n}")
     a = euclidean_ball_volume(n - 3, eps)
     upper_coeff = Fraction(double_factorial(2 * n - 2 * p - 5) * 2**p, 2 ** (n - 3))
-    return a, float(upper_coeff) * a
+    return a, _finite("volume upper bound", lambda: float(upper_coeff) * a)
 
 
 def same_orthant_distance(a: TreePoint, b: TreePoint) -> float | None:
@@ -215,9 +229,8 @@ def same_orthant_distance(a: TreePoint, b: TreePoint) -> float | None:
     union = a.topology.splits | b.topology.splits
     if not pairwise_compatible(union):
         return None
-    return math.sqrt(
-        sum((a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0)) ** 2 for s in sorted(union))
-    )
+    squares = ((a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0)) ** 2 for s in sorted(union))
+    return _finite("distance", lambda: math.sqrt(sum(squares)))
 
 
 def distance_upper_bound(a: TreePoint, b: TreePoint) -> float:

@@ -70,7 +70,7 @@ def test_aut_5(capsys):
 
 
 def test_aut_range(capsys):
-    for n in ("3", "11"):
+    for n in ("3", "13"):
         code, out, err = run(capsys, "aut", n)
         assert code == 2
         assert out == ""
@@ -82,6 +82,14 @@ def test_aut_8_is_certified(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["aut_order"] == report["expected_order"] == math.factorial(8)
+    assert report["realized"] is True
+
+
+def test_aut_11_is_certified(capsys):
+    code, out, _ = run(capsys, "aut", "11")
+    assert code == 0
+    report = json.loads(out)
+    assert report["aut_order"] == math.factorial(11)
     assert report["realized"] is True
 
 
@@ -369,6 +377,28 @@ def test_count_bad_refine_json(capsys):
     code, _, err = run(capsys, "count", "6", "--refine", "[[1,2")
     assert code == 1
     assert "JSON" in err
+
+
+@pytest.mark.parametrize("refine", ["5", "[5]", "[[1,2],5]", '{"a":1}'])
+def test_count_refine_must_be_a_list_of_leaf_lists(capsys, refine):
+    code, out, err = run(capsys, "count", "6", "--refine", refine)
+    assert_rejected(code, out, err)
+    assert "list of leaf lists" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("volume", "(1,2,3,4);", "--eps", "1e308"),  # the volume rounds to inf
+        ("volume", "(1,2,3,4,5);", "--eps", "1e200"),  # eps**2 raises OverflowError
+        ("volume", "((1,2,3):1e200,4,5,6);", "--eps", "2.47e102"),  # only the upper bound is inf
+        ("dist", "((1,2):1e308,3,4,5);", "((1,2):1e308,3,4,5);"),  # the norm overflows
+    ],
+)
+def test_float_overflow_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_rejected(code, out, err)
+    assert "not a finite float" in err
 
 
 def test_output_is_byte_deterministic(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from functools import lru_cache
@@ -416,10 +417,22 @@ def test_search_work_bound_n7(link7, monkeypatch):
     assert group.order == 5040
 
 
-def test_automorphism_vertex_cap():
-    g11 = build_link_graph(11)  # 1,012 vertices
-    with pytest.raises(TooLarge):
-        brute_force_automorphisms(g11)
+# sha256 of repr((order, generators)): a change to the probe order that
+# finds other generators fails here even when the group is unchanged
+PINNED_SEARCH = {
+    5: "c1681ca71493f39f19bc7c251aaada9c2d7e45199ba629e516bc82360a71dc39",
+    6: "81c6cb831e4fa4aa8bc8abecc4a637fc10d977290f05fbbe01a8e70fd021e9ea",
+    7: "574cc4b087fa7838d55e04ef95aa92ea2654bdc14d3ce9621de98ea695dcda92",
+    8: "5683ece4afc78a292015e3e9557ae5a789c52045ec37eea52201c86ff8a11f4a",
+    9: "c59f65ac488448fe4c1a3ab1d8d884b78df7212c326c4afbf234ee6222529d56",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SEARCH))
+def test_search_output_is_pinned(n):
+    group = brute_force_automorphisms(cached_link_graph(n))
+    digest = hashlib.sha256(repr((group.order, group.generators)).encode()).hexdigest()
+    assert digest == PINNED_SEARCH[n]
 
 
 def stack_depth() -> int:
