@@ -86,14 +86,17 @@ class TreePoint:
         return min(self.lengths.values())
 
     def permute(self, sigma: Permutation) -> "TreePoint":
-        """Relabel leaves; lengths follow their splits."""
+        """Relabel leaves through sigma, a permutation of the same n leaves;
+        lengths follow their splits."""
+        if sigma.n != self.n:
+            raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs tree on {self.n}")
         new_lengths = {apply_permutation(sigma, s): w for s, w in self.lengths.items()}
         new_leaf = (
             {sigma(leaf): w for leaf, w in self.leaf_lengths.items()}
             if self.leaf_lengths is not None
             else None
         )
-        return TreePoint(Topology(self.n, frozenset(new_lengths)), new_lengths, new_leaf)
+        return TreePoint(Topology._laminar(self.n, frozenset(new_lengths)), new_lengths, new_leaf)
 
     def to_json(self) -> dict:
         obj = {
@@ -177,11 +180,25 @@ def _check_radius(eps: float):
 
 
 def euclidean_ball_volume(m: int, eps: float) -> float:
-    """Volume of a radius-eps ball in R^m: pi^(m/2) eps^m / Gamma(m/2 + 1)."""
+    """Volume of a radius-eps ball in R^m: pi^(m/2) eps^m / Gamma(m/2 + 1).
+
+    Computed as written; only where that overflows, which pi^(m/2) eps^m can
+    do when the volume does not, it is exp of the same formula in logs.
+    """
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
     _check_radius(eps)
-    return _finite("ball volume", lambda: math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1))
+
+    def volume() -> float:
+        try:
+            value = math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        return math.exp(m / 2 * math.log(math.pi) + m * math.log(eps) - math.lgamma(m / 2 + 1))
+
+    return _finite("ball volume", volume)
 
 
 def ball_volume(x: TreePoint, eps: float) -> BallVolume:

@@ -40,8 +40,8 @@ from .errors import (
     UnknownLeafName,
 )
 from .measure import TreePoint
-from .splits import MAX_LEAVES, full_mask, split_of_mask
-from .topology import clade_children, make_topology
+from .splits import MAX_LEAVES, check_leaf_count, full_mask, split_of_mask
+from .topology import Topology, clade_children
 
 # Whitespace runs, punctuation, a ':' with its number (matched as a prefix),
 # labels, and the rejected quote and bracket characters: every character
@@ -186,7 +186,9 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
 
     Splits come from the internal edges of the unrooted tree; zero-length
     internal edges are dropped from the topology and leaf edge lengths are
-    retained as metadata.
+    retained as metadata. The splits are clades of one tree, a laminar
+    family, so the topology is built by the trusted Topology._laminar; the
+    leaf count is checked here, and TreePoint checks the lengths.
     """
     names, items = _scan(text)
     seen = set()
@@ -195,7 +197,7 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
             raise DuplicateLeaf(name)
         seen.add(name)
     index = _resolve_labels(names, label_map)
-    n = len(names)
+    n = check_leaf_count(len(names))
     below = [0]  # below[i]: the index bits of the first i leaves of the text
     for name in names:
         below.append(below[-1] | 1 << (index[name] - 1))
@@ -207,7 +209,7 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
                 leaf_lengths[index[names[first]]] = w
         elif w:
             lengths[split_of_mask(below[end] ^ below[first], n)] = w
-    return TreePoint(make_topology(lengths, n), lengths, leaf_lengths)
+    return TreePoint(Topology._laminar(n, frozenset(lengths)), lengths, leaf_lengths)
 
 
 def _format_length(w: float) -> str:

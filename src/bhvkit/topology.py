@@ -12,6 +12,13 @@ trees share one Split per split, and a read-only index maps each split mask
 to the bitset of census trees holding it, so enumerating the refinements
 of a face, still an exhaustive filter over the census, is an AND of
 bitsets.
+
+Topology(...) and make_topology check every split set they are given. The
+one trusted path, Topology._laminar, skips those checks and has three
+callers, each of whose splits are compatible by construction: the census
+(every tree grows by leaf insertion from a tree), parse_newick (the splits
+are the clades of one parsed tree, a laminar family) and permute (a leaf
+relabeling of a compatible set stays compatible).
 """
 
 from __future__ import annotations
@@ -55,7 +62,13 @@ def double_factorial(m: int) -> int:
 
 @dataclass(frozen=True)
 class Topology:
-    """A face of tree space: n leaves plus a pairwise-compatible split set."""
+    """A face of tree space: n leaves plus a pairwise-compatible split set.
+
+    The constructor checks the leaf count, each split's n, the n-3 bound and
+    pairwise compatibility. _laminar builds the same frozen value without
+    them, for callers whose splits come from one tree (see the module
+    docstring); its result compares and hashes equal to the checked one.
+    """
 
     n: int
     splits: frozenset[Split] = field(default_factory=frozenset)
@@ -76,6 +89,15 @@ class Topology:
                     if not are_compatible(a, b):
                         raise IncompatiblePair(a, b)
 
+    @classmethod
+    def _laminar(cls, n: int, splits: frozenset[Split]) -> "Topology":
+        """A Topology from splits on n leaves that are pairwise compatible by
+        construction, built without the checks of __post_init__."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "splits", splits)
+        return t
+
     @property
     def p(self) -> int:
         """Number of internal edges (positive-length splits)."""
@@ -86,8 +108,10 @@ class Topology:
         return tuple(sorted(self.splits))
 
     def permute(self, sigma: Permutation) -> "Topology":
-        """Relabel all leaves through sigma."""
-        return Topology(self.n, frozenset(apply_permutation(sigma, s) for s in self.splits))
+        """Relabel all leaves through sigma, a permutation of the same n leaves."""
+        if sigma.n != self.n:
+            raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs topology on {self.n}")
+        return Topology._laminar(self.n, frozenset(apply_permutation(sigma, s) for s in self.splits))
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, s.side)) + "}" for s in self.sorted_splits)
@@ -195,14 +219,16 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     every tree on k-1 leaves takes leaf k once, which realizes the
     classical bijection, so no deduplication is needed. The internal
     splits are the clades of size 2..n-2; one Split per clade is shared
-    by every tree.
+    by every tree. The clades of one tree form a laminar family, so each
+    tree goes through the trusted Topology._laminar, unchecked.
     """
     shared = {s.clade: s for s in enumerate_splits(n)}
     trees: list[Topology] = []
+    laminar = Topology._laminar
 
     def grow(k: int, clades: list[int]):
         if k > n:
-            trees.append(Topology(n, frozenset(shared[c] for c in clades if c in shared)))
+            trees.append(laminar(n, frozenset([shared[c] for c in clades if c in shared])))
             return
         leaf = 1 << (k - 1)
         for below in clades:

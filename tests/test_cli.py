@@ -147,6 +147,18 @@ def test_volume_binary_tree(capsys):
     assert report["mu"] == pytest.approx(a3, rel=1e-14)
 
 
+def test_volume_of_a_64_leaf_caterpillar_past_numerator_overflow(capsys):
+    text = "(1,2)"
+    for leaf in range(3, 65):
+        text = f"({text}:1e6,{leaf})"
+    code, out, err = run(capsys, "volume", text + ";", "--eps", "1e5")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["is_binary"] is True
+    assert report["mu"] == report["lower"] == report["upper"]
+    assert 1e286 < report["mu"] < 1e288
+
+
 def test_volume_star(capsys):
     code, out, _ = run(capsys, "volume", "(1,2,3,4,5,6);", "--eps", "1")
     assert code == 0

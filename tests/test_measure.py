@@ -53,6 +53,23 @@ def test_ball_volume_dimension_zero_is_one():
     assert euclidean_ball_volume(0, 0.25) == 1.0
 
 
+def test_ball_volume_past_numerator_overflow():
+    # pi^30.5 * (1e5)^61 overflows a float; the volume, about 1e287, does not
+    a = euclidean_ball_volume(61, 1e5)
+    expected = math.exp(30.5 * math.log(math.pi) + 61 * math.log(1e5) - math.lgamma(31.5))
+    assert a == pytest.approx(expected, rel=1e-12)
+    assert 1e286 < a < 1e288
+    with pytest.raises(ValueError, match="not a finite float"):
+        euclidean_ball_volume(61, 1e6)
+
+
+def test_ball_volume_is_the_direct_formula_where_it_is_finite():
+    for m in range(0, 62):
+        for eps in (1e-5, 0.1, 0.5, 1.0, 3.7, 1e3, 1e4):
+            direct = math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1)
+            assert euclidean_ball_volume(m, eps) == direct
+
+
 def test_ball_volume_rejects_nonpositive_radius():
     with pytest.raises(NonpositiveRadius):
         euclidean_ball_volume(3, 0.0)
@@ -192,6 +209,32 @@ def test_permute_moves_splits_and_leaf_lengths():
     x = point(6, [((1, 2), 0.25), ((1, 2, 3), 0.5)], leaf_lengths={1: 1.5, 4: 0.5})
     y = x.permute(Permutation.from_cycles(6, (1, 4, 6)))
     assert y == point(6, [((2, 4), 0.25), ((2, 3, 4), 0.5)], leaf_lengths={4: 1.5, 6: 0.5})
+
+
+@pytest.mark.parametrize("other", [5, 7])
+def test_permute_rejects_another_leaf_count(other):
+    sigma = Permutation.identity(other)
+    for x in (
+        cone_point(6),
+        TreePoint(make_topology((), 6), {}, {1: 0.5, 6: 1.0}),
+        point(6, [((1, 2), 0.25)]),
+    ):
+        with pytest.raises(LeafCountMismatch):
+            x.permute(sigma)
+
+
+def test_permute_equals_validated_rebuild():
+    rnd = random.Random(1101)
+    for _ in range(50):
+        n = rnd.randint(4, 40)
+        t = random_face(rnd, n)
+        x = TreePoint(t, {s: rnd.uniform(0.1, 2.0) for s in t.splits})
+        images = list(range(1, n + 1))
+        rnd.shuffle(images)
+        y = x.permute(Permutation(tuple(images)))
+        checked = TreePoint(make_topology(y.lengths, n), y.lengths)
+        assert y == checked
+        assert hash(y) == hash(checked)
 
 
 def test_volume_scales_with_radius_power():

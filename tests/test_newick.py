@@ -16,6 +16,7 @@ from bhvkit import (
     is_binary,
     is_cone_point,
     make_split,
+    make_topology,
     parse_newick,
     to_newick,
 )
@@ -257,6 +258,21 @@ def test_rooted_caterpillar_on_64_leaves_parses():
     assert parse_newick(to_newick(x)) == x
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1,2);",
+        "(1:1,2:2);",
+        "(" + ",".join(map(str, range(1, 66))) + ");",
+        "(" * 64 + "1,2" + "".join(f"):1,{leaf}" for leaf in range(3, 66)) + ");",
+    ],
+    ids=["two", "two_with_lengths", "star_65", "caterpillar_65"],
+)
+def test_leaf_count_outside_3_to_64_is_rejected(text):
+    with pytest.raises(ValueError, match=r"leaf count must be in \[3, 64\]"):
+        parse_newick(text)
+
+
 _LENGTHS = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 _LEAF_LENGTHS = st.floats(min_value=0, allow_infinity=False)
 
@@ -330,6 +346,16 @@ def test_parse_matches_node_tree_oracle(n, style, rooted, rnd):
     x = parse_newick(text, label_map)
     assert x == parse_newick_by_tree(text, label_map)
     assert hash(x) == hash(parse_newick_by_tree(text, label_map))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 64), _STYLES, st.booleans(), st.randoms(use_true_random=False))
+def test_parsed_topology_equals_validated_topology(n, style, rooted, rnd):
+    text, label_map = _random_statement(rnd, n, style, rooted)
+    x = parse_newick(text, label_map)
+    checked = make_topology(x.lengths, n)
+    assert x.topology == checked
+    assert hash(x.topology) == hash(checked)
 
 
 @settings(max_examples=300, deadline=None)

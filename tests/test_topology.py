@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from bhvkit import (
     NegativeOrEven,
     Permutation,
     TooManySplits,
+    Topology,
     TreePoint,
+    apply_permutation,
     clade_children,
     count_refining_orthants,
     degree_sequence,
@@ -144,6 +147,52 @@ def test_census_matches_graph_walk_oracle(n):
     oracle = census_by_graph_walk(n)
     assert len(set(oracle)) == len(oracle)
     assert set(census) == set(oracle)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_census_trees_equal_their_validated_rebuild(n):
+    for t in enumerate_binary_topologies(n):
+        checked = Topology(t.n, t.splits)
+        assert checked == t
+        assert hash(checked) == hash(t)
+
+
+def test_census_trees_are_frozen():
+    t = next(enumerate_binary_topologies(6))
+    with pytest.raises(AttributeError):
+        t.splits = frozenset()
+
+
+def _random_permutation(rnd, n):
+    images = list(range(1, n + 1))
+    rnd.shuffle(images)
+    return Permutation(tuple(images))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 64), st.randoms(use_true_random=False))
+def test_permute_equals_validated_rebuild(n, rnd):
+    t = random_face(rnd, n)
+    sigma = _random_permutation(rnd, n)
+    moved = t.permute(sigma)
+    checked = make_topology([apply_permutation(sigma, s) for s in t.splits], n)
+    assert moved == checked
+    assert hash(moved) == hash(checked)
+    assert moved.permute(sigma.inverse()) == t
+
+
+@pytest.mark.parametrize("other", [5, 7])
+@pytest.mark.parametrize("sides", [(), ({1, 2},), ({1, 2}, {4, 5})])
+def test_permute_rejects_another_leaf_count(sides, other):
+    t = make_topology(splits(6, *sides), 6)
+    with pytest.raises(LeafCountMismatch):
+        t.permute(Permutation.identity(other))
+
+
+def test_trusted_constructor_stays_in_three_modules():
+    package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
+    callers = {f.name for f in package.glob("*.py") if "_laminar" in f.read_text()}
+    assert callers == {"topology.py", "newick.py", "measure.py"}
 
 
 def test_refinements_match_census_filter():
