@@ -14,11 +14,15 @@ of a face, still an exhaustive filter over the census, is an AND of
 bitsets.
 
 Topology(...) and make_topology check every split set they are given. The
-one trusted path, Topology._laminar, skips those checks and has three
-callers, each of whose splits are compatible by construction: the census
-(every tree grows by leaf insertion from a tree), parse_newick (the splits
-are the clades of one parsed tree, a laminar family) and permute (a leaf
-relabeling of a compatible set stays compatible).
+one trusted path, Topology._laminar, skips those checks. Its three callers
+build splits that are compatible by construction:
+- the census: each tree's splits are the clades of one tree grown by leaf
+  insertion, and the clades of a tree form a laminar family;
+- parse_newick: the splits are the clades of the one tree it parsed, and
+  it checks the leaf count itself;
+- Topology.permute and TreePoint.permute: a leaf relabeling maps a
+  compatible set to a compatible set, once the permutation is known to
+  act on the same n leaves.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ class Topology:
 
     The constructor checks the leaf count, each split's n, the n-3 bound and
     pairwise compatibility. _laminar builds the same frozen value without
-    them, for callers whose splits come from one tree (see the module
-    docstring); its result compares and hashes equal to the checked one.
+    those checks, and only the census, parse_newick and the two permute
+    methods call it (the module docstring says why their splits are
+    compatible); its result compares and hashes equal to the checked one.
     """
 
     n: int
