@@ -26,7 +26,6 @@ from .errors import (
     TooLarge,
     TooManySplits,
     UnknownLeafName,
-    VertexNotFound,
 )
 from .linkgraph import (
     AutomorphismGroup,
@@ -34,15 +33,11 @@ from .linkgraph import (
     brute_force_automorphisms,
     build_link_graph,
     degree_formula,
-    downward_neighbors,
     ekr_independent_sets,
     kneser_subgraph,
     leaf_relabeling,
-    link_report,
     maximum_independent_sets,
-    neighbors_of_size,
     permutation_to_automorphism,
-    upward_neighbors,
     verify_degrees,
 )
 from .measure import (

@@ -36,7 +36,7 @@ from .linkgraph import (
     brute_force_automorphisms,
     build_link_graph,
     leaf_relabeling,
-    link_report,
+    verify_degrees,
 )
 from .measure import (
     TreePoint,
@@ -60,6 +60,13 @@ EXIT_FAIL = 1
 EXIT_TOO_LARGE = 2
 EXIT_EPSILON = 3
 EXIT_LEAF_MISMATCH = 4
+# (exception types, exit code) for main; the first matching row wins
+EXIT_CODES = (
+    (EpsilonTooLarge, EXIT_EPSILON),
+    ((TooLarge, EnumerationTooLarge, SearchBudgetExceeded), EXIT_TOO_LARGE),
+    (LeafCountMismatch, EXIT_LEAF_MISMATCH),
+    ((BhvError, ValueError), EXIT_FAIL),
+)
 
 
 def _dump(obj) -> str:
@@ -80,12 +87,7 @@ def _emit(text: str, path: str):
 def _parse_tree_line(line: str) -> TreePoint:
     if not line.lstrip().startswith("{"):
         return parse_newick(line)
-    try:
-        return TreePoint.from_json(json.loads(line))
-    except KeyError as exc:
-        raise ValueError(f"JSON tree lacks field {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"JSON tree has a mistyped field: {exc}") from None
+    return TreePoint.from_json(json.loads(line))
 
 
 def _load_trees(arg: str) -> list[TreePoint]:
@@ -103,11 +105,11 @@ def _load_trees(arg: str) -> list[TreePoint]:
 
 def cmd_link(args) -> int:
     g = build_link_graph(args.n)
-    report = link_report(g)
+    ok = verify_degrees(g)
     if args.dot is not None:
         _emit(g.to_dot(), args.dot)
-    print(_dump(report))
-    return EXIT_OK if report["degrees_ok"] else EXIT_FAIL
+    print(_dump({"n": g.n, "vertices": g.vertex_count, "edges": g.edge_count, "degrees_ok": ok}))
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_aut(args) -> int:
@@ -252,18 +254,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EpsilonTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EPSILON
-    except (TooLarge, EnumerationTooLarge, SearchBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except LeafCountMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LEAF_MISMATCH
     except (BhvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

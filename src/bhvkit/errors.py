@@ -66,10 +66,6 @@ class SearchBudgetExceeded(BhvError):
     """A backtracking search exhausted its node budget."""
 
 
-class VertexNotFound(BhvError):
-    """Queried split is not a vertex of the graph."""
-
-
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------

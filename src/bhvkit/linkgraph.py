@@ -23,7 +23,6 @@ from .errors import (
     LeafCountMismatch,
     SearchBudgetExceeded,
     TooLarge,
-    VertexNotFound,
 )
 from .splits import (
     Permutation,
@@ -69,20 +68,11 @@ class LinkGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
-    def index_of(self, v: Split) -> int:
-        i = self._index.get(v.mask) if isinstance(v, Split) and v.n == self.n else None
-        if i is None:
-            raise VertexNotFound(f"{v} is not a vertex of this graph")
-        return i
-
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i] >> j & 1)
-
-    def neighbors(self, i: int) -> list[int]:
-        return list(_bits(self.adjacency[i]))
 
     def to_dot(self) -> str:
         names = ['"' + ",".join(map(str, v.side)) + '"' for v in self.vertices]
@@ -203,23 +193,6 @@ def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
     sets = [frozenset(g.vertices[v] for v in _bits(mask)) for mask in results]
     sets.sort(key=lambda s: sorted(sp.side for sp in s))
     return sets
-
-
-def neighbors_of_size(g: LinkGraph, v: Split, size: int) -> set[Split]:
-    """Neighbors of v whose canonical side has the given size."""
-    return {
-        g.vertices[j] for j in g.neighbors(g.index_of(v)) if g.vertices[j].size == size
-    }
-
-
-def upward_neighbors(g: LinkGraph, v: Split) -> set[Split]:
-    """Neighbors one size larger than v's canonical side."""
-    return neighbors_of_size(g, v, v.size + 1)
-
-
-def downward_neighbors(g: LinkGraph, v: Split) -> set[Split]:
-    """Neighbors one size smaller than v's canonical side."""
-    return neighbors_of_size(g, v, v.size - 1)
 
 
 @dataclass(frozen=True)
@@ -418,12 +391,3 @@ def leaf_relabeling(g: LinkGraph, perm: VertexPerm) -> Permutation | None:
     sigma = Permutation(tuple(images))
     return sigma if permutation_to_automorphism(sigma, g) == tuple(perm) else None
 
-
-def link_report(g: LinkGraph) -> dict:
-    """Summary used by the CLI: counts plus the degree-formula check."""
-    return {
-        "n": g.n,
-        "vertices": g.vertex_count,
-        "edges": g.edge_count,
-        "degrees_ok": verify_degrees(g),
-    }

@@ -112,16 +112,21 @@ class TreePoint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreePoint":
-        """Inverse of to_json. Lengths must be JSON numbers and each
-        leaf_lengths key the decimal label of its leaf, as to_json writes."""
-        n = obj["n"]
-        lengths = {}
-        for e in obj["edges"]:
-            lengths[make_split(e["side"], n)] = _json_number(e["length"])
-        leaf = obj.get("leaf_lengths")
-        if leaf is not None:
-            leaf = {_json_leaf(k): _json_number(v) for k, v in leaf.items()}
-        return cls(make_topology(lengths.keys(), n), lengths, leaf)
+        """Inverse of to_json, raising ValueError for a missing or mistyped field.
+        Lengths must be JSON numbers, leaf_lengths keys plain decimal leaf labels."""
+        try:
+            n = obj["n"]
+            lengths = {}
+            for e in obj["edges"]:
+                lengths[make_split(e["side"], n)] = _json_number(e["length"])
+            leaf = obj.get("leaf_lengths")
+            if leaf is not None:
+                leaf = {_json_leaf(k): _json_number(v) for k, v in leaf.items()}
+            return cls(make_topology(lengths.keys(), n), lengths, leaf)
+        except KeyError as exc:
+            raise ValueError(f"JSON tree lacks field {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"JSON tree has a mistyped field: {exc}") from None
 
 
 def _json_number(value) -> float:

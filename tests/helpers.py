@@ -103,6 +103,12 @@ def relabel_by_make_split(sigma, g) -> tuple[int, ...]:
     return tuple(lookup[apply_permutation(sigma, v)] for v in g.vertices)
 
 
+def neighbors_of_size(g, v: Split, size: int) -> set[Split]:
+    """Vertices of the given side size in v's adjacency row of the built graph g."""
+    row = g.adjacency[g.vertices.index(v)]
+    return {w for j, w in enumerate(g.vertices) if row >> j & 1 and w.size == size}
+
+
 def preserves_adjacency_pairwise(g, perm) -> bool:
     """Adjacency preservation by one comparison per vertex pair."""
     nv = g.vertex_count
@@ -157,7 +163,10 @@ def enumerate_automorphisms(g, node_cap: int = 5_000_000) -> list[tuple[int, ...
     """
     nv = g.vertex_count
     degs = [g.degree(i) for i in range(nv)]
-    sig = [(degs[i], tuple(sorted(degs[j] for j in g.neighbors(i)))) for i in range(nv)]
+    sig = [
+        (degs[i], tuple(sorted(degs[j] for j in range(nv) if g.adjacent(i, j))))
+        for i in range(nv)
+    ]
     adj = g.adjacency
     all_mask = (1 << nv) - 1
     base_cand = [sum(1 << w for w in range(nv) if sig[w] == sig[v]) for v in range(nv)]

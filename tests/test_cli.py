@@ -77,6 +77,14 @@ def test_aut_range(capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_aut_node_budget_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(bhvkit.linkgraph, "NODE_CAP", 10)
+    code, out, err = run(capsys, "aut", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: automorphism search exceeded 10 nodes\n"
+
+
 def test_aut_8_is_certified(capsys):
     code, out, _ = run(capsys, "aut", "8")
     assert code == 0
@@ -545,3 +553,28 @@ def test_knob_inventory():
         bhvkit.maximum_independent_sets,
     ):
         assert len(inspect.signature(fn).parameters) == 1
+
+
+def test_public_api_inventory():
+    """Every public name bhvkit exports; adding or removing one needs a
+    deliberate edit here, recorded in CHANGES.md."""
+    exported = sorted(
+        name for name, value in vars(bhvkit).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert exported == [
+        "AutomorphismGroup", "BallVolume", "BhvError", "DegreeTwoInternal", "DuplicateLeaf",
+        "EnumerationTooLarge", "EpsilonTooLarge", "IncompatiblePair", "KOutOfRange",
+        "LeafCountMismatch", "LeafOutOfRange", "LinkGraph", "NegativeLength", "NegativeOrEven",
+        "NewickSyntaxError", "NonpositiveRadius", "POutOfRange", "Permutation",
+        "SearchBudgetExceeded", "Split", "SubsetTooSmall", "TooLarge", "TooManySplits",
+        "Topology", "TreePoint", "UnknownLeafName", "all_permutations", "apply_permutation",
+        "are_compatible", "ball_volume", "ball_volume_bounds", "brute_force_automorphisms",
+        "build_link_graph", "clade_children", "cone_point", "count_refining_orthants",
+        "degree_formula", "degree_sequence", "distance_upper_bound", "double_factorial",
+        "ekr_independent_sets", "enumerate_binary_refinements", "enumerate_binary_topologies",
+        "enumerate_splits", "euclidean_ball_volume", "is_binary", "is_cone_point",
+        "kneser_subgraph", "leaf_relabeling", "make_split", "make_topology",
+        "maximum_independent_sets", "parse_newick", "permutation_to_automorphism",
+        "same_orthant_distance", "split_of_mask", "to_newick", "verify_degrees",
+    ]

@@ -13,24 +13,19 @@ from bhvkit import (
     Permutation,
     SearchBudgetExceeded,
     TooLarge,
-    VertexNotFound,
     all_permutations,
     are_compatible,
     brute_force_automorphisms,
     build_link_graph,
     degree_formula,
     double_factorial,
-    downward_neighbors,
     ekr_independent_sets,
     kneser_subgraph,
     leaf_relabeling,
-    link_report,
     make_split,
     make_topology,
     maximum_independent_sets,
-    neighbors_of_size,
     permutation_to_automorphism,
-    upward_neighbors,
     verify_degrees,
 )
 from bhvkit import linkgraph
@@ -38,6 +33,7 @@ from bhvkit.linkgraph import is_vertex_automorphism
 from helpers import (
     compose,
     enumerate_automorphisms,
+    neighbors_of_size,
     pairwise_adjacency,
     preserves_adjacency_pairwise,
     relabel_by_make_split,
@@ -90,16 +86,6 @@ def test_adjacency_matches_pairwise_oracle():
     for n in range(4, 11):
         g = build_link_graph(n)
         assert g.adjacency == pairwise_adjacency(g.vertices)
-
-
-def test_index_of_and_neighbors(link6):
-    assert [link6.index_of(v) for v in link6.vertices] == list(range(link6.vertex_count))
-    for i in range(link6.vertex_count):
-        assert link6.neighbors(i) == [j for j in range(link6.vertex_count) if link6.adjacent(i, j)]
-    layer = kneser_subgraph(link6, 2)
-    assert [layer.index_of(v) for v in layer.vertices] == list(range(layer.vertex_count))
-    with pytest.raises(VertexNotFound):
-        layer.index_of(make_split({1, 2, 3}, 6))
 
 
 def test_link_graph_size_cap():
@@ -190,7 +176,7 @@ def test_ekr_star_sets_sizes_and_independence(link6, link7):
         for star in stars:
             assert len(star) == math.comb(g.n - 1, k - 1)
             for a, b in combinations(sorted(star), 2):
-                i, j = g.index_of(a), g.index_of(b)
+                i, j = g.vertices.index(a), g.vertices.index(b)
                 assert not g.adjacent(i, j)
 
 
@@ -238,7 +224,7 @@ def test_maximum_independent_sets_node_cap(link7, monkeypatch):
 
 def test_upward_neighbors_n6(link6):
     v = make_split({1, 2}, 6)
-    up = upward_neighbors(link6, v)
+    up = neighbors_of_size(link6, v, 3)
     expected = {
         w
         for w in link6.vertices
@@ -253,8 +239,8 @@ def test_upward_intersection_pins_unique_superset(link7):
     # {1,2,3} is the only size-3 split compatible with all its 2-subsets
     # and with every 2-subset of the complement
     target = make_split({1, 2, 3}, 7)
-    sets = [upward_neighbors(link7, make_split(pair, 7)) for pair in combinations((1, 2, 3), 2)]
-    sets += [upward_neighbors(link7, make_split(pair, 7)) for pair in combinations((4, 5, 6, 7), 2)]
+    pairs = [*combinations((1, 2, 3), 2), *combinations((4, 5, 6, 7), 2)]
+    sets = [neighbors_of_size(link7, make_split(pair, 7), 3) for pair in pairs]
     common = set.intersection(*sets)
     assert common == {target}
 
@@ -262,7 +248,7 @@ def test_upward_intersection_pins_unique_superset(link7):
 def test_downward_intersection_pins_unique_subset(link7):
     # {1,2} recovered from the size-3 splits extending it
     target = make_split({1, 2}, 7)
-    sets = [downward_neighbors(link7, make_split({1, 2, a}, 7)) for a in (3, 4, 5, 6, 7)]
+    sets = [neighbors_of_size(link7, make_split({1, 2, a}, 7), 2) for a in (3, 4, 5, 6, 7)]
     assert set.intersection(*sets) == {target}
 
 
@@ -273,11 +259,6 @@ def test_downward_intersection_via_subset_size(link7):
     target = make_split({1, 2, 3}, 7)
     sets = [neighbors_of_size(link7, make_split({1, 2, 3, a}, 7), 3) for a in (4, 5, 6, 7)]
     assert set.intersection(*sets) == {target}
-
-
-def test_neighbors_require_known_vertex(link5):
-    with pytest.raises(VertexNotFound):
-        upward_neighbors(link5, make_split({1, 2}, 6))
 
 
 def test_automorphism_group_orders():
@@ -467,11 +448,6 @@ def test_binary_topologies_are_maximal_cliques(link5, link6):
         assert len(cliques) == double_factorial(2 * n - 5)
         for c in cliques:
             make_topology({g.vertices[i] for i in c}, n)  # validates compatibility
-
-
-def test_link_report_shape(link5):
-    report = link_report(link5)
-    assert report == {"n": 5, "vertices": 10, "edges": 15, "degrees_ok": True}
 
 
 def test_dot_export(link5):

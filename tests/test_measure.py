@@ -370,6 +370,23 @@ def test_empty_leaf_map_is_none():
     assert again == x and hash(again) == hash(x)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 5}, "JSON tree lacks field 'edges'"),
+        ({"n": 5, "edges": [{"side": [1, 2]}]}, "JSON tree lacks field 'length'"),
+        ({"n": 5, "edges": [5]}, "JSON tree has a mistyped field: "),
+        ({"n": 5, "edges": None}, "JSON tree has a mistyped field: "),
+        ({"n": 5, "edges": [], "leaf_lengths": [1]}, "JSON tree has a mistyped field: "),
+        ([], "JSON tree has a mistyped field: "),
+    ],
+)
+def test_from_json_rejects_a_missing_or_mistyped_field(obj, message):
+    with pytest.raises(ValueError) as info:
+        TreePoint.from_json(obj)
+    assert str(info.value).startswith(message)
+
+
 _FINITE = {"allow_nan": False, "allow_infinity": False}
 
 
