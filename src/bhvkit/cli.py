@@ -11,8 +11,9 @@ every generator the search found.
 `count n --oracle` runs for n <= 10 (a binary face needs no census). A
 tree source must hold a tree, and each `dist` argument exactly one.
 
-Exit codes: 0 success, 1 verification failure or rejected input, 2
-size/budget cap, 3 epsilon too large, 4 leaf-count mismatch.
+Exit codes: 0 success, 1 verification failure or rejected input (a usage
+error too; each failure is one `error:` line), 2 size/budget cap or `aut`
+outside 5..12, 3 epsilon too large, 4 leaf-count mismatch.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .linkgraph import (
 )
 from .measure import (
     TreePoint,
+    _finite,
     ball_volume,
     ball_volume_bounds,
     is_cone_point,
@@ -114,14 +116,12 @@ def cmd_link(args) -> int:
 
 def cmd_aut(args) -> int:
     if args.n < 5:
-        print(
+        raise TooLarge(
             f"aut {args.n} refused: the group-equals-leaf-permutations check only "
             "applies for n >= 5; the n=4 link graph is three isolated vertices with "
             "automorphism group of order 6, while there are 4! = 24 leaf "
-            "relabelings, so the relabeling action is not faithful at n=4.",
-            file=sys.stderr,
+            "relabelings, so the relabeling action is not faithful at n=4."
         )
-        return EXIT_TOO_LARGE
     g = build_link_graph(args.n)
     group = brute_force_automorphisms(g)
     expected = math.factorial(args.n)
@@ -189,7 +189,7 @@ def cmd_dist(args) -> int:
         raise ValueError(f"dist takes one tree per argument, got {counts[0]} and {counts[1]}")
     (a,), (b,) = trees
     same = same_orthant_distance(a, b)
-    cone = a.norm + b.norm
+    cone = _finite("cone path", lambda: a.norm + b.norm)
     report = {
         "same_orthant": same,
         "cone_path": cone,
@@ -210,8 +210,15 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, for main to report as rejected input."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bhvkit",
         description="Combinatorics and local geometry of phylogenetic tree space.",
     )
@@ -251,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (BhvError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)  # an argument may hold a newline
         return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 

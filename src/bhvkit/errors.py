@@ -59,7 +59,8 @@ class KOutOfRange(BhvError):
 
 
 class TooLarge(BhvError):
-    """Input exceeds the size this desk-scale routine supports."""
+    """Input lies outside the sizes this desk-scale routine supports: past
+    its cap, or, for the CLI's aut, below the n = 5 where it applies."""
 
 
 class SearchBudgetExceeded(BhvError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import (
     KOutOfRange,
@@ -30,6 +29,7 @@ from .splits import (
     check_leaf_count,
     enumerate_splits,
     full_mask,
+    set_bits,
 )
 
 MAX_LINK_LEAVES = 12
@@ -37,14 +37,6 @@ NODE_CAP = 5_000_000
 ELEMENT_CAP = 10_000  # lists the 7! elements at n=7; 8! would outcost the search
 
 VertexPerm = tuple[int, ...]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,7 @@ class LinkGraph:
         lines = ["graph link {"]
         lines += [f"  {name};" for name in names]
         for i, row in enumerate(self.adjacency):
-            for j in _bits(row >> i + 1):
+            for j in set_bits(row >> i + 1):
                 lines.append(f"  {names[i]} -- {names[i + 1 + j]};")
         lines.append("}")
         return "\n".join(lines)
@@ -102,15 +94,15 @@ def build_link_graph(n: int) -> LinkGraph:
     all_mask = (1 << len(vertices)) - 1
     holds = [0] * n
     for i, v in enumerate(vertices):
-        for leaf in _bits(v.mask):
+        for leaf in set_bits(v.mask):
             holds[leaf] |= 1 << i
     rows = []
     for i, v in enumerate(vertices):
         meets, covers, outside = 0, all_mask, 0
-        for leaf in _bits(v.mask):
+        for leaf in set_bits(v.mask):
             meets |= holds[leaf]
             covers &= holds[leaf]
-        for leaf in _bits(v.complement_mask):
+        for leaf in set_bits(v.complement_mask):
             outside |= holds[leaf]
         rows.append(((all_mask ^ meets) | covers | (all_mask ^ outside)) & ~(1 << i))
     return LinkGraph(n, vertices, tuple(rows))
@@ -190,7 +182,7 @@ def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
         search(chosen, size, cand & ~(1 << v))
 
     search(0, 0, (1 << nv) - 1)
-    sets = [frozenset(g.vertices[v] for v in _bits(mask)) for mask in results]
+    sets = [frozenset(g.vertices[v] for v in set_bits(mask)) for mask in results]
     sets.sort(key=lambda s: sorted(sp.side for sp in s))
     return sets
 
@@ -229,7 +221,7 @@ def is_vertex_automorphism(g: LinkGraph, perm: VertexPerm) -> bool:
     if sorted(perm) != list(range(len(adj))):
         return False
     return all(  # distinct bits map to distinct bits, so the sum is their OR
-        sum(1 << perm[j] for j in _bits(row)) == adj[perm[i]] for i, row in enumerate(adj)
+        sum(1 << perm[j] for j in set_bits(row)) == adj[perm[i]] for i, row in enumerate(adj)
     )
 
 
@@ -267,7 +259,7 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
         narrowed[v] = 1 << w
         adj_v, inside, outside = adj[v], adj[w], all_mask ^ adj[w] ^ 1 << w
         nxt, fewest = -1, nv + 1
-        for u in _bits(rest):
+        for u in set_bits(rest):
             narrowed[u] &= inside if adj_v >> u & 1 else outside
             count = narrowed[u].bit_count()
             if not count:
@@ -292,7 +284,7 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
             if step is None:
                 return None
             cand, v = step
-        for w in _bits(cand[v]):
+        for w in set_bits(cand[v]):
             step = fix(cand, unmapped, v, w)
             found = None if step is None else first_automorphism(*step, unmapped)
             if found is not None:
@@ -317,7 +309,7 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
     for b, cand, rest in reversed(levels):
         orbit = {b: identity}
         _grow_orbit(orbit, generators)
-        for w in _bits(cand[b]):
+        for w in set_bits(cand[b]):
             if w not in orbit:
                 step = fix(cand, rest, b, w)
                 found = None if step is None else first_automorphism(*step, rest)

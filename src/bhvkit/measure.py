@@ -75,8 +75,7 @@ class TreePoint:
     @property
     def norm(self) -> float:
         """Euclidean norm of the internal edge-length vector."""
-        squares = (self.lengths[s] ** 2 for s in self.topology.sorted_splits)
-        return _finite("norm", lambda: math.sqrt(sum(squares)))
+        return _euclidean("norm", [self.lengths[s] for s in self.topology.sorted_splits])
 
     @property
     def min_edge(self) -> float | None:
@@ -146,15 +145,25 @@ def _json_leaf(key: str) -> int:
     raise ValueError(f"leaf_lengths key {key!r} is not a leaf label")
 
 
-def _finite(what: str, compute: Callable[[], float]) -> float:
-    """compute(), or ValueError when it overflows a float (to inf or by raising)."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{what} is not a finite float")
-    return value
+def _finite(what: str, *computes: Callable[[], float]) -> float:
+    """The value of the first of computes that gives a finite float; each is
+    tried only where the ones before it overflow (to inf or by raising).
+    ValueError when all of them overflow."""
+    for compute in computes:
+        try:
+            value = compute()
+        except OverflowError:
+            continue
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{what} is not a finite float")
+
+
+def _euclidean(what: str, coordinates: list[float]) -> float:
+    """The root of the in-order sum of squares, or math.hypot where that overflows."""
+    return _finite(
+        what, lambda: math.sqrt(sum(c**2 for c in coordinates)), lambda: math.hypot(*coordinates)
+    )
 
 
 def cone_point(n: int) -> TreePoint:
@@ -193,17 +202,11 @@ def euclidean_ball_volume(m: int, eps: float) -> float:
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
     _check_radius(eps)
-
-    def volume() -> float:
-        try:
-            value = math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
-        return math.exp(m / 2 * math.log(math.pi) + m * math.log(eps) - math.lgamma(m / 2 + 1))
-
-    return _finite("ball volume", volume)
+    return _finite(
+        "ball volume",
+        lambda: math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1),
+        lambda: math.exp(m / 2 * math.log(math.pi) + m * math.log(eps) - math.lgamma(m / 2 + 1)),
+    )
 
 
 def ball_volume(x: TreePoint, eps: float) -> BallVolume:
@@ -251,8 +254,7 @@ def same_orthant_distance(a: TreePoint, b: TreePoint) -> float | None:
     union = a.topology.splits | b.topology.splits
     if not pairwise_compatible(union):
         return None
-    squares = ((a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0)) ** 2 for s in sorted(union))
-    return _finite("distance", lambda: math.sqrt(sum(squares)))
+    return _euclidean("distance", [a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0) for s in sorted(union)])
 
 
 def distance_upper_bound(a: TreePoint, b: TreePoint) -> float:
@@ -260,7 +262,7 @@ def distance_upper_bound(a: TreePoint, b: TreePoint) -> float:
     points share an orthant (where it is exact), else the path through the
     cone point of length ||a|| + ||b||."""
     same = same_orthant_distance(a, b)
-    cone = a.norm + b.norm
+    cone = _finite("cone path", lambda: a.norm + b.norm)
     if same is None:
         return cone
     return min(same, cone)

@@ -40,8 +40,8 @@ from .errors import (
     UnknownLeafName,
 )
 from .measure import TreePoint
-from .splits import MAX_LEAVES, check_leaf_count, full_mask, split_of_mask
-from .topology import Topology, clade_children
+from .splits import MAX_LEAVES, check_leaf_count, full_mask, leaves_of, split_of_mask
+from .topology import Topology, _own_leaves, clade_children
 
 # Whitespace runs, punctuation, a ':' with its number (matched as a prefix),
 # labels, and the rejected quote and bracket characters: every character
@@ -227,18 +227,11 @@ def to_newick(x: TreePoint) -> str:
 
     def items_at(node: int) -> str:
         # items keyed by their lowest leaf bit, which is distinct per item
-        items: list[tuple[int, str]] = []
-        below = 0
-        for c in children[node]:
-            below |= c
-            items.append((c & -c, f"({items_at(c)}):{_format_length(length_of[c])}"))
-        own = node ^ below
-        while own:
-            low = own & -own
-            own ^= low
-            leaf = low.bit_length()
+        kids = children[node]
+        items = [(c & -c, f"({items_at(c)}):{_format_length(length_of[c])}") for c in kids]
+        for leaf in leaves_of(_own_leaves(node, kids)):
             text = f"{leaf}:{_format_length(leaf_lengths[leaf])}" if leaf in leaf_lengths else str(leaf)
-            items.append((low, text))
+            items.append((1 << leaf - 1, text))
         items.sort()
         return ",".join(text for _, text in items)
 

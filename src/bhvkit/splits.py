@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LeafCountMismatch, LeafOutOfRange, SubsetTooSmall
 
@@ -42,16 +42,18 @@ def mask_of(leaves: Iterable[int], n: int) -> int:
     return mask
 
 
+def set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 def leaves_of(mask: int) -> tuple[int, ...]:
     """Sorted leaf labels encoded in a bitmask."""
-    leaves = []
-    i = 1
-    while mask:
-        if mask & 1:
-            leaves.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(leaves)
+    return tuple(i + 1 for i in set_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,8 @@ def are_compatible(a: Split, b: Split) -> bool:
     return not (am & bm) or not (am & bc) or not (ac & bm) or not (ac & bc)
 
 
-def pairwise_compatible(splits: Iterable[Split]) -> bool:
-    """True if splits on one leaf set are pairwise compatible.
+def incompatible_pair(splits: Sequence[Split]) -> tuple[Split, Split] | None:
+    """The first pair of splits, in the given order, that cannot share a tree, or None.
 
     Canonical sides hold at most n/2 leaves and a half-size side holds leaf
     1, so two never cover every leaf: a pair is compatible exactly when its
@@ -175,8 +177,13 @@ def pairwise_compatible(splits: Iterable[Split]) -> bool:
         for b in masks[i + 1 :]:
             both = a & b
             if both and both != a and both != b:
-                return False
-    return True
+                return splits[i], splits[masks.index(b, i + 1)]
+    return None
+
+
+def pairwise_compatible(splits: Iterable[Split]) -> bool:
+    """True if splits on one leaf set are pairwise compatible."""
+    return incompatible_pair(list(splits)) is None
 
 
 def enumerate_splits(n: int) -> list[Split]:

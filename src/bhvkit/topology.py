@@ -45,12 +45,11 @@ from .splits import (
     Permutation,
     Split,
     apply_permutation,
-    are_compatible,
     check_leaf_count,
     enumerate_splits,
     full_mask,
+    incompatible_pair,
     leaves_of,
-    pairwise_compatible,
 )
 
 MAX_CENSUS_LEAVES = 10  # 15!! = 2,027,025 trees; n=11 would hold 17!! = 34,459,425
@@ -87,12 +86,9 @@ class Topology:
             raise TooManySplits(
                 f"{len(self.splits)} splits exceed n-3 = {self.n - 3}"
             )
-        if not pairwise_compatible(self.splits):
-            ordered = sorted(self.splits)
-            for i, a in enumerate(ordered):
-                for b in ordered[i + 1 :]:
-                    if not are_compatible(a, b):
-                        raise IncompatiblePair(a, b)
+        pair = incompatible_pair(sorted(self.splits))
+        if pair:
+            raise IncompatiblePair(*pair)
 
     @classmethod
     def _laminar(cls, n: int, splits: frozenset[Split]) -> "Topology":

@@ -1,14 +1,19 @@
 import argparse
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import bhvkit
 from bhvkit.cli import build_parser, main
@@ -412,13 +417,59 @@ def test_count_refine_must_be_a_list_of_leaf_lists(capsys, refine):
         ("volume", "(1,2,3,4);", "--eps", "1e308"),  # the volume rounds to inf
         ("volume", "(1,2,3,4,5);", "--eps", "1e200"),  # eps**2 raises OverflowError
         ("volume", "((1,2,3):1e200,4,5,6);", "--eps", "2.47e102"),  # only the upper bound is inf
-        ("dist", "((1,2):1e308,3,4,5);", "((1,2):1e308,3,4,5);"),  # the norm overflows
+        ("dist", "((1,2):1e308,3,4,5);", "((1,2):1e308,3,4,5);"),  # the cone path overflows
     ],
 )
 def test_float_overflow_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert_rejected(code, out, err)
     assert "not a finite float" in err
+
+
+def test_dist_of_finite_norms_past_the_square_overflow(capsys):
+    # each 1e200 length squares past the float range, but the norms are 1e200
+    code, out, err = run(capsys, "dist", "((1,2):1e200,3,4,5);", "((1,3):1e200,2,4,5);")
+    assert (code, err) == (0, "")
+    assert out == '{"same_orthant":null,"cone_path":2e+200,"upper_bound":2e+200}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "x"],
+        ["frobnicate"],
+        ["volume", "(1,2,3);"],
+        ["parse"],
+        ["count"],
+        [],
+        ["parse", "(1,2,3);", "-x\ny"],
+    ],
+    ids=["bad-int", "bad-command", "missing-option", "missing-tree", "missing-n", "no-command",
+         "unknown-option-with-a-newline"],
+)
+def test_usage_error_is_rejected_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: bhvkit")
+    assert err == ""
+
+
+def test_aut_refusal_is_one_error_line(capsys):
+    code, out, err = run(capsys, "aut", "4")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: aut 4 refused: ")
 
 
 def test_output_is_byte_deterministic(capsys):
@@ -578,3 +629,102 @@ def test_public_api_inventory():
         "maximum_independent_sets", "parse_newick", "permutation_to_automorphism",
         "same_orthant_distance", "split_of_mask", "to_newick", "verify_degrees",
     ]
+
+
+# Fuzz of main: random inline trees (text, Newick-like text, JSON tree points,
+# any JSON), random bytes in a tree file or on stdin, and random counts.
+TREE_FILE = "<the tree file>"  # replaced by the path of a file holding the drawn bytes
+LENGTHS = st.one_of(
+    st.floats(), st.integers(-3, 10**400), st.booleans(), st.none(), st.text(max_size=4)
+)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | LENGTHS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_TREES = st.fixed_dictionaries(
+    {
+        "n": st.one_of(st.integers(-2, 12), st.booleans(), st.text(max_size=3)),
+        "edges": st.lists(
+            st.fixed_dictionaries(
+                {"side": st.lists(st.integers(-1, 13), max_size=7), "length": LENGTHS}
+            ),
+            max_size=6,
+        ),
+    },
+    optional={"leaf_lengths": st.dictionaries(st.text(max_size=3), LENGTHS, max_size=3)},
+)
+
+
+@st.composite
+def newick_trees(draw):
+    """Well-formed Newick on 3..12 leaves, lengths anywhere in 0..1e308 or absent."""
+    length = st.one_of(st.just(""), st.floats(0, 1e308).map(lambda w: f":{w!r}"))
+    n = draw(st.integers(3, 12))
+    items = [f"{leaf}{draw(length)}" for leaf in draw(st.permutations(range(1, n + 1)))]
+    while len(items) > 3 and draw(st.booleans()):
+        i = draw(st.integers(0, len(items) - 2))
+        items[i : i + 2] = [f"({items[i]},{items[i + 1]}){draw(length)}"]
+    return f"({','.join(items)});"
+
+
+TREES = st.one_of(
+    newick_trees(),
+    st.one_of(
+        st.text(max_size=40),
+        st.text(alphabet="(),:;-+.e0123456789 \n", max_size=60),
+        JSON_TREES.map(json.dumps),
+        ANY_JSON.map(json.dumps),
+        st.just(TREE_FILE),
+        st.just("-"),
+    ),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, bytes for TREE_FILE, text on stdin)."""
+    data = draw(st.binary(max_size=200))
+    command = draw(st.sampled_from(["parse", "volume", "dist", "count"]))
+    if command == "parse":
+        argv = ["parse", draw(TREES)]
+    elif command == "volume":
+        eps = draw(st.one_of(st.floats(0, 1).map(repr), st.floats().map(repr), st.text(max_size=6)))
+        argv = ["volume", draw(TREES), "--eps", eps]
+    elif command == "dist":
+        argv = ["dist", draw(TREES), draw(TREES)]
+    else:
+        n = draw(st.integers(-5, 70))
+        argv = ["count", str(n)]
+        if draw(st.booleans()):
+            # the drawn bytes as argv would carry them, or a list of leaf lists
+            as_argv = st.just(data.decode("utf-8", "surrogateescape"))
+            sides = st.lists(st.lists(st.integers(-1, 71), max_size=6), max_size=4).map(json.dumps)
+            argv += ["--refine", draw(st.one_of(as_argv, sides))]
+        if n <= 8 and draw(st.booleans()):
+            argv.append("--oracle")
+    return argv, data, draw(st.text(max_size=40))
+
+
+@pytest.fixture(scope="module")
+def tree_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "tree.nwk"
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_runs())
+def test_fuzzed_cli_runs_give_a_documented_code_and_at_most_one_error_line(tree_file, run_case):
+    argv, data, stdin = run_case
+    tree_file.write_bytes(data)
+    argv = [str(tree_file) if arg == TREE_FILE else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # only --help (a tree argument such as '-h') exits
+            assert exc.code == 0 and out.getvalue().startswith("usage: ")
+            code = 0
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()

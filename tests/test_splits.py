@@ -18,7 +18,7 @@ from bhvkit import (
     make_split,
     split_of_mask,
 )
-from bhvkit.splits import pairwise_compatible
+from bhvkit.splits import leaves_of, pairwise_compatible, set_bits
 from helpers import compatible_disjoint_or_nested
 
 
@@ -284,3 +284,18 @@ def test_all_permutations_count():
 def test_split_json_round_trip():
     s = make_split({2, 3, 4}, 6)
     assert s.side == (1, 5, 6)
+
+
+# link-graph rows at n = 12 have 2,035 bits
+WIDE_MASKS = st.one_of(
+    st.integers(0, 2**2100 - 1),
+    st.sets(st.integers(0, 2099), max_size=40).map(lambda bits: sum(1 << b for b in bits)),
+)
+
+
+@settings(deadline=None)
+@given(WIDE_MASKS)
+def test_set_bits_matches_a_per_bit_scan(mask):
+    expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert set_bits(mask) == expected
+    assert leaves_of(mask) == tuple(i + 1 for i in expected)

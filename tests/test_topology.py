@@ -3,7 +3,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bhvkit import (
@@ -16,6 +16,7 @@ from bhvkit import (
     Topology,
     TreePoint,
     apply_permutation,
+    are_compatible,
     clade_children,
     count_refining_orthants,
     degree_sequence,
@@ -25,6 +26,7 @@ from bhvkit import (
     is_binary,
     make_split,
     make_topology,
+    split_of_mask,
     to_newick,
 )
 from helpers import all_faces, census_by_graph_walk, random_face, reconstruct_tree, to_newick_by_walk
@@ -311,3 +313,26 @@ def test_clade_view_matches_graph_oracle_random_faces(n, rnd):
     assert t.to_dot() == tree.to_dot()
     x = _sample_point(t, rnd)
     assert to_newick(x) == to_newick_by_walk(x)
+
+
+@st.composite
+def incompatible_split_sets(draw):
+    """n <= 12 and at most n - 3 distinct splits, at least two of them incompatible."""
+    n = draw(st.integers(5, 12))
+    sides = st.integers(1, (1 << n) - 1).filter(lambda m: 2 <= m.bit_count() <= n - 2)
+    chosen = {split_of_mask(m, n) for m in draw(st.lists(sides, min_size=2, max_size=n - 3))}
+    assume(not all(are_compatible(a, b) for a, b in combinations(chosen, 2)))
+    return n, chosen
+
+
+@settings(deadline=None)
+@given(incompatible_split_sets())
+def test_incompatible_pair_is_the_first_in_canonical_order(case):
+    n, chosen = case
+    ordered = sorted(chosen)
+    first = next(
+        (a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :] if not are_compatible(a, b)
+    )
+    with pytest.raises(IncompatiblePair) as exc:
+        Topology(n, frozenset(chosen))
+    assert (exc.value.a, exc.value.b) == first
