@@ -89,7 +89,11 @@ def _emit(text: str, path: str):
 def _parse_tree_line(line: str) -> TreePoint:
     if not line.lstrip().startswith("{"):
         return parse_newick(line)
-    return TreePoint.from_json(json.loads(line))
+    try:
+        data = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON tree is nested too deeply") from None
+    return TreePoint.from_json(data)
 
 
 def _load_trees(arg: str) -> list[TreePoint]:
@@ -170,6 +174,8 @@ def cmd_count(args) -> int:
             sides = json.loads(args.refine)
         except json.JSONDecodeError as exc:
             raise ValueError(f"--refine is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError("--refine is nested too deeply") from None
     if not (isinstance(sides, list) and all(isinstance(side, list) for side in sides)):
         raise ValueError("--refine must be a JSON list of leaf lists, e.g. [[1,2]]")
     face = make_topology((make_split(side, args.n) for side in sides), args.n)

@@ -56,7 +56,7 @@ def leaves_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in set_bits(mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     """One side of a leaf bipartition in canonical form.
 

@@ -31,6 +31,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from math import prod
 from types import MappingProxyType
 
@@ -63,7 +64,7 @@ def double_factorial(m: int) -> int:
     return prod(range(m, 0, -2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Topology:
     """A face of tree space: n leaves plus a pairwise-compatible split set.
 
@@ -222,34 +223,53 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     splits are the clades of size 2..n-2; one Split per clade is shared
     by every tree. The clades of one tree form a laminar family, so each
     tree goes through the trusted Topology._laminar, unchecked.
+
+    The last leaf is inserted without building the new tree's clade list:
+    each internal clade of the parent keeps its Split, or takes the one
+    with leaf n added when it contains the insertion edge, and the edge
+    itself adds one more split. Each split set is built as a set first,
+    so its frozenset table is sized once, and each tree sets its bits in
+    the index rows as it is made.
     """
     shared = {s.clade: s for s in enumerate_splits(n)}
+    rows = {s.mask: bytearray((double_factorial(2 * n - 5) + 7) // 8) for s in shared.values()}
     trees: list[Topology] = []
     laminar = Topology._laminar
+    last = 1 << (n - 1)
 
     def grow(k: int, clades: list[int]):
-        if k > n:
-            trees.append(laminar(n, frozenset([shared[c] for c in clades if c in shared])))
+        if k < n:
+            leaf = 1 << (k - 1)
+            for below in clades:
+                grow(k + 1, [c | leaf if c & below == below else c for c in clades] + [below, leaf])
             return
-        leaf = 1 << (k - 1)
+        # (clade, its split, its split once it holds leaf n); the parent's leaf
+        # edges and its root edge are no split before or after
+        inner = [(c, shared[c], shared[c | last]) for c in clades if c in shared and c | last in shared]
         for below in clades:
-            grow(k + 1, [c | leaf if c & below == below else c for c in clades] + [below, leaf])
+            byte, bit = len(trees) >> 3, 1 << (len(trees) & 7)
+            # a frozenset copied from a set gets a table sized once, not grown per insert
+            splits = {grown if c & below == below else kept for c, kept, grown in inner}
+            splits.add(shared.get(below) or shared[below | last])  # a leaf edge makes a cherry
+            for s in splits:
+                rows[s.mask][byte] |= bit
+            trees.append(laminar(n, frozenset(splits)))
 
-    grow(4, [0b10, 0b100, 0b110])
-    rows = {s.mask: bytearray((len(trees) + 7) // 8) for s in shared.values()}
-    for i, t in enumerate(trees):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for s in t.splits:
-            rows[s.mask][byte] |= bit
-    index = {mask: int.from_bytes(row, "little") for mask, row in rows.items()}
+    if n == 3:
+        trees.append(laminar(3, frozenset()))
+    else:
+        grow(4, [0b10, 0b100, 0b110])
+    # each row is freed as it is read, so the rows and the index are never both whole
+    index = {mask: int.from_bytes(rows.pop(mask), "little") for mask in list(rows)}
     return tuple(trees), MappingProxyType(index)
 
 
 def _select(items: tuple, bits: int) -> list:
     """The items at the set bits of a non-negative int, in order.
 
-    Reads the bitset one 64-bit word at a time: zero words are skipped and
-    all-ones words taken as a slice (peeling bits off the big int with
+    Reads the bitset one 64-bit word at a time: itertools.compress skips
+    the zero words in C, all-ones words are taken as a slice, and the
+    rest are peeled bit by bit (peeling bits off the big int with
     `x & -x` would be quadratic in its length).
     """
     nwords = (bits.bit_length() + 63) // 64
@@ -257,10 +277,8 @@ def _select(items: tuple, bits: int) -> list:
     if sys.byteorder == "big":
         words.byteswap()
     out = []
-    for j, word in enumerate(words):
-        if not word:
-            continue
-        base = 64 * j
+    for j in compress(range(nwords), words):
+        word, base = words[j], 64 * j
         if word == _ALL_ONES:
             out.extend(items[base : base + 64])
             continue
@@ -304,7 +322,10 @@ def enumerate_binary_refinements(t: Topology) -> list[Topology]:
     if is_binary(t):
         return [t]
     trees, index = _checked_census(t.n)
-    bits = (1 << len(trees)) - 1
-    for s in t.splits:
+    if not t.splits:
+        return list(trees)
+    first, *rest = t.splits
+    bits = index[first.mask]
+    for s in rest:
         bits &= index[s.mask]
     return _select(trees, bits)

@@ -579,6 +579,17 @@ def test_malformed_json_tree_is_one_error_line(capsys, tree):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["parse", '{"n":' + "[" * 100_000], ["count", "6", "--refine", "[" * 100_000]],
+    ids=["parse", "count"],
+)
+def test_deep_json_nesting_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_rejected(code, out, err)
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
 def _option_strings(parser) -> list[str]:
     return sorted(s for action in parser._actions for s in action.option_strings)
 

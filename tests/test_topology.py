@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -23,12 +24,14 @@ from bhvkit import (
     double_factorial,
     enumerate_binary_refinements,
     enumerate_binary_topologies,
+    enumerate_splits,
     is_binary,
     make_split,
     make_topology,
     split_of_mask,
     to_newick,
 )
+from bhvkit.topology import _census
 from helpers import all_faces, census_by_graph_walk, random_face, reconstruct_tree, to_newick_by_walk
 
 
@@ -163,6 +166,39 @@ def test_census_trees_are_frozen():
     t = next(enumerate_binary_topologies(6))
     with pytest.raises(AttributeError):
         t.splits = frozenset()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_census_index_rows_hold_the_trees_with_each_split(n):
+    trees, index = _census(n)
+    rows = {s.mask: bytearray((len(trees) + 7) // 8) for s in enumerate_splits(n)}
+    for i, t in enumerate(trees):
+        for s in t.splits:
+            rows[s.mask][i >> 3] |= 1 << (i & 7)
+    assert dict(index) == {mask: int.from_bytes(row, "little") for mask, row in rows.items()}
+
+
+def test_empty_face_returns_a_fresh_copy_of_the_census():
+    census = list(enumerate_binary_topologies(7))
+    face = make_topology((), 7)
+    found = enumerate_binary_refinements(face)
+    assert found == census
+    found.clear()
+    assert enumerate_binary_refinements(face) == census
+    assert list(enumerate_binary_topologies(7)) == census
+
+
+def test_split_and_topology_hold_no_instance_dict():
+    t = next(enumerate_binary_topologies(6))
+    for obj in (t, make_topology(splits(6, {1, 2}), 6), make_split({1, 2, 3}, 6), *t.splits):
+        assert not hasattr(obj, "__dict__")
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="set table sizes are a CPython detail")
+@pytest.mark.parametrize("n", [8, 9])
+def test_census_split_sets_are_no_larger_than_set_built_ones(n):
+    for t in enumerate_binary_topologies(n):
+        assert sys.getsizeof(t.splits) <= sys.getsizeof(frozenset(set(t.splits)))
 
 
 def _random_permutation(rnd, n):
