@@ -243,8 +243,8 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
             for below in clades:
                 grow(k + 1, [c | leaf if c & below == below else c for c in clades] + [below, leaf])
             return
-        # (clade, its split, its split once it holds leaf n); the parent's leaf
-        # edges and its root edge are no split before or after
+        # (clade, its split, its split once it holds leaf n) for each clade that is a split
+        # both ways: not a leaf edge, nor the root edge, which then holds n-1 leaves
         inner = [(c, shared[c], shared[c | last]) for c in clades if c in shared and c | last in shared]
         for below in clades:
             byte, bit = len(trees) >> 3, 1 << (len(trees) & 7)
