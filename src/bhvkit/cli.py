@@ -11,9 +11,9 @@ every generator the search found.
 `count n --oracle` runs for n <= 10 (a binary face needs no census). A
 tree source must hold a tree, and each `dist` argument exactly one.
 
-Exit codes: 0 success, 1 verification failure or rejected input (a usage
-error too; each failure is one `error:` line), 2 size/budget cap or `aut`
-outside 5..12, 3 epsilon too large, 4 leaf-count mismatch.
+Exit codes: 0 success, 1 verification failure, 2 size/budget cap or `aut`
+outside 5..12, 3 epsilon too large, 4 leaf-count mismatch, 5 rejected input
+(a usage error too). Codes 2 to 5 each come with one `error:` line.
 """
 
 from __future__ import annotations
@@ -62,12 +62,13 @@ EXIT_FAIL = 1
 EXIT_TOO_LARGE = 2
 EXIT_EPSILON = 3
 EXIT_LEAF_MISMATCH = 4
+EXIT_BAD_INPUT = 5
 # (exception types, exit code) for main; the first matching row wins
 EXIT_CODES = (
     (EpsilonTooLarge, EXIT_EPSILON),
     ((TooLarge, EnumerationTooLarge, SearchBudgetExceeded), EXIT_TOO_LARGE),
     (LeafCountMismatch, EXIT_LEAF_MISMATCH),
-    ((BhvError, ValueError), EXIT_FAIL),
+    ((BhvError, ValueError), EXIT_BAD_INPUT),
 )
 
 
@@ -86,14 +87,20 @@ def _emit(text: str, path: str):
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _decode(text: str, what: str):
+    """JSON text as a value; malformed or too deeply nested text is a ValueError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def _parse_tree_line(line: str) -> TreePoint:
     if not line.lstrip().startswith("{"):
         return parse_newick(line)
-    try:
-        data = json.loads(line)
-    except RecursionError:
-        raise ValueError("JSON tree is nested too deeply") from None
-    return TreePoint.from_json(data)
+    return TreePoint.from_json(_decode(line, "JSON tree"))
 
 
 def _load_trees(arg: str) -> list[TreePoint]:
@@ -168,14 +175,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_count(args) -> int:
-    sides = []
-    if args.refine is not None:
-        try:
-            sides = json.loads(args.refine)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--refine is not valid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError("--refine is nested too deeply") from None
+    sides = [] if args.refine is None else _decode(args.refine, "--refine")
     if not (isinstance(sides, list) and all(isinstance(side, list) for side in sides)):
         raise ValueError("--refine must be a JSON list of leaf lists, e.g. [[1,2]]")
     face = make_topology((make_split(side, args.n) for side in sides), args.n)

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all bhvkit modules.
 
-Every error raised by the library derives from BhvError, so callers (and the
-CLI exit-code mapping) can catch one base class.
+The errors below derive from BhvError, so callers can catch one base class
+for them. Some checks raise plain ValueError instead: check_leaf_count,
+Permutation, TreePoint (its lengths and from_json) and the finite-float
+guards of measure. The CLI reports either as rejected input (exit 5) unless
+a more specific exit code applies.
 """
 
 

@@ -81,7 +81,7 @@ def build_link_graph(n: int) -> LinkGraph:
     """Graph with every canonical split as a vertex and compatible pairs as edges.
 
     Canonical sides are compatible exactly when they are disjoint or nested
-    (splits.pairwise_compatible). With holds[l] the bitset of vertices whose
+    (splits.incompatible_pair). With holds[l] the bitset of vertices whose
     side contains leaf l, the vertices whose side misses a leaf set X are
     ~OR(holds[X]) and those whose side covers X are AND(holds[X]). A
     vertex's row is the sides that miss its side, cover it or miss its
@@ -164,22 +164,25 @@ def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
     budget = NODE_CAP
 
     def search(chosen: int, size: int, cand: int):
+        # the include branch recurses; the exclude branch is the next pass of
+        # the loop, so the depth is bounded by the set size, not the vertex count
         nonlocal best, results, budget
-        budget -= 1
-        if budget < 0:
-            raise SearchBudgetExceeded(f"independent-set search exceeded {NODE_CAP} nodes")
-        if size + cand.bit_count() < best:
-            return
-        if not cand:  # size >= best, or the bound above would have cut it
-            if size > best:
-                best, results = size, []
-            results.append(chosen)
-            return
-        for v in order:
-            if cand >> v & 1:
-                break
-        search(chosen | (1 << v), size + 1, cand & ~((1 << v) | adj[v]))
-        search(chosen, size, cand & ~(1 << v))
+        while True:
+            budget -= 1
+            if budget < 0:
+                raise SearchBudgetExceeded(f"independent-set search exceeded {NODE_CAP} nodes")
+            if size + cand.bit_count() < best:
+                return
+            if not cand:  # size >= best, or the bound above would have cut it
+                if size > best:
+                    best, results = size, []
+                results.append(chosen)
+                return
+            for v in order:
+                if cand >> v & 1:
+                    break
+            search(chosen | (1 << v), size + 1, cand & ~((1 << v) | adj[v]))
+            cand &= ~(1 << v)
 
     search(0, 0, (1 << nv) - 1)
     sets = [frozenset(g.vertices[v] for v in set_bits(mask)) for mask in results]

@@ -17,14 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import EpsilonTooLarge, LeafCountMismatch, NonpositiveRadius, POutOfRange
-from .splits import (
-    Permutation,
-    Split,
-    apply_permutation,
-    check_leaf_count,
-    make_split,
-    pairwise_compatible,
-)
+from .splits import Permutation, Split, apply_permutation, check_leaf_count, incompatible_pair, make_split
 from .topology import Topology, count_refining_orthants, double_factorial, make_topology
 
 
@@ -46,7 +39,7 @@ class TreePoint:
         object.__setattr__(self, "lengths", MappingProxyType(dict(self.lengths)))
         leaf_lengths = MappingProxyType(dict(self.leaf_lengths)) if self.leaf_lengths else None
         object.__setattr__(self, "leaf_lengths", leaf_lengths)
-        if set(self.lengths) != set(self.topology.splits):
+        if self.lengths.keys() != self.topology.splits:
             raise ValueError("lengths must be keyed by exactly the topology's splits")
         for s, w in self.lengths.items():
             if not w > 0:
@@ -87,15 +80,14 @@ class TreePoint:
     def permute(self, sigma: Permutation) -> "TreePoint":
         """Relabel leaves through sigma, a permutation of the same n leaves;
         lengths follow their splits."""
-        if sigma.n != self.n:
-            raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs tree on {self.n}")
+        topology = self.topology.permute(sigma)
         new_lengths = {apply_permutation(sigma, s): w for s, w in self.lengths.items()}
         new_leaf = (
             {sigma(leaf): w for leaf, w in self.leaf_lengths.items()}
             if self.leaf_lengths is not None
             else None
         )
-        return TreePoint(Topology._laminar(self.n, frozenset(new_lengths)), new_lengths, new_leaf)
+        return TreePoint(topology, new_lengths, new_leaf)
 
     def to_json(self) -> dict:
         obj = {
@@ -251,10 +243,10 @@ def same_orthant_distance(a: TreePoint, b: TreePoint) -> float | None:
     """
     if a.n != b.n:
         raise LeafCountMismatch(f"points over n={a.n} and n={b.n}")
-    union = a.topology.splits | b.topology.splits
-    if not pairwise_compatible(union):
+    union = sorted(a.topology.splits | b.topology.splits)
+    if incompatible_pair(union) is not None:
         return None
-    return _euclidean("distance", [a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0) for s in sorted(union)])
+    return _euclidean("distance", [a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0) for s in union])
 
 
 def distance_upper_bound(a: TreePoint, b: TreePoint) -> float:

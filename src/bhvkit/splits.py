@@ -75,14 +75,10 @@ class Split:
         if self.mask & ~full_mask(self.n):
             raise LeafOutOfRange(f"mask {self.mask:#x} has bits outside 1..{self.n}")
         size = self.mask.bit_count()
-        if size < 2 or 2 * size > self.n:
-            raise SubsetTooSmall(
-                f"canonical side must satisfy 2 <= size <= n/2, got size {size} for n={self.n}"
-            )
-        if 2 * size == self.n and not (self.mask & 1):
-            raise SubsetTooSmall(
-                "half-size canonical side must contain leaf 1; use make_split"
-            )
+        if size < 2:
+            raise SubsetTooSmall(f"a split side needs >= 2 leaves, got {size} for n={self.n}")
+        if 2 * size > self.n or (2 * size == self.n and not self.mask & 1):
+            raise SubsetTooSmall(f"side of {size} is not canonical for n={self.n}; use make_split")
 
     @property
     def side(self) -> tuple[int, ...]:
@@ -140,14 +136,10 @@ def split_of_mask(mask: int, n: int) -> Split:
     mask within full_mask(n).
 
     Keeps the smaller side; on a size tie, the side containing leaf 1.
-    Raises SubsetTooSmall unless both sides have at least two leaves.
+    Split raises SubsetTooSmall unless that side has at least two leaves.
     """
     size = mask.bit_count()
-    if size < 2 or n - size < 2:
-        raise SubsetTooSmall(
-            f"both sides need >= 2 leaves, got sizes {size} and {n - size} for n={n}"
-        )
-    if 2 * size > n or (2 * size == n and not (mask & 1)):
+    if 2 * size > n or (2 * size == n and not mask & 1):
         mask = full_mask(n) ^ mask
     return Split(n, mask)
 
@@ -181,11 +173,6 @@ def incompatible_pair(splits: Sequence[Split]) -> tuple[Split, Split] | None:
     return None
 
 
-def pairwise_compatible(splits: Iterable[Split]) -> bool:
-    """True if splits on one leaf set are pairwise compatible."""
-    return incompatible_pair(list(splits)) is None
-
-
 def enumerate_splits(n: int) -> list[Split]:
     """All canonical splits on n leaves, ordered by (size, lexicographic side).
 
@@ -194,13 +181,9 @@ def enumerate_splits(n: int) -> list[Split]:
     check_leaf_count(n)
     out: list[Split] = []
     for k in range(2, n // 2 + 1):
-        if 2 * k < n:
-            for side in combinations(range(1, n + 1), k):
+        for side in combinations(range(1, n + 1), k):
+            if 2 * k < n or side[0] == 1:  # a half-size split keeps the side with leaf 1
                 out.append(Split(n, mask_of(side, n)))
-        else:
-            # half-size splits: exactly one representative, the side with leaf 1
-            for rest in combinations(range(2, n + 1), k - 1):
-                out.append(Split(n, mask_of((1,) + rest, n)))
     return out
 
 
@@ -260,4 +243,7 @@ def apply_permutation(sigma: Permutation, s: Split) -> Split:
     """Relabel a split's leaves through sigma and re-canonicalize."""
     if sigma.n != s.n:
         raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs split on {s.n}")
-    return make_split([sigma(leaf) for leaf in s.side], s.n)
+    mask = 0
+    for i in set_bits(s.mask):
+        mask |= 1 << (sigma.images[i] - 1)
+    return split_of_mask(mask, s.n)

@@ -14,15 +14,12 @@ of a face, still an exhaustive filter over the census, is an AND of
 bitsets.
 
 Topology(...) and make_topology check every split set they are given. The
-one trusted path, Topology._laminar, skips those checks. Its three callers
+one trusted path, Topology._laminar, skips those checks. Its two callers
 build splits that are compatible by construction:
 - the census: each tree's splits are the clades of one tree grown by leaf
   insertion, and the clades of a tree form a laminar family;
 - parse_newick: the splits are the clades of the one tree it parsed, and
-  it checks the leaf count itself;
-- Topology.permute and TreePoint.permute: a leaf relabeling maps a
-  compatible set to a compatible set, once the permutation is known to
-  act on the same n leaves.
+  it checks the leaf count itself.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from .splits import (
 )
 
 MAX_CENSUS_LEAVES = 10  # 15!! = 2,027,025 trees; n=11 would hold 17!! = 34,459,425
-_ALL_ONES = (1 << 64) - 1
 
 
 def double_factorial(m: int) -> int:
@@ -70,9 +66,9 @@ class Topology:
 
     The constructor checks the leaf count, each split's n, the n-3 bound and
     pairwise compatibility. _laminar builds the same frozen value without
-    those checks, and only the census, parse_newick and the two permute
-    methods call it (the module docstring says why their splits are
-    compatible); its result compares and hashes equal to the checked one.
+    those checks, and only the census and parse_newick call it (the module
+    docstring says why their splits are compatible); its result compares
+    and hashes equal to the checked one.
     """
 
     n: int
@@ -113,7 +109,7 @@ class Topology:
         """Relabel all leaves through sigma, a permutation of the same n leaves."""
         if sigma.n != self.n:
             raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs topology on {self.n}")
-        return Topology._laminar(self.n, frozenset(apply_permutation(sigma, s) for s in self.splits))
+        return Topology(self.n, frozenset(apply_permutation(sigma, s) for s in self.splits))
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, s.side)) + "}" for s in self.sorted_splits)
@@ -268,9 +264,10 @@ def _select(items: tuple, bits: int) -> list:
     """The items at the set bits of a non-negative int, in order.
 
     Reads the bitset one 64-bit word at a time: itertools.compress skips
-    the zero words in C, all-ones words are taken as a slice, and the
-    rest are peeled bit by bit (peeling bits off the big int with
-    `x & -x` would be quadratic in its length).
+    the zero words in C, and the rest are peeled bit by bit (peeling bits
+    off the big int with `x & -x` would be quadratic in its length). No
+    word of a face's bitset is all ones: at most 2n - 7 consecutive census
+    trees hold one split.
     """
     nwords = (bits.bit_length() + 63) // 64
     words = array("Q", bits.to_bytes(8 * nwords, "little"))
@@ -279,9 +276,6 @@ def _select(items: tuple, bits: int) -> list:
     out = []
     for j in compress(range(nwords), words):
         word, base = words[j], 64 * j
-        if word == _ALL_ONES:
-            out.extend(items[base : base + 64])
-            continue
         while word:
             low = word & -word
             out.append(items[base + low.bit_length() - 1])

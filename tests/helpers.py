@@ -17,7 +17,6 @@ from bhvkit import (
     Topology,
     TreePoint,
     all_permutations,
-    apply_permutation,
     are_compatible,
     enumerate_binary_topologies,
     make_split,
@@ -100,7 +99,7 @@ def relabel_by_make_split(sigma, g) -> tuple[int, ...]:
     """Vertex permutation induced by sigma, through make_split on each
     relabeled side and a lookup of the resulting Split."""
     lookup = {v: i for i, v in enumerate(g.vertices)}
-    return tuple(lookup[apply_permutation(sigma, v)] for v in g.vertices)
+    return tuple(lookup[make_split([sigma(leaf) for leaf in v.side], g.n)] for v in g.vertices)
 
 
 def neighbors_of_size(g, v: Split, size: int) -> set[Split]:

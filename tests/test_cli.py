@@ -292,9 +292,19 @@ def test_dist_computes_the_same_orthant_distance_once(capsys, monkeypatch):
 
 
 def assert_rejected(code, out, err):
-    assert code == 1
+    assert code == 5
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+def test_out_of_range_count_is_rejected_input(capsys):
+    assert_rejected(*run(capsys, "count", "70"))
+
+
+def test_undecodable_tree_file_is_rejected_input(capsys, tmp_path):
+    source = tmp_path / "bom.nwk"
+    source.write_bytes(b"\xff\xfe")
+    assert_rejected(*run(capsys, "parse", str(source)))
 
 
 def test_dist_rejects_empty_files(capsys, tmp_path):
@@ -366,7 +376,7 @@ def test_parse_dot_renders_tree(capsys, tmp_path):
 )
 def test_parse_rejects_infinite_and_negative_lengths(capsys, tree):
     code, out, err = run(capsys, "parse", tree)
-    assert code == 1
+    assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
@@ -374,7 +384,7 @@ def test_parse_rejects_infinite_and_negative_lengths(capsys, tree):
 
 def test_volume_rejects_infinite_eps(capsys):
     code, out, err = run(capsys, "volume", "(1,2,3,4,5,6);", "--eps", "inf")
-    assert code == 1
+    assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "finite" in err
@@ -382,7 +392,7 @@ def test_volume_rejects_infinite_eps(capsys):
 
 def test_parse_deep_nesting_is_one_error_line(capsys):
     code, out, err = run(capsys, "parse", "(" * 3000 + "1,2" + ")" * 3000 + ";")
-    assert code == 1
+    assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "nesting" in err
@@ -400,7 +410,7 @@ def test_parse_dot_matches_graph_oracle(capsys):
 
 def test_count_bad_refine_json(capsys):
     code, _, err = run(capsys, "count", "6", "--refine", "[[1,2")
-    assert code == 1
+    assert code == 5
     assert "JSON" in err
 
 
@@ -449,7 +459,7 @@ def test_dist_of_finite_norms_past_the_square_overflow(capsys):
 )
 def test_usage_error_is_rejected_input(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 1
+    assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
@@ -533,7 +543,7 @@ def test_parse_dot_holds_every_tree(capsys, tmp_path):
 def test_unwritable_dot_path_is_one_error_line(capsys, tmp_path, argv):
     target = tmp_path / "missing" / "x.dot"
     code, out, err = run(capsys, *argv, "--dot", str(target))
-    assert code == 1
+    assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:") and str(target) in err
@@ -547,7 +557,7 @@ def test_unwritable_dot_path_is_one_error_line(capsys, tmp_path, argv):
 def test_empty_dot_path_is_one_error_line(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv, "--dot", "")
-    assert code == 1
+    assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: cannot write")
@@ -573,7 +583,7 @@ def test_empty_dot_path_is_one_error_line(capsys, tmp_path, monkeypatch, argv):
 )
 def test_malformed_json_tree_is_one_error_line(capsys, tree):
     code, out, err = run(capsys, "parse", tree)
-    assert code == 1
+    assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
@@ -736,6 +746,6 @@ def test_fuzzed_cli_runs_give_a_documented_code_and_at_most_one_error_line(tree_
             assert exc.code == 0 and out.getvalue().startswith("usage: ")
             code = 0
     event(f"{argv[0]} exit {code}")
-    assert code in (0, 1, 2, 3, 4)
+    assert code in (0, 1, 2, 3, 4, 5)
     assert len(err.getvalue().splitlines()) <= 1
     assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bhvkit import (
     KOutOfRange,
+    LinkGraph,
     Permutation,
     SearchBudgetExceeded,
     TooLarge,
@@ -220,6 +221,21 @@ def test_maximum_independent_sets_node_cap(link7, monkeypatch):
     monkeypatch.setattr(linkgraph, "NODE_CAP", 10)
     with pytest.raises(SearchBudgetExceeded):
         maximum_independent_sets(kneser_subgraph(link7, 3))
+
+
+def test_maximum_independent_sets_past_the_recursion_limit():
+    # K(48,2) by hand: 1,128 pair splits, adjacent when disjoint. A search
+    # that recursed once per excluded vertex would overflow the stack.
+    n = 48
+    vertices = tuple(make_split(pair, n) for pair in combinations(range(1, n + 1), 2))
+    rows = tuple(
+        sum(1 << j for j, w in enumerate(vertices) if not v.mask & w.mask) for v in vertices
+    )
+    found = maximum_independent_sets(LinkGraph(n, vertices, rows))
+    assert len(found) == n
+    assert {frozenset(s) for s in found} == {
+        frozenset(v for v in vertices if v.contains(leaf)) for leaf in range(1, n + 1)
+    }
 
 
 def test_upward_neighbors_n6(link6):

@@ -18,7 +18,7 @@ from bhvkit import (
     make_split,
     split_of_mask,
 )
-from bhvkit.splits import leaves_of, pairwise_compatible, set_bits
+from bhvkit.splits import incompatible_pair, leaves_of, set_bits
 from helpers import compatible_disjoint_or_nested
 
 
@@ -194,13 +194,13 @@ def test_pairwise_compatible_agrees_with_are_compatible():
     for n in range(4, 8):
         splits = enumerate_splits(n)
         for a, b in combinations(splits, 2):
-            assert pairwise_compatible([a, b]) == are_compatible(a, b)
+            assert (incompatible_pair([a, b]) is None) == are_compatible(a, b)
     rng = random.Random(515)
     for _ in range(2000):
         n = rng.randint(5, 12)
         chosen = rng.sample(enumerate_splits(n), rng.randint(0, 5))
         expected = all(are_compatible(a, b) for a, b in combinations(chosen, 2))
-        assert pairwise_compatible(chosen) == expected
+        assert (incompatible_pair(chosen) is None) == expected
 
 
 def test_enumeration_order_is_size_then_lex():
@@ -227,6 +227,29 @@ def test_apply_transposition():
 def test_apply_permutation_leaf_count_mismatch():
     with pytest.raises(LeafCountMismatch):
         apply_permutation(Permutation.identity(5), make_split({1, 2}, 6))
+
+
+def test_apply_permutation_matches_leaf_list_relabeling():
+    # the mask relabeling against make_split on the relabeled side
+    rng = random.Random(404)
+
+    def relabeled(sigma, s):
+        return make_split([sigma(leaf) for leaf in s.side], s.n)
+
+    for n in range(4, 10):
+        for _ in range(20):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            sigma = Permutation(tuple(images))
+            for s in enumerate_splits(n):
+                assert apply_permutation(sigma, s) == relabeled(sigma, s)
+    for _ in range(2000):
+        n = rng.randint(4, 64)
+        s = make_split(rng.sample(range(1, n + 1), rng.randint(2, n - 2)), n)
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        sigma = Permutation(tuple(images))
+        assert apply_permutation(sigma, s) == relabeled(sigma, s)
 
 
 def test_permutation_rejects_non_bijection():

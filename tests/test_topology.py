@@ -227,10 +227,10 @@ def test_permute_rejects_another_leaf_count(sides, other):
         t.permute(Permutation.identity(other))
 
 
-def test_trusted_constructor_stays_in_three_modules():
+def test_trusted_constructor_stays_in_two_modules():
     package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
     callers = {f.name for f in package.glob("*.py") if "_laminar" in f.read_text()}
-    assert callers == {"topology.py", "newick.py", "measure.py"}
+    assert callers == {"topology.py", "newick.py"}
 
 
 def test_refinements_match_census_filter():
