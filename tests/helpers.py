@@ -24,7 +24,7 @@ from bhvkit import (
     permutation_to_automorphism,
 )
 from bhvkit.newick import _resolve_labels
-from bhvkit.splits import MAX_LEAVES, full_mask, leaves_of, mask_of, split_of_mask
+from bhvkit.splits import MAX_LEAVES, full_mask, leaves_of, mask_of, set_bits, split_of_mask
 
 
 @lru_cache(maxsize=8)
@@ -93,6 +93,32 @@ def pairwise_adjacency(vertices) -> tuple[int, ...]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return tuple(rows)
+
+
+def maximal_cliques(adjacency: tuple[int, ...]) -> list[int]:
+    """Every maximal clique of a graph given by vertex-bitset adjacency rows,
+    each once, as a vertex bitset: Bron–Kerbosch with a pivot, on bitsets.
+
+    A clique r grows by the candidates p adjacent to all of it; x holds the
+    vertices already tried, so a clique is maximal when p and x are empty.
+    Branching only on candidates outside the pivot's neighbourhood misses
+    no maximal clique, and the pivot is the vertex of p | x with the most
+    neighbours in p.
+    """
+    out = []
+
+    def expand(r: int, p: int, x: int):
+        if not p | x:
+            out.append(r)
+            return
+        pivot = max(set_bits(p | x), key=lambda u: (adjacency[u] & p).bit_count())
+        for v in set_bits(p & ~adjacency[pivot]):
+            expand(r | 1 << v, p & adjacency[v], x & adjacency[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand(0, (1 << len(adjacency)) - 1, 0)
+    return out
 
 
 def relabel_by_make_split(sigma, g) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ from bhvkit import (
     degree_formula,
     double_factorial,
     ekr_independent_sets,
+    enumerate_binary_topologies,
     kneser_subgraph,
     leaf_relabeling,
     make_split,
@@ -31,9 +32,11 @@ from bhvkit import (
 )
 from bhvkit import linkgraph
 from bhvkit.linkgraph import is_vertex_automorphism
+from bhvkit.splits import set_bits
 from helpers import (
     compose,
     enumerate_automorphisms,
+    maximal_cliques,
     neighbors_of_size,
     pairwise_adjacency,
     preserves_adjacency_pairwise,
@@ -464,6 +467,17 @@ def test_binary_topologies_are_maximal_cliques(link5, link6):
         assert len(cliques) == double_factorial(2 * n - 5)
         for c in cliques:
             make_topology({g.vertices[i] for i in c}, n)  # validates compatibility
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_maximal_cliques_are_exactly_the_binary_topologies(n):
+    # the link of the cone point is the flag complex of this graph, so its
+    # facets, the maximal cliques, must be the census trees as split sets
+    g = cached_link_graph(n)
+    cliques = maximal_cliques(g.adjacency)
+    as_splits = {frozenset(g.vertices[i] for i in set_bits(c)) for c in cliques}
+    assert len(as_splits) == len(cliques)
+    assert as_splits == {t.splits for t in enumerate_binary_topologies(n)}
 
 
 def test_dot_export(link5):

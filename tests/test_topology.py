@@ -31,7 +31,7 @@ from bhvkit import (
     split_of_mask,
     to_newick,
 )
-from bhvkit.topology import _census
+from bhvkit.topology import _DENSE, _census, _select
 from helpers import all_faces, census_by_graph_walk, random_face, reconstruct_tree, to_newick_by_walk
 
 
@@ -239,6 +239,63 @@ def test_refinements_match_census_filter():
     for t in faces:
         census = list(enumerate_binary_topologies(t.n))
         assert enumerate_binary_refinements(t) == [b for b in census if t.splits <= b.splits]
+
+
+def test_dense_faces_match_census_filter():
+    # every single-split face at n=8, and at n=9 a clustered cherry, a spread
+    # cherry and one sampled face of each size 2..5: dense answers and sparse
+    census8 = list(enumerate_binary_topologies(8))
+    census9 = list(enumerate_binary_topologies(9))
+    rnd = random.Random(1701)
+    faces = [Topology(8, frozenset([s])) for s in enumerate_splits(8)]
+    faces += [make_topology(splits(9, {1, 2}), 9), make_topology(splits(9, {8, 9}), 9)]
+    faces += [Topology(9, frozenset(rnd.sample(sorted(rnd.choice(census9).splits), k))) for k in range(2, 6)]
+    assert len(faces) == 119 + 6
+    dense = 0
+    for t in faces:
+        census = census8 if t.n == 8 else census9
+        expected = [b for b in census if t.splits <= b.splits]
+        assert enumerate_binary_refinements(t) == expected
+        dense += len(expected) * _DENSE > len(census)
+    assert 0 < dense < len(faces)
+
+
+def _bitset(positions, length: int) -> int:
+    data = bytearray((length + 7) // 8)
+    for i in positions:
+        data[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(data, "little")
+
+
+SELECT_KINDS = ("zero", "top", "all", "clustered", "spread", "below", "at", "above")
+
+
+# lengths off a multiple of 64, one word's edges, and the n=8 and n=9 census sizes
+@pytest.mark.parametrize("length", [1, 23, 63, 64, 65, 200, 1000, 10395, 135135])
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(SELECT_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_select_equals_the_naive_bit_filter(length, kind, seed):
+    items = tuple(range(length))
+    rnd = random.Random(seed)
+    # "at" is the largest popcount that still peels; "above" is the first dense one
+    switch = length // _DENSE
+    if kind == "zero":
+        positions = []
+    elif kind == "top":
+        positions = [length - 1]
+    elif kind == "all":
+        positions = range(length)
+    elif kind == "clustered":
+        words = rnd.sample(range((length + 63) // 64), min((length + 63) // 64, rnd.randint(1, 8)))
+        positions = [i for w in words for i in range(64 * w, min(64 * w + 64, length)) if rnd.random() < 0.7]
+    elif kind == "spread":
+        positions = rnd.sample(range(length), rnd.randint(0, min(length, 3 * switch + 3)))
+    else:
+        count = switch + {"below": -1, "at": 0, "above": 1}[kind]
+        positions = rnd.sample(range(length), max(0, min(count, length)))
+    bits = _bitset(positions, length)
+    data = bits.to_bytes((length + 7) // 8, "little")
+    assert _select(items, bits) == [items[i] for i in range(length) if data[i >> 3] >> (i & 7) & 1]
 
 
 def test_orthant_maximum_over_degree_sequences():
