@@ -50,6 +50,8 @@ class LinkGraph:
     _index: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))  # no caller's list to change
+        object.__setattr__(self, "adjacency", tuple(self.adjacency))
         object.__setattr__(self, "_index", {v.mask: i for i, v in enumerate(self.vertices)})
 
     @property

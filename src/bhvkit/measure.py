@@ -18,6 +18,7 @@ from types import MappingProxyType
 
 from .errors import EpsilonTooLarge, LeafCountMismatch, NonpositiveRadius, POutOfRange
 from .splits import Permutation, Split, apply_permutation, check_leaf_count, incompatible_pair, make_split
+from .splits import split_key
 from .topology import Topology, count_refining_orthants, double_factorial, make_topology
 
 
@@ -36,22 +37,23 @@ class TreePoint:
     leaf_lengths: Mapping[int, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", MappingProxyType(dict(self.lengths)))
+        lengths = dict(self.lengths)
+        object.__setattr__(self, "lengths", MappingProxyType(lengths))
         leaf_lengths = MappingProxyType(dict(self.leaf_lengths)) if self.leaf_lengths else None
         object.__setattr__(self, "leaf_lengths", leaf_lengths)
-        if self.lengths.keys() != self.topology.splits:
+        if frozenset(lengths) != self.topology.splits:  # from a dict: no Split.__hash__ calls
             raise ValueError("lengths must be keyed by exactly the topology's splits")
-        for s, w in self.lengths.items():
+        for s, w in lengths.items():
             if not w > 0:
                 raise ValueError(f"edge {s} has nonpositive length {w}; drop it from the topology")
             if not math.isfinite(w):
                 raise ValueError(f"edge {s} has non-finite length {w}")
-        if self.leaf_lengths is not None:
-            for leaf, w in self.leaf_lengths.items():
-                if not 1 <= leaf <= self.n:
-                    raise ValueError(f"leaf {leaf} not in 1..{self.n}")
-                if not (w >= 0 and math.isfinite(w)):
-                    raise ValueError(f"leaf {leaf} has negative or non-finite length {w}")
+        n = self.topology.n
+        for leaf, w in (leaf_lengths or {}).items():
+            if not 1 <= leaf <= n:
+                raise ValueError(f"leaf {leaf} not in 1..{n}")
+            if not (w >= 0 and math.isfinite(w)):
+                raise ValueError(f"leaf {leaf} has negative or non-finite length {w}")
 
     def __hash__(self) -> int:
         leaf = None if self.leaf_lengths is None else frozenset(self.leaf_lengths.items())
@@ -235,26 +237,30 @@ def ball_volume_bounds(n: int, p: int, eps: float) -> tuple[float, float]:
     return a, _finite("volume upper bound", lambda: float(upper_coeff) * a)
 
 
+def _same_orthant(a: TreePoint, b: TreePoint) -> tuple[float | None, list[float], list[float]]:
+    """same_orthant_distance, and both points' coordinates on their splits' union, in order."""
+    if a.n != b.n:
+        raise LeafCountMismatch(f"points over n={a.n} and n={b.n}")
+    union = sorted(a.topology.splits | b.topology.splits, key=split_key)
+    xa, xb = ([x.lengths.get(s, 0.0) for s in union] for x in (a, b))
+    same = None if incompatible_pair(union) else _euclidean("distance", [u - v for u, v in zip(xa, xb)])
+    return same, xa, xb
+
+
 def same_orthant_distance(a: TreePoint, b: TreePoint) -> float | None:
     """Euclidean distance when both points fit in one closed orthant.
 
     Returns None when the union of their splits is not pairwise compatible;
     absent splits contribute coordinate 0.
     """
-    if a.n != b.n:
-        raise LeafCountMismatch(f"points over n={a.n} and n={b.n}")
-    union = sorted(a.topology.splits | b.topology.splits)
-    if incompatible_pair(union) is not None:
-        return None
-    return _euclidean("distance", [a.lengths.get(s, 0.0) - b.lengths.get(s, 0.0) for s in union])
+    return _same_orthant(a, b)[0]
 
 
 def distance_upper_bound(a: TreePoint, b: TreePoint) -> float:
     """Upper bound on geodesic distance: the straight segment when the two
     points share an orthant (where it is exact), else the path through the
-    cone point of length ||a|| + ||b||."""
-    same = same_orthant_distance(a, b)
-    cone = _finite("cone path", lambda: a.norm + b.norm)
-    if same is None:
-        return cone
-    return min(same, cone)
+    cone point of length ||a|| + ||b||. The union of splits is sorted once:
+    each norm sums its point's lengths in that order, its own canonical one."""
+    same, xa, xb = _same_orthant(a, b)
+    cone = _finite("cone path", lambda: sum(_euclidean("norm", [w for w in x if w]) for x in (xa, xb)))
+    return cone if same is None else min(same, cone)

@@ -31,6 +31,8 @@ topology; leaf edge lengths are kept as metadata only.
 from __future__ import annotations
 
 import re
+from itertools import islice
+from operator import length_hint
 
 from .errors import (
     DegreeTwoInternal,
@@ -40,21 +42,21 @@ from .errors import (
     UnknownLeafName,
 )
 from .measure import TreePoint
-from .splits import MAX_LEAVES, check_leaf_count, full_mask, leaves_of, split_of_mask
-from .topology import Topology, _own_leaves, clade_children
+from .splits import MAX_LEAVES, check_leaf_count, full_mask
+from .topology import Topology, _clade_tree, _laminar_split
 
-# Whitespace runs, punctuation, a ':' with its number (matched as a prefix),
-# labels, and the rejected quote and bracket characters: every character
-# of the text falls in exactly one token.
+# Punctuation, a ':' with its number (matched as a prefix), labels, and the
+# rejected quote and bracket characters: every character of the text falls
+# in one token but whitespace, which findall skips between tokens.
 _TOKEN = re.compile(
-    r"[ \t\r\n]+"
-    r"|[(),;]"
+    r"[(),;]"
     r"|:[ \t\r\n]*(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)?"
     r"|[^():,;\[\]'\" \t\r\n]+"
     r"|[\[\]'\"]"
 )
 _SPACE = " \t\r\n"
 _REJECTED = "[]'\""
+_REJECTION = "quoted labels and bracket comments are not supported"
 
 # No valid tree on MAX_LEAVES leaves nests deeper: below the root, every
 # internal node on a path adds at least one leaf off that path.
@@ -83,38 +85,37 @@ def _scan(text: str) -> tuple[list[str], list[_Item]]:
     first = end = 0
     length = None
     state = _SUBTREE
-    pos = 0
-    for tok in _TOKEN.findall(text):
-        at = pos
-        pos += len(tok)
+    tokens = _TOKEN.findall(text)
+    rest = iter(tokens)
+
+    def token_at() -> re.Match:  # the token last taken from rest: the scan keeps no offsets
+        return next(islice(_TOKEN.finditer(text), len(tokens) - length_hint(rest) - 1, None))
+
+    def syntax_error(message: str) -> NewickSyntaxError:  # a quote or bracket is named as such
+        token = token_at()
+        return NewickSyntaxError(_REJECTION if token[0] in _REJECTED else message, token.start())
+
+    for tok in rest:
         c = tok[0]
-        if c in _SPACE:
-            continue
-        if c in _REJECTED:
-            raise NewickSyntaxError("quoted labels and bracket comments are not supported", at)
         if state == _SUBTREE:
             if c == "(":
                 if len(stack) == _MAX_DEPTH:
-                    raise NewickSyntaxError(f"nesting deeper than {_MAX_DEPTH} levels", at)
+                    raise syntax_error(f"nesting deeper than {_MAX_DEPTH} levels")
                 stack.append([])
                 continue
-            if c in "),;:":
-                raise NewickSyntaxError("expected '(' or a leaf label", at)
+            if c in "),;:[]'\"":
+                raise syntax_error("expected '(' or a leaf label")
             first, end, length = len(names), len(names) + 1, None
             names.append(tok)
             state = _LABELED
-        elif state == _DONE:
-            raise NewickSyntaxError("trailing text after ';'", at)
-        elif c == ":" and state != _MEASURED:
+        elif c == ":" and state < _MEASURED:
             number = tok[1:].lstrip(_SPACE)
             if not number:
-                raise NewickSyntaxError("expected a branch length", pos)
+                raise NewickSyntaxError("expected a branch length", token_at().end())
             length = float(number)
             if length < 0:
                 raise NegativeLength(f"negative branch length {number}")
             state = _MEASURED
-        elif state == _CLOSED and c not in "(),;":
-            state = _LABELED  # internal node labels are read and ignored
         elif c == "," and stack:
             stack[-1].append((first, end, length))
             state = _SUBTREE
@@ -122,20 +123,23 @@ def _scan(text: str) -> tuple[list[str], list[_Item]]:
             kids = stack.pop()
             kids.append((first, end, length))
             if len(kids) == 1:
-                raise DegreeTwoInternal(at)
+                raise DegreeTwoInternal(token_at().start())
             if stack:
                 items += kids
             else:
                 root = kids
             first, length = kids[0][0], None
             state = _CLOSED
-        elif c == ";" and not stack:
+        elif state == _CLOSED and c not in "(),;[]'\"":
+            state = _LABELED  # internal node labels are read and ignored
+        elif c == ";" and not stack and state != _DONE:
             state = _DONE
         else:
-            raise NewickSyntaxError("expected ')'" if stack else "expected ';'", at)
+            expected = "')'" if stack else "';'"
+            raise syntax_error("trailing text after ';'" if state == _DONE else f"expected {expected}")
     if state != _DONE:
         expected = "'(' or a leaf label" if state == _SUBTREE else "')'" if stack else "';'"
-        raise NewickSyntaxError(f"expected {expected}", pos)
+        raise NewickSyntaxError(f"expected {expected}", len(text))
     if not root:
         root = [(first, end, length)]  # the whole tree is one leaf
     elif len(root) == 2:
@@ -154,10 +158,13 @@ def _resolve_labels(names: list[str], label_map: dict[str, int] | None) -> dict[
     With no map: names of ASCII digits only must be exactly 1..n; purely
     non-numeric names are assigned by lexicographic sort. Anything else
     needs an explicit map, since sorting "10" before "2" would scramble
-    labels.
+    labels. A map's values must be plain ints (not bools) covering 1..n.
     """
     n = len(names)
     if label_map is not None:
+        wrong = [value for value in label_map.values() if type(value) is not int]
+        if wrong:
+            raise UnknownLeafName(f"label map values must be ints, got {wrong[0]!r}")
         if sorted(label_map.values()) != list(range(1, n + 1)):
             raise UnknownLeafName(
                 f"label map must cover exactly 1..{n}, got values {sorted(label_map.values())}"
@@ -172,12 +179,12 @@ def _resolve_labels(names: list[str], label_map: dict[str, int] | None) -> dict[
             raise UnknownLeafName(
                 "mixed numeric and non-numeric leaf names need an explicit label map"
             )
-        values = sorted(int(name) for name in names)
-        if values != list(range(1, n + 1)):
+        index = {name: int(name) for name in names}
+        if sorted(index.values()) != list(range(1, n + 1)):
             raise UnknownLeafName(
                 f"numeric leaf names must be exactly 1..{n}; pass a label map instead"
             )
-        return {name: int(name) for name in names}
+        return index
     return {name: i for i, name in enumerate(sorted(names), start=1)}
 
 
@@ -187,15 +194,14 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
     Splits come from the internal edges of the unrooted tree; zero-length
     internal edges are dropped from the topology and leaf edge lengths are
     retained as metadata. The splits are clades of one tree, a laminar
-    family, so the topology is built by the trusted Topology._laminar; the
-    leaf count is checked here, and TreePoint checks the lengths.
+    family whose sides all hold at least two leaves, so each Split is built
+    by the trusted _laminar_split and the topology by Topology._laminar;
+    the leaf count is checked here, and TreePoint checks the lengths.
     """
     names, items = _scan(text)
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateLeaf(name)
-        seen.add(name)
+    if len(set(names)) < len(names):  # name the first to repeat; set.add returns None
+        seen = set()
+        raise DuplicateLeaf(next(name for name in names if name in seen or seen.add(name)))
     index = _resolve_labels(names, label_map)
     n = check_leaf_count(len(names))
     below = [0]  # below[i]: the index bits of the first i leaves of the text
@@ -208,32 +214,24 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
             if w is not None:
                 leaf_lengths[index[names[first]]] = w
         elif w:
-            lengths[split_of_mask(below[end] ^ below[first], n)] = w
+            lengths[_laminar_split(below[end] ^ below[first], n)] = w
     return TreePoint(Topology._laminar(n, frozenset(lengths)), lengths, leaf_lengths)
-
-
-def _format_length(w: float) -> str:
-    """Shortest decimal that round-trips the float."""
-    return repr(float(w))
 
 
 def to_newick(x: TreePoint) -> str:
     """Canonical Newick string: rooted at the internal node holding leaf 1,
     children ordered by smallest descendant leaf, shortest round-trip
     lengths. parse_newick(to_newick(x)) reproduces x."""
-    children = clade_children(x.topology)
-    length_of = {s.clade: w for s, w in x.lengths.items()}
-    leaf_lengths = x.leaf_lengths or {}
+    tree = _clade_tree(x.topology)
+    # each item's ':' and length, if it has one; a clade has two or more bits, a leaf one
+    suffix = {s.clade: f":{float(w)!r}" for s, w in x.lengths.items()}
+    suffix.update({1 << leaf - 1: f":{float(w)!r}" for leaf, w in (x.leaf_lengths or {}).items()})
 
     def items_at(node: int) -> str:
-        # items keyed by their lowest leaf bit, which is distinct per item
-        kids = children[node]
-        items = [(c & -c, f"({items_at(c)}):{_format_length(length_of[c])}") for c in kids]
-        for leaf in leaves_of(_own_leaves(node, kids)):
-            text = f"{leaf}:{_format_length(leaf_lengths[leaf])}" if leaf in leaf_lengths else str(leaf)
-            items.append((1 << leaf - 1, text))
-        items.sort()
-        return ",".join(text for _, text in items)
+        return ",".join(
+            f"({items_at(c)}){suffix[c]}" if c & c - 1 else f"{c.bit_length()}{suffix.get(c, '')}"
+            for c in tree[node]
+        )
 
     return f"({items_at(full_mask(x.n))});"
 

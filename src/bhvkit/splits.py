@@ -120,6 +120,15 @@ class Split:
         return f"Split({{{','.join(map(str, self.side))}}}, n={self.n})"
 
 
+_ORDER_BYTES = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits reversed, then flipped
+
+
+def split_key(s: Split) -> tuple[int, bytes]:
+    """Sort key ordering the splits of one n as Split.__lt__ does, compared in C: side size,
+    then the side's binary digits reversed with 0 and 1 swapped, as little-endian bytes."""
+    return s.mask.bit_count(), s.mask.to_bytes(8, "little").translate(_ORDER_BYTES)
+
+
 def make_split(subset: Iterable[int], n: int) -> Split:
     """Build the canonical Split for a leaf subset of {1, ..., n}.
 

@@ -4,9 +4,10 @@ A topology is a set of pairwise-compatible splits on n leaves; it names a
 face of tree space with one coordinate per split. Hung from leaf 1, each
 split names the clade below its edge (Split.clade, the side without leaf
 1), and the clades of a compatible set form a laminar family. So the tree
-realizing the set needs no explicit graph: clade_children reads its nodes
-and child edges off mask containment, and degree sequences, orthant
-counts, the DOT rendering and the canonical Newick all follow from it.
+realizing the set needs no explicit graph: _clade_tree reads its nodes,
+child edges and leaves off mask containment, and clade_children, degree
+sequences, orthant counts, the DOT rendering and the canonical Newick all
+follow from it.
 The binary census is built by leaf insertion on the same clade masks: its
 trees share one Split per split, and a read-only index maps each split mask
 to the bitset of census trees holding it, so enumerating the refinements
@@ -14,12 +15,12 @@ of a face, still an exhaustive filter over the census, is an AND of
 bitsets.
 
 Topology(...) and make_topology check every split set they are given. The
-one trusted path, Topology._laminar, skips those checks. Its two callers
-build splits that are compatible by construction:
-- the census: each tree's splits are the clades of one tree grown by leaf
-  insertion, and the clades of a tree form a laminar family;
-- parse_newick: the splits are the clades of the one tree it parsed, and
-  it checks the leaf count itself.
+trusted paths, Topology._laminar and _laminar_split (a Split without its
+checks), skip them. Their callers build splits valid by construction:
+- the census, through _laminar: each tree's splits are the clades of one
+  tree grown by leaf insertion, and the clades of a tree form a laminar family;
+- parse_newick, through both: the splits are the clades of the one tree it
+  parsed, two or more leaves on each side, and it checks the leaf count.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .splits import (
     enumerate_splits,
     full_mask,
     incompatible_pair,
-    leaves_of,
+    split_key,
 )
 
 MAX_CENSUS_LEAVES = 10  # 15!! = 2,027,025 trees; n=11 would hold 17!! = 34,459,425
@@ -77,6 +78,7 @@ class Topology:
     splits: frozenset[Split] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        object.__setattr__(self, "splits", frozenset(self.splits))  # no caller's set to change
         check_leaf_count(self.n)
         for s in self.splits:
             if s.n != self.n:
@@ -85,7 +87,7 @@ class Topology:
             raise TooManySplits(
                 f"{len(self.splits)} splits exceed n-3 = {self.n - 3}"
             )
-        pair = incompatible_pair(sorted(self.splits))
+        pair = incompatible_pair(sorted(self.splits, key=split_key))
         if pair:
             raise IncompatiblePair(*pair)
 
@@ -105,7 +107,7 @@ class Topology:
 
     @property
     def sorted_splits(self) -> tuple[Split, ...]:
-        return tuple(sorted(self.splits))
+        return tuple(sorted(self.splits, key=split_key))
 
     def permute(self, sigma: Permutation) -> "Topology":
         """Relabel all leaves through sigma, a permutation of the same n leaves."""
@@ -126,26 +128,32 @@ class Topology:
         order and node 0 is the one node left over (canonical sides of one
         node's edges never overlap, so no node is named twice).
         """
-        children = clade_children(self)
-        parent = {c: node for node, kids in children.items() for c in kids}
-        node_id = dict.fromkeys(children, 0)
+        tree = _clade_tree(self)
+        parent = {item: node for node, items in tree.items() for item in items}  # clades and leaf bits
+        node_id = dict.fromkeys(tree, 0)
         for i, s in enumerate(self.sorted_splits, start=1):
             node_id[parent[s.clade] if s.mask & 1 else s.clade] = i
         edges = sorted((*sorted((node_id[s.clade], node_id[parent[s.clade]])), s) for s in self.splits)
-        leaf_node = sorted(
-            (leaf, node_id[node])
-            for node, kids in children.items()
-            for leaf in leaves_of(_own_leaves(node, kids))
-        )
         lines = ["graph internal_tree {"]
-        lines += [f"  n{u} [shape=point];" for u in range(len(children))]
+        lines += [f"  n{u} [shape=point];" for u in range(len(tree))]
         lines += [f'  leaf{leaf} [shape=none, label="{leaf}"];' for leaf in range(1, self.n + 1)]
         for u, v, s in edges:
             label = ",".join(map(str, s.side))
             lines.append(f'  n{u} -- n{v} [label="{{{label}}}"];')
-        lines += [f"  leaf{leaf} -- n{u};" for leaf, u in leaf_node]
+        lines += [f"  leaf{leaf} -- n{node_id[parent[1 << leaf - 1]]};" for leaf in range(1, self.n + 1)]
         lines.append("}")
         return "\n".join(lines)
+
+
+def _laminar_split(mask: int, n: int) -> Split:
+    """split_of_mask without Split's checks, for sides of two or more leaves."""
+    size = mask.bit_count()
+    if 2 * size > n or (2 * size == n and not mask & 1):
+        mask ^= full_mask(n)
+    s = object.__new__(Split)
+    object.__setattr__(s, "n", n)
+    object.__setattr__(s, "mask", mask)
+    return s
 
 
 def make_topology(splits, n: int) -> Topology:
@@ -162,32 +170,32 @@ def is_binary(t: Topology) -> bool:
     return t.p == t.n - 3
 
 
+def _clade_tree(t: Topology) -> dict[int, list[int]]:
+    """clade_children with each node's own leaves, as one-bit masks, among its
+    child clades in order of lowest leaf; the root comes last. By ascending
+    size, a clade is the parent of the tops (earlier clades with no parent
+    yet) inside it; tops are disjoint and keyed by lowest bit, so peeling the
+    clade from its lowest bit takes off a top or a leaf: n + p steps in all."""
+    tops: dict[int, int] = {}  # lowest bit -> a clade with no parent yet
+    tree = {}
+    for node in sorted((s.clade for s in t.splits), key=int.bit_count) + [full_mask(t.n)]:
+        items, rest = [], node
+        while rest:
+            low = rest & -rest
+            item = tops.pop(low, low)
+            items.append(item)
+            rest ^= item
+        tree[node] = items
+        tops[node & -node] = node
+    return tree
+
+
 def clade_children(t: Topology) -> dict[int, list[int]]:
     """The tree realizing t, hung from leaf 1, as a map from each internal
-    node to the clades of its child edges.
-
-    A node is named by its clade: the full leaf mask for the root (the node
-    holding leaf 1) and Split.clade for the node below each split's edge.
-    Clades form a laminar family, so with clades sorted by size the parent
-    of a clade is the first larger clade containing it, or the root. The
-    leaves attached directly to a node are its clade minus its children.
-    """
-    clades = sorted((s.clade for s in t.splits), key=int.bit_count)
-    root = full_mask(t.n)
-    children: dict[int, list[int]] = {c: [] for c in clades}
-    children[root] = []
-    for i, c in enumerate(clades):
-        parent = next((d for d in clades[i + 1 :] if d & c == c), root)
-        children[parent].append(c)
-    return children
-
-
-def _own_leaves(node: int, kids: list[int]) -> int:
-    """Leaf mask of the leaves attached directly to a node."""
-    below = 0
-    for c in kids:
-        below |= c
-    return node ^ below
+    node to the clades of its child edges, in order of lowest leaf. A node is
+    named by its clade: the full leaf mask for the root (the node holding leaf
+    1) and Split.clade for the node below each split's edge."""
+    return {node: [c for c in items if c & c - 1] for node, items in _clade_tree(t).items()}
 
 
 def degree_sequence(t: Topology) -> tuple[int, ...]:
@@ -195,10 +203,7 @@ def degree_sequence(t: Topology) -> tuple[int, ...]:
     node, its child edges, its own leaves and, below the root, its parent
     edge."""
     root = full_mask(t.n)
-    degrees = [
-        len(kids) + _own_leaves(node, kids).bit_count() + (node != root)
-        for node, kids in clade_children(t).items()
-    ]
+    degrees = [len(items) + (node != root) for node, items in _clade_tree(t).items()]
     return tuple(sorted(degrees, reverse=True))
 
 

@@ -417,6 +417,67 @@ def to_newick_by_walk(x: TreePoint) -> str:
     return f"({items_at(root, None)});"
 
 
+# ---------------------------------------------------------------------------
+# The clade tree by parent search: each clade's parent is the first larger
+# clade containing it, O(p^2). The oracle for the linear clade tree of
+# bhvkit.topology and the canonical Newick built on it.
+# ---------------------------------------------------------------------------
+
+
+def clade_children_by_parent_search(t: Topology) -> dict[int, list[int]]:
+    """The tree realizing t, hung from leaf 1, as a map from each internal
+    node to the clades of its child edges.
+
+    A node is named by its clade: the full leaf mask for the root (the node
+    holding leaf 1) and Split.clade for the node below each split's edge.
+    Clades form a laminar family, so with clades sorted by size the parent
+    of a clade is the first larger clade containing it, or the root. The
+    leaves attached directly to a node are its clade minus its children.
+    """
+    clades = sorted((s.clade for s in t.splits), key=int.bit_count)
+    root = full_mask(t.n)
+    children: dict[int, list[int]] = {c: [] for c in clades}
+    children[root] = []
+    for i, c in enumerate(clades):
+        parent = next((d for d in clades[i + 1 :] if d & c == c), root)
+        children[parent].append(c)
+    return children
+
+
+def _own_leaves(node: int, kids: list[int]) -> int:
+    """Leaf mask of the leaves attached directly to a node."""
+    below = 0
+    for c in kids:
+        below |= c
+    return node ^ below
+
+
+def _format_length(w: float) -> str:
+    """Shortest decimal that round-trips the float."""
+    return repr(float(w))
+
+
+def to_newick_by_parent_search(x: TreePoint) -> str:
+    """Canonical Newick string: rooted at the internal node holding leaf 1,
+    children ordered by smallest descendant leaf, shortest round-trip
+    lengths. parse_newick(to_newick(x)) reproduces x."""
+    children = clade_children_by_parent_search(x.topology)
+    length_of = {s.clade: w for s, w in x.lengths.items()}
+    leaf_lengths = x.leaf_lengths or {}
+
+    def items_at(node: int) -> str:
+        # items keyed by their lowest leaf bit, which is distinct per item
+        kids = children[node]
+        items = [(c & -c, f"({items_at(c)}):{_format_length(length_of[c])}") for c in kids]
+        for leaf in leaves_of(_own_leaves(node, kids)):
+            text = f"{leaf}:{_format_length(leaf_lengths[leaf])}" if leaf in leaf_lengths else str(leaf)
+            items.append((1 << leaf - 1, text))
+        items.sort()
+        return ",".join(text for _, text in items)
+
+    return f"({items_at(full_mask(x.n))});"
+
+
 def random_face(rnd, n: int, keep: float = 0.7) -> Topology:
     """A random face on n leaves: the clades of a random binary tree, built
     by merging random pairs of subtrees until three remain, each kept with

@@ -484,3 +484,13 @@ def test_dot_export(link5):
     dot = link5.to_dot()
     assert dot.startswith("graph link {")
     assert '"1,2" -- "3,4";' in dot
+
+
+def test_link_graph_keeps_no_caller_container():
+    s = make_split({1, 2}, 5)
+    vertices, adjacency = [s], [0]
+    g = LinkGraph(5, vertices, adjacency)
+    vertices.append(make_split({1, 3}, 5))
+    adjacency[0] = 1
+    assert g.vertices == (s,) and g.adjacency == (0,)
+    assert hash(g) == hash(LinkGraph(5, (s,), (0,)))

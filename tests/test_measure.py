@@ -13,7 +13,9 @@ from bhvkit import (
     NonpositiveRadius,
     POutOfRange,
     Permutation,
+    Topology,
     TreePoint,
+    are_compatible,
     ball_volume,
     ball_volume_bounds,
     cone_point,
@@ -340,6 +342,32 @@ def test_distance_upper_bound_permutation_invariant():
         d1 = distance_upper_bound(a, b)
         d2 = distance_upper_bound(a.permute(sigma), b.permute(sigma))
         assert math.isclose(d1, d2, rel_tol=1e-12, abs_tol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 64), st.randoms(use_true_random=False))
+def test_distances_sum_in_canonical_split_order(n, rnd):
+    # sums of squares taken in Split.__lt__ order, as both norms and the
+    # same-orthant distance always have been: equal to the last bit
+    def euclid(coordinates):
+        return math.sqrt(sum(c**2 for c in coordinates))
+
+    a = random_face(rnd, n)
+    if rnd.random() < 0.5:
+        b = random_face(rnd, n)
+    else:  # a face of a: one orthant holds both points
+        b = Topology(n, frozenset(rnd.sample(sorted(a.splits), len(a.splits) // 2)))
+    xa = TreePoint(a, {s: rnd.uniform(1e-3, 1e3) for s in a.splits})
+    xb = TreePoint(b, {s: rnd.uniform(1e-3, 1e3) for s in b.splits})
+    norms = [euclid([x.lengths[s] for s in sorted(x.lengths)]) for x in (xa, xb)]
+    assert [xa.norm, xb.norm] == norms
+    union = sorted(a.splits | b.splits)
+    same = euclid([xa.lengths.get(s, 0.0) - xb.lengths.get(s, 0.0) for s in union])
+    if any(not are_compatible(s, u) for s in union for u in union):
+        same = None
+    assert same_orthant_distance(xa, xb) == same
+    cone = norms[0] + norms[1]
+    assert distance_upper_bound(xa, xb) == (cone if same is None else min(same, cone))
 
 
 def test_is_cone_point():

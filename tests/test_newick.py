@@ -160,6 +160,14 @@ def test_label_map_must_cover_all_leaves():
         parse_newick("((ape,bee):0.5,cat,dog);", {"ape": 1, "bee": 2, "cat": 3, "fox": 4})
 
 
+@pytest.mark.parametrize("value", [1.0, True, "1", None])
+def test_label_map_values_must_be_plain_ints(value):
+    with pytest.raises(UnknownLeafName, match="must be ints"):
+        parse_newick("(a,b,c);", {"a": value, "b": 2, "c": 3})
+    with pytest.raises(UnknownLeafName):
+        parse_newick("(a,b,c);", {"a": 1.0, "b": 2.0, "c": 3.0})
+
+
 def test_lexicographic_assignment_for_names():
     x = parse_newick("((ape,bee):0.5,cat,dog,emu);")
     # sorted: ape=1 bee=2 cat=3 dog=4 emu=5

@@ -18,7 +18,7 @@ from bhvkit import (
     make_split,
     split_of_mask,
 )
-from bhvkit.splits import incompatible_pair, leaves_of, set_bits
+from bhvkit.splits import incompatible_pair, leaves_of, mask_of, set_bits, split_key
 from helpers import compatible_disjoint_or_nested
 
 
@@ -121,6 +121,25 @@ def test_enumerate_splits_is_sorted(n):
     out = enumerate_splits(n)
     assert out == sorted(out)
     assert out == sorted(out, key=lambda s: (s.size, s.side))
+
+
+@st.composite
+def split_lists(draw):
+    """n in 4..64 and a list of its splits, about half of them, for even n,
+    of the half size n/2 that ties the two sides."""
+    n = draw(st.integers(4, 64))
+    any_side = st.integers(0, (1 << n) - 1).filter(lambda m: 2 <= m.bit_count() <= n - 2)
+    half = st.sets(st.integers(1, n), min_size=n // 2, max_size=n // 2).map(lambda x: mask_of(x, n))
+    masks = draw(st.lists(st.one_of(any_side, half) if n % 2 == 0 else any_side, max_size=60))
+    return [split_of_mask(m, n) for m in masks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_lists())
+def test_split_key_orders_as_split_lt(splits):
+    by_key = sorted(splits, key=split_key)
+    assert by_key == sorted(splits)
+    assert all(not b < a for a, b in zip(by_key, by_key[1:]))
 
 
 @st.composite

@@ -13,6 +13,7 @@ from bhvkit import (
     LeafCountMismatch,
     NegativeOrEven,
     Permutation,
+    Split,
     TooManySplits,
     Topology,
     TreePoint,
@@ -31,8 +32,16 @@ from bhvkit import (
     split_of_mask,
     to_newick,
 )
-from bhvkit.topology import _DENSE, _census, _select
-from helpers import all_faces, census_by_graph_walk, random_face, reconstruct_tree, to_newick_by_walk
+from bhvkit.topology import _DENSE, _census, _laminar_split, _select
+from helpers import (
+    all_faces,
+    census_by_graph_walk,
+    clade_children_by_parent_search,
+    random_face,
+    reconstruct_tree,
+    to_newick_by_parent_search,
+    to_newick_by_walk,
+)
 
 
 def splits(n, *sides):
@@ -406,6 +415,57 @@ def test_clade_view_matches_graph_oracle_random_faces(n, rnd):
     assert t.to_dot() == tree.to_dot()
     x = _sample_point(t, rnd)
     assert to_newick(x) == to_newick_by_walk(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 64),
+    st.sampled_from([1.0, 0.7, 0.3, 0.0]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_clade_tree_matches_parent_search(n, keep, leaf_lengths, rnd):
+    # keep = 1.0 draws binary trees, lower values polytomies, 0.0 the star
+    t = random_face(rnd, n, keep)
+    children = clade_children(t)
+    assert {node: sorted(kids) for node, kids in children.items()} == {
+        node: sorted(kids) for node, kids in clade_children_by_parent_search(t).items()
+    }
+    for kids in children.values():
+        assert kids == sorted(kids, key=lambda c: c & -c)
+    lengths = {s: rnd.choice([0.1, 1.0, 2.5, rnd.uniform(1e-9, 1e9)]) for s in t.splits}
+    leaves = {leaf: rnd.choice([0.0, 0.5, rnd.uniform(0, 3)]) for leaf in range(1, n + 1, 2)}
+    x = TreePoint(t, lengths, leaves if leaf_lengths else None)
+    assert to_newick(x) == to_newick_by_parent_search(x)
+
+
+def test_topology_keeps_no_caller_container():
+    a, b = make_split({1, 2}, 5), make_split({1, 3}, 5)
+    splits = {a}
+    t = Topology(5, splits)
+    splits.add(b)
+    assert t.splits == frozenset({a}) and isinstance(t.splits, frozenset)
+    assert hash(t) == hash(make_topology([a], 5))
+    with pytest.raises(AttributeError):
+        t.splits.add(b)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_laminar_split_equals_split_of_mask(n):
+    for mask in range(1 << n):
+        if 2 <= mask.bit_count() <= n - 2:
+            s, checked = _laminar_split(mask, n), split_of_mask(mask, n)
+            assert (type(s), s.n, s.mask, hash(s)) == (Split, n, checked.mask, hash(checked))
+            assert s == checked
+
+
+def test_trusted_split_constructor_stays_in_the_parser():
+    package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
+    callers = {f.name for f in package.glob("*.py") if "_laminar_split" in f.read_text()}
+    assert callers == {"topology.py", "newick.py"}
+    # topology.py holds only its definition and the docstring naming it
+    code = (package / "topology.py").read_text()
+    assert code.count("_laminar_split(") == 1
 
 
 @st.composite
