@@ -683,3 +683,99 @@ def has_single_child_node(text: str) -> bool:
         elif ch == ")" and commas and commas.pop() == 0:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The Newick scanner that tracks the offset of every token, whitespace runs
+# included. The oracle for the scanner of bhvkit.newick, which keeps no
+# offsets and finds an error's token by scanning the text again.
+# ---------------------------------------------------------------------------
+
+_SCAN_TOKEN = re.compile(
+    r"[ \t\r\n]+"
+    r"|[(),;]"
+    r"|:[ \t\r\n]*(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)?"
+    r"|[^():,;\[\]'\" \t\r\n]+"
+    r"|[\[\]'\"]"
+)
+_SCAN_SPACE = " \t\r\n"
+_SCAN_REJECTED = "[]'\""
+_SCAN_SUBTREE, _SCAN_CLOSED, _SCAN_LABELED, _SCAN_MEASURED, _SCAN_DONE = range(5)
+
+
+def scan_with_offsets(text: str) -> tuple[list[str], list[tuple]]:
+    """One pass over a Newick statement, keeping the offset of every token.
+
+    Returns the leaf names in text order and one item per edge of the
+    unrooted tree; an item with end - first == 1 is a leaf edge.
+    """
+    names: list[str] = []
+    items: list[tuple] = []  # edges not at the root
+    stack: list[list[tuple]] = []  # the children read so far, per open node
+    root: list[tuple] = []
+    first = end = 0
+    length = None
+    state = _SCAN_SUBTREE
+    pos = 0
+    for tok in _SCAN_TOKEN.findall(text):
+        at = pos
+        pos += len(tok)
+        c = tok[0]
+        if c in _SCAN_SPACE:
+            continue
+        if c in _SCAN_REJECTED:
+            raise NewickSyntaxError("quoted labels and bracket comments are not supported", at)
+        if state == _SCAN_SUBTREE:
+            if c == "(":
+                if len(stack) == _MAX_DEPTH:
+                    raise NewickSyntaxError(f"nesting deeper than {_MAX_DEPTH} levels", at)
+                stack.append([])
+                continue
+            if c in "),;:":
+                raise NewickSyntaxError("expected '(' or a leaf label", at)
+            first, end, length = len(names), len(names) + 1, None
+            names.append(tok)
+            state = _SCAN_LABELED
+        elif state == _SCAN_DONE:
+            raise NewickSyntaxError("trailing text after ';'", at)
+        elif c == ":" and state != _SCAN_MEASURED:
+            number = tok[1:].lstrip(_SCAN_SPACE)
+            if not number:
+                raise NewickSyntaxError("expected a branch length", pos)
+            length = float(number)
+            if length < 0:
+                raise NegativeLength(f"negative branch length {number}")
+            state = _SCAN_MEASURED
+        elif state == _SCAN_CLOSED and c not in "(),;":
+            state = _SCAN_LABELED  # internal node labels are read and ignored
+        elif c == "," and stack:
+            stack[-1].append((first, end, length))
+            state = _SCAN_SUBTREE
+        elif c == ")" and stack:
+            kids = stack.pop()
+            kids.append((first, end, length))
+            if len(kids) == 1:
+                raise DegreeTwoInternal(at)
+            if stack:
+                items += kids
+            else:
+                root = kids
+            first, length = kids[0][0], None
+            state = _SCAN_CLOSED
+        elif c == ";" and not stack:
+            state = _SCAN_DONE
+        else:
+            raise NewickSyntaxError("expected ')'" if stack else "expected ';'", at)
+    if state != _SCAN_DONE:
+        expected = "'(' or a leaf label" if state == _SCAN_SUBTREE else "')'" if stack else "';'"
+        raise NewickSyntaxError(f"expected {expected}", pos)
+    if not root:
+        root = [(first, end, length)]  # the whole tree is one leaf
+    elif len(root) == 2:
+        (a0, a1, wa), (b0, b1, wb) = root
+        if a1 - a0 > 1 or b1 - b0 > 1:
+            # Unroot: the first internal child becomes the root, and the
+            # other child's edge takes both lengths.
+            merged = None if wa is None and wb is None else (wa or 0.0) + (wb or 0.0)
+            root = [(b0, b1, merged) if a1 - a0 > 1 else (a0, a1, merged)]
+    return names, items + root

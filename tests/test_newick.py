@@ -20,13 +20,14 @@ from bhvkit import (
     parse_newick,
     to_newick,
 )
-from bhvkit.newick import iter_newick_lines
+from bhvkit.newick import _scan, iter_newick_lines
 from helpers import (
     NewickNode,
     has_single_child_node,
     parse_newick_by_tree,
     parse_tree_string,
     random_face,
+    scan_with_offsets,
     splits_from_tree,
 )
 
@@ -391,3 +392,31 @@ def test_parse_mutants_match_node_tree_oracle(n, style, rooted, rnd, edit, ch):
         # oracle finds first
         assert isinstance(got, tuple) and got[0] is DegreeTwoInternal
         assert has_single_child_node(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 64),
+    _STYLES,
+    st.booleans(),
+    st.randoms(use_true_random=False),
+    st.lists(
+        st.tuples(st.sampled_from(["delete", "insert", "replace"]), st.sampled_from(_MUTANT_CHARS)),
+        max_size=3,
+    ),
+)
+def test_scan_matches_offset_tracking_scanner(n, style, rooted, rnd, edits):
+    # the same items, or the same error class, message and offset, on
+    # statements with up to three edits
+    text, _ = _random_statement(rnd, n, style, rooted)
+    for edit, ch in edits:
+        i = rnd.randrange(len(text) + 1)
+        text = text[:i] + (ch if edit != "delete" else "") + text[i + (edit != "insert") :]
+
+    def outcome(scan):
+        try:
+            return scan(text)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(_scan) == outcome(scan_with_offsets)
