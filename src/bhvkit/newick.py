@@ -140,9 +140,7 @@ def _scan(text: str) -> tuple[list[str], list[_Item]]:
     if state != _DONE:
         expected = "'(' or a leaf label" if state == _SUBTREE else "')'" if stack else "';'"
         raise NewickSyntaxError(f"expected {expected}", len(text))
-    if not root:
-        root = [(first, end, length)]  # the whole tree is one leaf
-    elif len(root) == 2:
+    if len(root) == 2:
         (a0, a1, wa), (b0, b1, wb) = root
         if a1 - a0 > 1 or b1 - b0 > 1:
             # Unroot: the first internal child becomes the root, and the

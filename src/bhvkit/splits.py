@@ -62,9 +62,7 @@ class Split:
 
     Construct via make_split unless the mask is already canonical. Splits
     sort by (n, side size, lexicographic side), the enumeration order used
-    throughout the package. The comparison reads only the masks: between
-    sides of equal size, the one holding the lowest leaf of their
-    symmetric difference comes first.
+    throughout the package; split_key is that order within one n.
     """
 
     n: int
@@ -77,7 +75,7 @@ class Split:
         size = self.mask.bit_count()
         if size < 2:
             raise SubsetTooSmall(f"a split side needs >= 2 leaves, got {size} for n={self.n}")
-        if 2 * size > self.n or (2 * size == self.n and not self.mask & 1):
+        if _canonical_side(self.mask, self.n) != self.mask:
             raise SubsetTooSmall(f"side of {size} is not canonical for n={self.n}; use make_split")
 
     @property
@@ -107,14 +105,7 @@ class Split:
         return hash(self.mask)
 
     def __lt__(self, other: "Split") -> bool:
-        if self.n != other.n:
-            return self.n < other.n
-        a, b = self.mask, other.mask
-        size_a, size_b = a.bit_count(), b.bit_count()
-        if size_a != size_b:
-            return size_a < size_b
-        diff = a ^ b
-        return bool(a & diff & -diff)
+        return (self.n, *split_key(self)) < (other.n, *split_key(other))
 
     def __repr__(self) -> str:
         return f"Split({{{','.join(map(str, self.side))}}}, n={self.n})"
@@ -124,8 +115,9 @@ _ORDER_BYTES = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits
 
 
 def split_key(s: Split) -> tuple[int, bytes]:
-    """Sort key ordering the splits of one n as Split.__lt__ does, compared in C: side size,
-    then the side's binary digits reversed with 0 and 1 swapped, as little-endian bytes."""
+    """Sort key for the splits of one n in the order Split states, compared in C: side size,
+    then the side's binary digits reversed with 0 and 1 swapped, as little-endian bytes, so
+    that of two sides of equal size the one holding the lowest leaf they differ in comes first."""
     return s.mask.bit_count(), s.mask.to_bytes(8, "little").translate(_ORDER_BYTES)
 
 
@@ -140,6 +132,15 @@ def make_split(subset: Iterable[int], n: int) -> Split:
     return split_of_mask(mask_of(subset, n), n)
 
 
+def _canonical_side(mask: int, n: int) -> int:
+    """The side of a bipartition of {1, ..., n} that a Split stores, given
+    either side as a mask: the smaller one; on a size tie, the one with leaf 1."""
+    size = mask.bit_count()
+    if 2 * size > n or (2 * size == n and not mask & 1):
+        return full_mask(n) ^ mask
+    return mask
+
+
 def split_of_mask(mask: int, n: int) -> Split:
     """The canonical Split of either side of a bipartition, given as a leaf
     mask within full_mask(n).
@@ -147,10 +148,7 @@ def split_of_mask(mask: int, n: int) -> Split:
     Keeps the smaller side; on a size tie, the side containing leaf 1.
     Split raises SubsetTooSmall unless that side has at least two leaves.
     """
-    size = mask.bit_count()
-    if 2 * size > n or (2 * size == n and not mask & 1):
-        mask = full_mask(n) ^ mask
-    return Split(n, mask)
+    return Split(n, _canonical_side(mask, n))
 
 
 def are_compatible(a: Split, b: Split) -> bool:
@@ -191,8 +189,9 @@ def enumerate_splits(n: int) -> list[Split]:
     out: list[Split] = []
     for k in range(2, n // 2 + 1):
         for side in combinations(range(1, n + 1), k):
-            if 2 * k < n or side[0] == 1:  # a half-size split keeps the side with leaf 1
-                out.append(Split(n, mask_of(side, n)))
+            mask = mask_of(side, n)
+            if _canonical_side(mask, n) == mask:
+                out.append(Split(n, mask))
     return out
 
 

@@ -16,7 +16,8 @@ bitsets.
 
 Topology(...) and make_topology check every split set they are given. The
 trusted paths, Topology._laminar and _laminar_split (a Split without its
-checks), skip them. Their callers build splits valid by construction:
+checks, on the side splits._canonical_side picks, as for every Split), skip
+them. Their callers build splits valid by construction:
 - the census, through _laminar: each tree's splits are the clades of one
   tree grown by leaf insertion, and the clades of a tree form a laminar family;
 - parse_newick, through both: the splits are the clades of the one tree it
@@ -43,6 +44,7 @@ from .errors import (
 from .splits import (
     Permutation,
     Split,
+    _canonical_side,
     apply_permutation,
     check_leaf_count,
     enumerate_splits,
@@ -147,12 +149,9 @@ class Topology:
 
 def _laminar_split(mask: int, n: int) -> Split:
     """split_of_mask without Split's checks, for sides of two or more leaves."""
-    size = mask.bit_count()
-    if 2 * size > n or (2 * size == n and not mask & 1):
-        mask ^= full_mask(n)
     s = object.__new__(Split)
     object.__setattr__(s, "n", n)
-    object.__setattr__(s, "mask", mask)
+    object.__setattr__(s, "mask", _canonical_side(mask, n))
     return s
 
 
@@ -234,6 +233,10 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     so its frozenset table is sized once, and each tree sets its bits in
     the index rows as it is made.
     """
+    check_leaf_count(n)
+    if n > MAX_CENSUS_LEAVES:
+        raise EnumerationTooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
+                                  f"(2n-5)!! = {double_factorial(2 * n - 5)}")
     shared = {s.clade: s for s in enumerate_splits(n)}
     rows = {s.mask: bytearray((double_factorial(2 * n - 5) + 7) // 8) for s in shared.values()}
     trees: list[Topology] = []
@@ -300,16 +303,6 @@ def _select(items: tuple, bits: int) -> list:
     return out
 
 
-def _checked_census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
-    """The census of n, after raising EnumerationTooLarge past MAX_CENSUS_LEAVES."""
-    check_leaf_count(n)
-    if n > MAX_CENSUS_LEAVES:
-        size = double_factorial(2 * n - 5)
-        raise EnumerationTooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
-                                  f"(2n-5)!! = {size}")
-    return _census(n)
-
-
 def enumerate_binary_topologies(n: int):
     """Iterate all (2n-5)!! binary topologies on n leaves, no repeats.
 
@@ -317,7 +310,7 @@ def enumerate_binary_topologies(n: int):
     cached; its trees share one Split object per split. Raises
     EnumerationTooLarge up front for n > MAX_CENSUS_LEAVES.
     """
-    return iter(_checked_census(n)[0])
+    return iter(_census(n)[0])
 
 
 def enumerate_binary_refinements(t: Topology) -> list[Topology]:
@@ -332,7 +325,7 @@ def enumerate_binary_refinements(t: Topology) -> list[Topology]:
     """
     if is_binary(t):
         return [t]
-    trees, index = _checked_census(t.n)
+    trees, index = _census(t.n)
     if not t.splits:
         return list(trees)
     first, *rest = t.splits

@@ -56,6 +56,13 @@ def test_link_dot_output(capsys, tmp_path):
     assert target.read_text().startswith("graph link {")
 
 
+def test_link_dot_to_stdout_comes_before_the_report(capsys):
+    code, out, _ = run(capsys, "link", "5", "--dot", "-")
+    assert code == 0
+    report = '{"n":5,"vertices":10,"edges":15,"degrees_ok":true}'
+    assert out == bhvkit.build_link_graph(5).to_dot() + "\n" + report + "\n"
+
+
 def test_aut_4_refused_with_explanation(capsys):
     code, _, err = run(capsys, "aut", "4")
     assert code == 2
@@ -380,6 +387,18 @@ def test_parse_rejects_infinite_and_negative_lengths(capsys, tree):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("leaf", ["0", "6"])
+def test_parse_rejects_a_leaf_length_off_the_leaf_set(capsys, leaf):
+    code, out, err = run(capsys, "parse", '{"n":5,"edges":[],"leaf_lengths":{"%s":1}}' % leaf)
+    assert (code, out, err) == (5, "", f"error: leaf {leaf} not in 1..5\n")
+
+
+@pytest.mark.parametrize("text", ["A;", "1;", "A:1.5;"])
+def test_parse_rejects_a_one_leaf_statement(capsys, text):
+    code, out, err = run(capsys, "parse", text)
+    assert (code, out, err) == (5, "", "error: leaf count must be in [3, 64], got 1\n")
 
 
 def test_volume_rejects_infinite_eps(capsys):

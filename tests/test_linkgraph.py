@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bhvkit import (
     KOutOfRange,
+    LeafCountMismatch,
     LinkGraph,
     Permutation,
     SearchBudgetExceeded,
@@ -22,6 +23,7 @@ from bhvkit import (
     double_factorial,
     ekr_independent_sets,
     enumerate_binary_topologies,
+    enumerate_splits,
     kneser_subgraph,
     leaf_relabeling,
     make_split,
@@ -315,6 +317,11 @@ def test_permutation_to_automorphism_transposition(link5):
     assert vp[idx[make_split({2, 3}, 5)]] == idx[make_split({1, 3}, 5)]
 
 
+def test_permutation_to_automorphism_needs_the_graph_leaf_count(link5):
+    with pytest.raises(LeafCountMismatch, match="permutation of 6 leaves vs graph on 5"):
+        permutation_to_automorphism(Permutation.identity(6), link5)
+
+
 @settings(deadline=None)
 @given(permutation_pairs(max_n=12))
 def test_relabeling_matches_make_split_oracle(pair):
@@ -453,6 +460,42 @@ def test_search_depth_does_not_grow_with_vertex_count():
     finally:
         sys.setrecursionlimit(old)
     assert group.order == math.factorial(9)
+
+
+def test_search_backs_out_of_a_dead_end():
+    # a 3-cycle plus a 4-cycle: every vertex has degree 2, so the probe that
+    # maps a triangle vertex into the square runs out of candidates only
+    # after it branches, and falls through its last return None
+    vertices = enumerate_splits(6)[:7]
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    rows = [0] * 7
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    g = LinkGraph(6, vertices, rows)
+    dead_ends = []
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name != "first_automorphism":
+            return None
+
+        def local(frame, event, arg):
+            # only the return after the branching loop has w bound
+            if event == "return" and arg is None and "w" in frame.f_locals:
+                dead_ends.append(frame.f_lineno)
+            return local
+
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        group = brute_force_automorphisms(g)
+    finally:
+        sys.settrace(old)
+    assert group.order == 48  # D3 x D4
+    assert list(group.elements) == enumerate_automorphisms(g)
+    assert dead_ends
 
 
 def test_binary_topologies_are_maximal_cliques(link5, link6):

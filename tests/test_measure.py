@@ -55,6 +55,11 @@ def test_ball_volume_dimension_zero_is_one():
     assert euclidean_ball_volume(0, 0.25) == 1.0
 
 
+def test_ball_volume_rejects_negative_dimension():
+    with pytest.raises(ValueError, match="dimension must be >= 0, got -1"):
+        euclidean_ball_volume(-1, 0.1)
+
+
 def test_ball_volume_past_numerator_overflow():
     # pi^30.5 * (1e5)^61 overflows a float; the volume, about 1e287, does not
     a = euclidean_ball_volume(61, 1e5)
@@ -104,6 +109,12 @@ def test_tree_point_rejects_non_finite_lengths(w):
 def test_tree_point_rejects_negative_or_non_finite_leaf_lengths(w):
     with pytest.raises(ValueError):
         TreePoint(make_topology((), 5), {}, {1: w})
+
+
+@pytest.mark.parametrize("leaf", [0, 6])
+def test_tree_point_rejects_leaf_lengths_off_the_leaf_set(leaf):
+    with pytest.raises(ValueError, match=f"leaf {leaf} not in 1..5"):
+        TreePoint(make_topology((), 5), {}, {leaf: 1.0})
 
 
 def test_tree_point_accepts_zero_leaf_length():

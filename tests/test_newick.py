@@ -282,6 +282,24 @@ def test_leaf_count_outside_3_to_64_is_rejected(text):
         parse_newick(text)
 
 
+@pytest.mark.parametrize(
+    "text,label_map,error,message",
+    [
+        ("A;", None, ValueError, r"leaf count must be in \[3, 64\], got 1"),
+        ("1;", None, ValueError, r"leaf count must be in \[3, 64\], got 1"),
+        ("A:1.5;", None, ValueError, r"leaf count must be in \[3, 64\], got 1"),
+        ("A;", {"A": 1}, ValueError, r"leaf count must be in \[3, 64\], got 1"),
+        ("2;", None, UnknownLeafName, r"numeric leaf names must be exactly 1\.\.1"),
+        ("A;", {"A": 3}, UnknownLeafName, r"label map must cover exactly 1\.\.1, got values \[3\]"),
+    ],
+)
+def test_one_leaf_statement_is_rejected(text, label_map, error, message):
+    # a statement without parentheses is one leaf, which the label or
+    # leaf-count check rejects before any edge is read
+    with pytest.raises(error, match=message):
+        parse_newick(text, label_map)
+
+
 _LENGTHS = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 _LEAF_LENGTHS = st.floats(min_value=0, allow_infinity=False)
 

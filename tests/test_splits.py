@@ -90,6 +90,12 @@ def test_split_constructor_rejects_noncanonical_mask():
         Split(6, 0b111100)  # {3,4,5,6}: larger side stored directly
 
 
+@pytest.mark.parametrize("mask", [0b100011, 1 << 63 | 0b11])
+def test_split_constructor_rejects_bits_past_n(mask):
+    with pytest.raises(LeafOutOfRange, match=f"mask {mask:#x} has bits outside 1..5"):
+        Split(5, mask)
+
+
 def test_compatible_nested_pair():
     assert are_compatible(make_split({1, 2}, 7), make_split({1, 2, 3}, 7))
 
@@ -125,21 +131,28 @@ def test_enumerate_splits_is_sorted(n):
 
 @st.composite
 def split_lists(draw):
-    """n in 4..64 and a list of its splits, about half of them, for even n,
-    of the half size n/2 that ties the two sides."""
-    n = draw(st.integers(4, 64))
-    any_side = st.integers(0, (1 << n) - 1).filter(lambda m: 2 <= m.bit_count() <= n - 2)
-    half = st.sets(st.integers(1, n), min_size=n // 2, max_size=n // 2).map(lambda x: mask_of(x, n))
-    masks = draw(st.lists(st.one_of(any_side, half) if n % 2 == 0 else any_side, max_size=60))
-    return [split_of_mask(m, n) for m in masks]
+    """Splits on two leaf counts in 4..64, shuffled together; for an even
+    count about half of its splits have the half size n/2 that ties the
+    two sides."""
+    out = []
+    for n in draw(st.lists(st.integers(4, 64), min_size=2, max_size=2, unique=True)):
+        any_side = st.integers(0, (1 << n) - 1).filter(lambda m, n=n: 2 <= m.bit_count() <= n - 2)
+        half = st.sets(st.integers(1, n), min_size=n // 2, max_size=n // 2).map(
+            lambda x, n=n: mask_of(x, n)
+        )
+        masks = draw(st.lists(st.one_of(any_side, half) if n % 2 == 0 else any_side, max_size=30))
+        out += [split_of_mask(m, n) for m in masks]
+    return draw(st.permutations(out))
 
 
 @settings(max_examples=200, deadline=None)
 @given(split_lists())
 def test_split_key_orders_as_split_lt(splits):
-    by_key = sorted(splits, key=split_key)
-    assert by_key == sorted(splits)
-    assert all(not b < a for a, b in zip(by_key, by_key[1:]))
+    # both against the order written out on leaf labels, not on masks
+    by_side = sorted(splits, key=lambda s: (s.n, s.size, s.side))
+    assert sorted(splits) == by_side
+    assert sorted(splits, key=lambda s: (s.n, split_key(s))) == by_side
+    assert all(not b < a for a, b in zip(by_side, by_side[1:]))
 
 
 @st.composite
@@ -284,6 +297,11 @@ def test_permutation_compose_and_inverse():
         sigma = Permutation(tuple(images))
         assert sigma.compose(sigma.inverse()) == Permutation.identity(6)
         assert sigma.inverse().compose(sigma) == Permutation.identity(6)
+
+
+def test_permutation_compose_needs_one_leaf_count():
+    with pytest.raises(LeafCountMismatch, match="permutations of 5 and 6 leaves"):
+        Permutation.identity(5).compose(Permutation.identity(6))
 
 
 def test_permutation_action_is_group_action():

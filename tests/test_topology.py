@@ -72,6 +72,11 @@ def test_nested_pair_topology():
     assert t.p == 2
 
 
+def test_topology_repr_lists_sides_in_canonical_order():
+    t = make_topology(splits(6, {4, 5, 6}, {3, 4, 5, 6}), 6)
+    assert repr(t) == "Topology(n=6, splits=[{1,2}, {1,2,3}])"
+
+
 def test_incompatible_pair_names_the_pair():
     with pytest.raises(IncompatiblePair) as exc:
         make_topology(splits(6, {1, 2}, {2, 3}), 6)
