@@ -39,14 +39,7 @@ from .linkgraph import (
     leaf_relabeling,
     verify_degrees,
 )
-from .measure import (
-    TreePoint,
-    _finite,
-    ball_volume,
-    ball_volume_bounds,
-    is_cone_point,
-    same_orthant_distance,
-)
+from .measure import TreePoint, _distances, ball_volume, ball_volume_bounds, is_cone_point
 from .newick import iter_newick_lines, parse_newick, to_newick
 from .splits import make_split
 from .topology import (
@@ -194,14 +187,8 @@ def cmd_dist(args) -> int:
     if counts != (1, 1):
         raise ValueError(f"dist takes one tree per argument, got {counts[0]} and {counts[1]}")
     (a,), (b,) = trees
-    same = same_orthant_distance(a, b)
-    cone = _finite("cone path", lambda: a.norm + b.norm)
-    report = {
-        "same_orthant": same,
-        "cone_path": cone,
-        "upper_bound": cone if same is None else min(same, cone),
-    }
-    print(_dump(report))
+    same, cone, upper = _distances(a, b)
+    print(_dump({"same_orthant": same, "cone_path": cone, "upper_bound": upper}))
     return EXIT_OK
 
 

@@ -82,12 +82,12 @@ class LinkGraph:
 def build_link_graph(n: int) -> LinkGraph:
     """Graph with every canonical split as a vertex and compatible pairs as edges.
 
-    Canonical sides are compatible exactly when they are disjoint or nested
-    (splits.incompatible_pair). With holds[l] the bitset of vertices whose
-    side contains leaf l, the vertices whose side misses a leaf set X are
-    ~OR(holds[X]) and those whose side covers X are AND(holds[X]). A
-    vertex's row is the sides that miss its side, cover it or miss its
-    complement (lie inside it), minus the vertex itself.
+    Canonical sides are compatible exactly when they are disjoint or nested,
+    as no two cover every leaf (splits.are_compatible). With holds[l] the
+    bitset of vertices whose side contains leaf l, the vertices whose side
+    misses a leaf set X are ~OR(holds[X]) and those whose side covers X are
+    AND(holds[X]). A vertex's row is the sides that miss its side, cover it
+    or miss its complement (lie inside it), minus the vertex itself.
     """
     check_leaf_count(n)
     if n > MAX_LINK_LEAVES:

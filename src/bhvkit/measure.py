@@ -17,9 +17,8 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import EpsilonTooLarge, LeafCountMismatch, NonpositiveRadius, POutOfRange
-from .splits import Permutation, Split, apply_permutation, check_leaf_count, incompatible_pair, make_split
-from .splits import split_key
-from .topology import Topology, count_refining_orthants, double_factorial, make_topology
+from .splits import Permutation, Split, apply_permutation, check_leaf_count, make_split, split_key
+from .topology import Topology, _clade_tree, count_refining_orthants, double_factorial, make_topology
 
 
 @dataclass(frozen=True)
@@ -243,8 +242,9 @@ def _same_orthant(a: TreePoint, b: TreePoint) -> tuple[float | None, list[float]
         raise LeafCountMismatch(f"points over n={a.n} and n={b.n}")
     union = sorted(a.topology.splits | b.topology.splits, key=split_key)
     xa, xb = ([x.lengths.get(s, 0.0) for s in union] for x in (a, b))
-    same = None if incompatible_pair(union) else _euclidean("distance", [u - v for u, v in zip(xa, xb)])
-    return same, xa, xb
+    if _clade_tree([s.clade for s in union], a.n) is None:
+        return None, xa, xb
+    return _euclidean("distance", [u - v for u, v in zip(xa, xb)]), xa, xb
 
 
 def same_orthant_distance(a: TreePoint, b: TreePoint) -> float | None:
@@ -256,11 +256,22 @@ def same_orthant_distance(a: TreePoint, b: TreePoint) -> float | None:
     return _same_orthant(a, b)[0]
 
 
+def _distances(a: TreePoint, b: TreePoint) -> tuple[float | None, float | None, float]:
+    """same_orthant_distance, the cone path ||a|| + ||b|| (None where it overflows
+    a float) and distance_upper_bound, the smaller of the two that exist. Each
+    norm sums its point's lengths in the sorted union's order, its own one."""
+    same, xa, xb = _same_orthant(a, b)
+    try:
+        cone = _finite("cone path", lambda: sum(_euclidean("norm", [w for w in x if w]) for x in (xa, xb)))
+    except ValueError:
+        if same is None:
+            raise
+        return same, None, same
+    return same, cone, cone if same is None else min(same, cone)
+
+
 def distance_upper_bound(a: TreePoint, b: TreePoint) -> float:
     """Upper bound on geodesic distance: the straight segment when the two
     points share an orthant (where it is exact), else the path through the
-    cone point of length ||a|| + ||b||. The union of splits is sorted once:
-    each norm sums its point's lengths in that order, its own canonical one."""
-    same, xa, xb = _same_orthant(a, b)
-    cone = _finite("cone path", lambda: sum(_euclidean("norm", [w for w in x if w]) for x in (xa, xb)))
-    return cone if same is None else min(same, cone)
+    cone point of length ||a|| + ||b||, unless that overflows a float."""
+    return _distances(a, b)[2]

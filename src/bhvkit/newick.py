@@ -43,7 +43,7 @@ from .errors import (
 )
 from .measure import TreePoint
 from .splits import MAX_LEAVES, check_leaf_count, full_mask
-from .topology import Topology, _clade_tree, _laminar_split
+from .topology import Topology, _laminar_split
 
 # Punctuation, a ':' with its number (matched as a prefix), labels, and the
 # rejected quote and bracket characters: every character of the text falls
@@ -220,7 +220,7 @@ def to_newick(x: TreePoint) -> str:
     """Canonical Newick string: rooted at the internal node holding leaf 1,
     children ordered by smallest descendant leaf, shortest round-trip
     lengths. parse_newick(to_newick(x)) reproduces x."""
-    tree = _clade_tree(x.topology)
+    tree = x.topology._clades()
     # each item's ':' and length, if it has one; a clade has two or more bits, a leaf one
     suffix = {s.clade: f":{float(w)!r}" for s, w in x.lengths.items()}
     suffix.update({1 << leaf - 1: f":{float(w)!r}" for leaf, w in (x.leaf_lengths or {}).items()})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import LeafCountMismatch, LeafOutOfRange, SubsetTooSmall
 
@@ -155,29 +155,14 @@ def are_compatible(a: Split, b: Split) -> bool:
     """True if the two splits can appear together in one tree.
 
     Tests the defining condition directly: at least one of the four
-    pairwise intersections of sides must be empty.
+    pairwise intersections of sides must be empty. Whole sets are decided
+    by the clade-tree walk of bhvkit.topology; this names a crossing pair.
     """
     if a.n != b.n:
         raise LeafCountMismatch(f"splits over n={a.n} and n={b.n}")
     am, bm = a.mask, b.mask
     ac, bc = a.complement_mask, b.complement_mask
     return not (am & bm) or not (am & bc) or not (ac & bm) or not (ac & bc)
-
-
-def incompatible_pair(splits: Sequence[Split]) -> tuple[Split, Split] | None:
-    """The first pair of splits, in the given order, that cannot share a tree, or None.
-
-    Canonical sides hold at most n/2 leaves and a half-size side holds leaf
-    1, so two never cover every leaf: a pair is compatible exactly when its
-    sides are disjoint or nested.
-    """
-    masks = [s.mask for s in splits]
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            both = a & b
-            if both and both != a and both != b:
-                return splits[i], splits[masks.index(b, i + 1)]
-    return None
 
 
 def enumerate_splits(n: int) -> list[Split]:

@@ -3,11 +3,12 @@
 A topology is a set of pairwise-compatible splits on n leaves; it names a
 face of tree space with one coordinate per split. Hung from leaf 1, each
 split names the clade below its edge (Split.clade, the side without leaf
-1), and the clades of a compatible set form a laminar family. So the tree
-realizing the set needs no explicit graph: _clade_tree reads its nodes,
-child edges and leaves off mask containment, and clade_children, degree
+1), and a set is compatible exactly when its clades form a laminar family.
+So one walk decides both: _clade_tree reads the realizing tree's nodes,
+child edges and leaves off mask containment, or finds two clades that
+cross. A Topology keeps the tree it walked, and clade_children, degree
 sequences, orthant counts, the DOT rendering and the canonical Newick all
-follow from it.
+read it.
 The binary census is built by leaf insertion on the same clade masks: its
 trees share one Split per split, and a read-only index maps each split mask
 to the bitset of census trees holding it, so enumerating the refinements
@@ -30,7 +31,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from math import prod
 from types import MappingProxyType
 
@@ -46,10 +47,10 @@ from .splits import (
     Split,
     _canonical_side,
     apply_permutation,
+    are_compatible,
     check_leaf_count,
     enumerate_splits,
     full_mask,
-    incompatible_pair,
     split_key,
 )
 
@@ -69,15 +70,17 @@ def double_factorial(m: int) -> int:
 class Topology:
     """A face of tree space: n leaves plus a pairwise-compatible split set.
 
-    The constructor checks the leaf count, each split's n, the n-3 bound and
-    pairwise compatibility. _laminar builds the same frozen value without
-    those checks, and only the census and parse_newick call it (the module
-    docstring says why their splits are compatible); its result compares
-    and hashes equal to the checked one.
+    The constructor checks the leaf count, each split's n and the n-3 bound,
+    and keeps the clade tree whose walk decides compatibility. _laminar, for
+    the census and parse_newick only (the module docstring says why their
+    splits are compatible), builds an equal value without the checks or the
+    tree; its first reader walks it: one idempotent write from immutable
+    data to a slot no caller reaches, so a Topology is still safe to share.
     """
 
     n: int
     splits: frozenset[Split] = field(default_factory=frozenset)
+    _tree: dict[int, list[int]] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "splits", frozenset(self.splits))  # no caller's set to change
@@ -89,9 +92,9 @@ class Topology:
             raise TooManySplits(
                 f"{len(self.splits)} splits exceed n-3 = {self.n - 3}"
             )
-        pair = incompatible_pair(sorted(self.splits, key=split_key))
-        if pair:
-            raise IncompatiblePair(*pair)
+        if self._clades() is None:  # two clades cross: name the first such pair in canonical order
+            ordered = sorted(self.splits, key=split_key)
+            raise IncompatiblePair(*next(p for p in combinations(ordered, 2) if not are_compatible(*p)))
 
     @classmethod
     def _laminar(cls, n: int, splits: frozenset[Split]) -> "Topology":
@@ -100,7 +103,14 @@ class Topology:
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "splits", splits)
+        object.__setattr__(t, "_tree", None)
         return t
+
+    def _clades(self) -> dict[int, list[int]] | None:
+        """_clade_tree of the splits, walked at most once per Topology; read-only."""
+        if self._tree is None:
+            object.__setattr__(self, "_tree", _clade_tree([s.clade for s in self.splits], self.n))
+        return self._tree
 
     @property
     def p(self) -> int:
@@ -130,7 +140,7 @@ class Topology:
         order and node 0 is the one node left over (canonical sides of one
         node's edges never overlap, so no node is named twice).
         """
-        tree = _clade_tree(self)
+        tree = self._clades()
         parent = {item: node for node, items in tree.items() for item in items}  # clades and leaf bits
         node_id = dict.fromkeys(tree, 0)
         for i, s in enumerate(self.sorted_splits, start=1):
@@ -169,23 +179,30 @@ def is_binary(t: Topology) -> bool:
     return t.p == t.n - 3
 
 
-def _clade_tree(t: Topology) -> dict[int, list[int]]:
-    """clade_children with each node's own leaves, as one-bit masks, among its
-    child clades in order of lowest leaf; the root comes last. By ascending
-    size, a clade is the parent of the tops (earlier clades with no parent
-    yet) inside it; tops are disjoint and keyed by lowest bit, so peeling the
-    clade from its lowest bit takes off a top or a leaf: n + p steps in all."""
+def _clade_tree(clades, n: int) -> dict[int, list[int]] | None:
+    """clade_children of distinct clades on n leaves, with each node's own leaves,
+    as one-bit masks, among its child clades in order of lowest leaf; the root
+    comes last. By ascending size, a clade is the parent of the tops (earlier
+    clades with no parent yet) inside it; tops are disjoint and keyed by lowest
+    bit, so peeling the clade from its lowest bit takes off a top or a leaf:
+    n + p steps in all. None when two clades cross: then a peeled leaf keys no
+    top yet lies in an earlier clade (the clade's own, or one toggled in by
+    peeling a top the clade does not hold)."""
     tops: dict[int, int] = {}  # lowest bit -> a clade with no parent yet
     tree = {}
-    for node in sorted((s.clade for s in t.splits), key=int.bit_count) + [full_mask(t.n)]:
+    seen = 0  # the leaves of the earlier clades
+    for node in sorted(clades, key=int.bit_count) + [full_mask(n)]:
         items, rest = [], node
         while rest:
             low = rest & -rest
             item = tops.pop(low, low)
+            if item & seen == low:
+                return None
             items.append(item)
             rest ^= item
         tree[node] = items
         tops[node & -node] = node
+        seen |= node
     return tree
 
 
@@ -194,7 +211,7 @@ def clade_children(t: Topology) -> dict[int, list[int]]:
     node to the clades of its child edges, in order of lowest leaf. A node is
     named by its clade: the full leaf mask for the root (the node holding leaf
     1) and Split.clade for the node below each split's edge."""
-    return {node: [c for c in items if c & c - 1] for node, items in _clade_tree(t).items()}
+    return {node: [c for c in items if c & c - 1] for node, items in t._clades().items()}
 
 
 def degree_sequence(t: Topology) -> tuple[int, ...]:
@@ -202,7 +219,7 @@ def degree_sequence(t: Topology) -> tuple[int, ...]:
     node, its child edges, its own leaves and, below the root, its parent
     edge."""
     root = full_mask(t.n)
-    degrees = [len(items) + (node != root) for node, items in _clade_tree(t).items()]
+    degrees = [len(items) + (node != root) for node, items in t._clades().items()]
     return tuple(sorted(degrees, reverse=True))
 
 
@@ -233,7 +250,6 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     so its frozenset table is sized once, and each tree sets its bits in
     the index rows as it is made.
     """
-    check_leaf_count(n)
     if n > MAX_CENSUS_LEAVES:
         raise EnumerationTooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
                                   f"(2n-5)!! = {double_factorial(2 * n - 5)}")
@@ -308,9 +324,9 @@ def enumerate_binary_topologies(n: int):
 
     The census is built once per n by leaf insertion on clade masks and
     cached; its trees share one Split object per split. Raises
-    EnumerationTooLarge up front for n > MAX_CENSUS_LEAVES.
+    EnumerationTooLarge up front for n > MAX_CENSUS_LEAVES; checks n first.
     """
-    return iter(_census(n)[0])
+    return iter(_census(check_leaf_count(n))[0])
 
 
 def enumerate_binary_refinements(t: Topology) -> list[Topology]:

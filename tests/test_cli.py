@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import bhvkit
@@ -280,18 +280,16 @@ def test_dist_incompatible_uses_cone_path(capsys):
 
 
 def test_dist_computes_the_same_orthant_distance_once(capsys, monkeypatch):
-    import bhvkit.cli
     import bhvkit.measure
 
     calls = []
-    real = bhvkit.measure.same_orthant_distance
+    real = bhvkit.measure._same_orthant
 
     def counted(a, b):
         calls.append(1)
         return real(a, b)
 
-    monkeypatch.setattr(bhvkit.measure, "same_orthant_distance", counted)
-    monkeypatch.setattr(bhvkit.cli, "same_orthant_distance", counted)
+    monkeypatch.setattr(bhvkit.measure, "_same_orthant", counted)
     code, out, _ = run(capsys, "dist", "((1,2):0.3,3,4,5,6);", "((1,2):0.8,3,4,5,6);")
     assert code == 0
     assert json.loads(out) == {"same_orthant": 0.5, "cone_path": 1.1, "upper_bound": 0.5}
@@ -446,13 +444,20 @@ def test_count_refine_must_be_a_list_of_leaf_lists(capsys, refine):
         ("volume", "(1,2,3,4);", "--eps", "1e308"),  # the volume rounds to inf
         ("volume", "(1,2,3,4,5);", "--eps", "1e200"),  # eps**2 raises OverflowError
         ("volume", "((1,2,3):1e200,4,5,6);", "--eps", "2.47e102"),  # only the upper bound is inf
-        ("dist", "((1,2):1e308,3,4,5);", "((1,2):1e308,3,4,5);"),  # the cone path overflows
+        ("dist", "((1,2):1e308,3,4,5);", "((1,3):1e308,2,4,5);"),  # no shared orthant, cone path inf
     ],
 )
 def test_float_overflow_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert_rejected(code, out, err)
     assert "not a finite float" in err
+
+
+@pytest.mark.parametrize("tree", ["((1,2):1e308,3,4,5);", "((1,2):8.98846567431158e+307,3,4,5,6);"])
+def test_dist_bound_is_the_same_orthant_distance_where_the_cone_path_overflows(capsys, tree):
+    code, out, err = run(capsys, "dist", tree, tree)
+    assert (code, err) == (0, "")
+    assert out == '{"same_orthant":0.0,"cone_path":null,"upper_bound":0.0}\n'
 
 
 def test_dist_of_finite_norms_past_the_square_overflow(capsys):
@@ -768,3 +773,27 @@ def test_fuzzed_cli_runs_give_a_documented_code_and_at_most_one_error_line(tree_
     assert code in (0, 1, 2, 3, 4, 5)
     assert len(err.getvalue().splitlines()) <= 1
     assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
+
+
+def _main(*argv):
+    """(exit code, stdout, stderr) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(newick_trees(), JSON_TREES.map(json.dumps)), st.sampled_from(["1e-300", "0.01"]))
+def test_parse_reports_parse_back_to_themselves(tree, eps):
+    # a parse report's newick, and the report without it as a JSON tree, each
+    # give the same report again, and the same volume and dist reports
+    code, out, _ = _main("parse", tree)
+    assume(code == 0)
+    event("JSON tree" if tree.startswith("{") else "Newick tree")
+    report = json.loads(out)
+    forms = [tree, report.pop("newick"), json.dumps(report)]
+    for form in forms[1:]:
+        assert _main("parse", form) == (0, out, "")
+    assert len({_main("volume", form, "--eps", eps) for form in forms}) == 1
+    assert len({_main("dist", form, tree) for form in forms}) == 1

@@ -381,6 +381,16 @@ def test_distances_sum_in_canonical_split_order(n, rnd):
     assert distance_upper_bound(xa, xb) == (cone if same is None else min(same, cone))
 
 
+def test_cone_path_overflow_leaves_the_same_orthant_bound():
+    big = 8.98846567431158e307  # two such norms sum past the float range
+    x = TreePoint(make_topology([make_split({1, 2}, 6)], 6), {make_split({1, 2}, 6): big})
+    y = TreePoint(make_topology([make_split({1, 3}, 6)], 6), {make_split({1, 3}, 6): big})
+    assert same_orthant_distance(x, x) == distance_upper_bound(x, x) == 0.0
+    assert same_orthant_distance(x, y) is None
+    with pytest.raises(ValueError, match="^cone path is not a finite float$"):
+        distance_upper_bound(x, y)
+
+
 def test_is_cone_point():
     assert is_cone_point(cone_point(5))
     assert not is_cone_point(point(6, [((1, 2), 0.1)]))

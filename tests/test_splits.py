@@ -18,7 +18,8 @@ from bhvkit import (
     make_split,
     split_of_mask,
 )
-from bhvkit.splits import incompatible_pair, leaves_of, mask_of, set_bits, split_key
+from bhvkit.splits import leaves_of, mask_of, set_bits, split_key
+from bhvkit.topology import _clade_tree
 from helpers import compatible_disjoint_or_nested
 
 
@@ -223,16 +224,17 @@ def test_compatibility_definitions_agree():
 
 
 def test_pairwise_compatible_agrees_with_are_compatible():
+    # the clade-tree walk decides compatibility; are_compatible is the definition
     for n in range(4, 8):
         splits = enumerate_splits(n)
         for a, b in combinations(splits, 2):
-            assert (incompatible_pair([a, b]) is None) == are_compatible(a, b)
+            assert (_clade_tree([a.clade, b.clade], n) is not None) == are_compatible(a, b)
     rng = random.Random(515)
     for _ in range(2000):
         n = rng.randint(5, 12)
         chosen = rng.sample(enumerate_splits(n), rng.randint(0, 5))
         expected = all(are_compatible(a, b) for a, b in combinations(chosen, 2))
-        assert (incompatible_pair(chosen) is None) == expected
+        assert (_clade_tree([s.clade for s in chosen], n) is not None) == expected
 
 
 def test_enumeration_order_is_size_then_lex():

@@ -19,6 +19,7 @@ from bhvkit import (
     TreePoint,
     apply_permutation,
     are_compatible,
+    ball_volume,
     clade_children,
     count_refining_orthants,
     degree_sequence,
@@ -29,10 +30,12 @@ from bhvkit import (
     is_binary,
     make_split,
     make_topology,
+    parse_newick,
     split_of_mask,
     to_newick,
 )
-from bhvkit.topology import _DENSE, _census, _laminar_split, _select
+from bhvkit import topology
+from bhvkit.topology import _DENSE, _census, _clade_tree, _laminar_split, _select
 from helpers import (
     all_faces,
     census_by_graph_walk,
@@ -84,7 +87,7 @@ def test_incompatible_pair_names_the_pair():
 
 
 def test_too_many_splits():
-    with pytest.raises(TooManySplits):
+    with pytest.raises(TooManySplits, match=r"^4 splits exceed n-3 = 3$"):
         make_topology(splits(6, {1, 2}, {1, 3}, {1, 4}, {1, 5}), 6)
 
 
@@ -359,6 +362,24 @@ def test_binary_enumeration_cap():
         enumerate_binary_refinements(make_topology((), 11))
 
 
+@pytest.mark.parametrize("n", [[5], 5.0, True, "5"])
+def test_binary_enumeration_rejects_a_leaf_count_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="^leaf count must be an integer, got "):
+        enumerate_binary_topologies(n)
+
+
+def test_binary_enumeration_cap_at_its_boundary(monkeypatch):
+    # with the cap lowered to 6, n = 6 builds and n = 7 is refused; no n = 10 census is built
+    _census.cache_clear()
+    monkeypatch.setattr(topology, "MAX_CENSUS_LEAVES", 6)
+    try:
+        assert len(list(enumerate_binary_topologies(6))) == 105
+        with pytest.raises(EnumerationTooLarge, match=r"^census capped at n = 6, got 7: \(2n-5\)!! = 945$"):
+            enumerate_binary_topologies(7)
+    finally:
+        _census.cache_clear()
+
+
 def test_is_binary():
     assert not is_binary(make_topology((), 5))
     assert not is_binary(make_topology(splits(6, {1, 2}, {1, 2, 3}), 6))
@@ -442,6 +463,58 @@ def test_clade_tree_matches_parent_search(n, keep, leaf_lengths, rnd):
     leaves = {leaf: rnd.choice([0.0, 0.5, rnd.uniform(0, 3)]) for leaf in range(1, n + 1, 2)}
     x = TreePoint(t, lengths, leaves if leaf_lengths else None)
     assert to_newick(x) == to_newick_by_parent_search(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 16), st.sampled_from([1.0, 0.5]), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_clade_tree_walk_decides_compatibility(n, keep, extra, rnd):
+    # a random face plus up to two splits, random or a face clade with one leaf
+    # moved out and one in: laminar sets, and crossing ones far and near
+    chosen = set(random_face(rnd, n, keep).splits)
+    for _ in range(extra):
+        if chosen and rnd.random() < 0.5:
+            clade = rnd.choice(sorted(s.clade for s in chosen))
+            mask = clade ^ (clade & -clade) ^ (1 << rnd.choice([i for i in range(n) if not clade >> i & 1]))
+        else:
+            mask = sum(1 << i for i in rnd.sample(range(n), rnd.randint(2, n - 2)))
+        chosen.add(split_of_mask(mask, n))
+    tree = _clade_tree([s.clade for s in chosen], n)
+    assert (tree is not None) == all(are_compatible(a, b) for a, b in combinations(chosen, 2))
+    if tree is None:
+        return
+    children = clade_children_by_parent_search(Topology(n, frozenset(chosen)))
+    assert tree.keys() == children.keys()
+    for node, kids in children.items():
+        below = 0
+        for c in kids:
+            below |= c
+        leaves = [1 << i for i in range(n) if (node ^ below) >> i & 1]
+        assert tree[node] == sorted(kids + leaves, key=lambda c: c & -c)
+
+
+def test_each_topology_walks_its_clade_tree_at_most_once(monkeypatch):
+    calls = []
+    real = topology._clade_tree
+
+    def counted(clades, n):
+        calls.append(n)
+        return real(clades, n)
+
+    monkeypatch.setattr(topology, "_clade_tree", counted)
+    x = parse_newick("((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45),7,8);")
+    assert calls == []  # the trusted path leaves the tree to its first reader
+    degree_sequence(x.topology)
+    ball_volume(x, 0.01)
+    to_newick(x)
+    x.topology.to_dot()
+    assert calls == [8]
+    t = make_topology(splits(7, {1, 2}, {1, 2, 3}), 7)
+    assert calls == [8, 7]  # the constructor's walk, which validates
+    count_refining_orthants(t)
+    degree_sequence(t)
+    clade_children(t)
+    t.to_dot()
+    assert calls == [8, 7]
 
 
 def test_topology_keeps_no_caller_container():
