@@ -9,11 +9,11 @@ child edges and leaves off mask containment, or finds two clades that
 cross. A Topology keeps the tree it walked, and clade_children, degree
 sequences, orthant counts, the DOT rendering and the canonical Newick all
 read it.
-The binary census is built by leaf insertion on the same clade masks: its
-trees share one Split per split, and a read-only index maps each split mask
-to the bitset of census trees holding it, so enumerating the refinements
-of a face, still an exhaustive filter over the census, is an AND of
-bitsets.
+The binary census is built by leaf insertion on the same clade masks, the
+last leaf by frozenset algebra along each tree's edges: its trees share one
+Split per split and none hashes one. A read-only index maps each split mask
+to the bitset of census trees holding it, so enumerating the refinements of
+a face, still an exhaustive filter over the census, is an AND of bitsets.
 
 Topology(...) and make_topology check every split set they are given. The
 trusted paths, Topology._laminar and _laminar_split (a Split without its
@@ -101,9 +101,9 @@ class Topology:
         """A Topology from splits on n leaves that are pairwise compatible by
         construction, built without the checks of __post_init__."""
         t = object.__new__(cls)
-        object.__setattr__(t, "n", n)
-        object.__setattr__(t, "splits", splits)
-        object.__setattr__(t, "_tree", None)
+        _SET_N(t, n)  # the slots' own descriptors: frozen, so no instance __setattr__ to go through
+        _SET_SPLITS(t, splits)
+        _SET_TREE(t, None)
         return t
 
     def _clades(self) -> dict[int, list[int]] | None:
@@ -155,6 +155,9 @@ class Topology:
         lines += [f"  leaf{leaf} -- n{node_id[parent[1 << leaf - 1]]};" for leaf in range(1, self.n + 1)]
         lines.append("}")
         return "\n".join(lines)
+
+
+_SET_N, _SET_SPLITS, _SET_TREE = Topology.n.__set__, Topology.splits.__set__, Topology._tree.__set__
 
 
 def _laminar_split(mask: int, n: int) -> Split:
@@ -243,44 +246,53 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     by every tree. The clades of one tree form a laminar family, so each
     tree goes through the trusted Topology._laminar, unchecked.
 
-    The last leaf is inserted without building the new tree's clade list:
-    each internal clade of the parent keeps its Split, or takes the one
-    with leaf n added when it contains the insertion edge, and the edge
-    itself adds one more split. Each split set is built as a set first,
-    so its frozenset table is sized once, and each tree sets its bits in
-    the index rows as it is made.
+    The last leaf goes in by set algebra on frozensets, which keep their
+    members' hashes, so no tree calls Split.__hash__. Leaf n joins the
+    clades of the insertion edge and of its ancestors, so each edge carries
+    its parent edge and a tree on n-1 leaves is walked ancestors first: an
+    edge's split set is its parent's, with its own split traded for the one
+    holding n (`^ swap[c]`) when its clade is a split both ways, and the
+    root edge's is the tree's splits. Each new tree is its edge's set
+    `| cherry[c]`, the split the new edge adds, and sets its bits in the
+    index rows as it is made.
     """
     if n > MAX_CENSUS_LEAVES:
         raise EnumerationTooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
                                   f"(2n-5)!! = {double_factorial(2 * n - 5)}")
+    laminar = Topology._laminar
+    if n == 3:
+        return (laminar(3, frozenset()),), MappingProxyType({})
     shared = {s.clade: s for s in enumerate_splits(n)}
     rows = {s.mask: bytearray((double_factorial(2 * n - 5) + 7) // 8) for s in shared.values()}
     trees: list[Topology] = []
-    laminar = Topology._laminar
     last = 1 << (n - 1)
+    # a clade on n-1 leaves that is a split both ways (no leaf edge, nor the root) -> both splits
+    swap = {c: frozenset((s, shared[c | last])) for c, s in shared.items() if c < last and c | last in shared}
+    # the edge with clade c -> the split inserting leaf n there adds: c, or the cherry c + {n}
+    cherry = {c: frozenset((shared.get(c) or shared[c | last],)) for c in range(2, last, 2)}
 
-    def grow(k: int, clades: list[int]):
+    def grow(k: int, clades: list[int], parents: list[int]):
         if k < n:
-            leaf = 1 << (k - 1)
-            for below in clades:
-                grow(k + 1, [c | leaf if c & below == below else c for c in clades] + [below, leaf])
+            leaf, m = 1 << (k - 1), len(clades)
+            for i, below in enumerate(clades):
+                # edge i keeps the upper half; m, the lower half, takes i's children, and m + 1 is leaf k
+                grow(k + 1, [c | leaf if c & below == below else c for c in clades] + [below, leaf],
+                     [m if p == i else p for p in parents] + [i, i])
             return
-        # (clade, its split, its split once it holds leaf n) for each clade that is a split
-        # both ways: not a leaf edge, nor the root edge, which then holds n-1 leaves
-        inner = [(c, shared[c], shared[c | last]) for c in clades if c in shared and c | last in shared]
-        for below in clades:
+        # each edge's split set, larger clades (ancestors) first; the root edge's parent, -1,
+        # reads the last entry, the tree's own splits
+        states = [frozenset([shared[c] for c in clades if c in swap])] * (len(clades) + 1)
+        for j in sorted(range(len(clades)), key=[-c.bit_count() for c in clades].__getitem__):
+            traded = swap.get(clades[j])
+            states[j] = states[parents[j]] ^ traded if traded else states[parents[j]]
+        for below, state in zip(clades, states):
             byte, bit = len(trees) >> 3, 1 << (len(trees) & 7)
-            # a frozenset copied from a set gets a table sized once, not grown per insert
-            splits = {grown if c & below == below else kept for c, kept, grown in inner}
-            splits.add(shared.get(below) or shared[below | last])  # a leaf edge makes a cherry
+            splits = state | cherry[below]
             for s in splits:
                 rows[s.mask][byte] |= bit
-            trees.append(laminar(n, frozenset(splits)))
+            trees.append(laminar(n, splits))
 
-    if n == 3:
-        trees.append(laminar(3, frozenset()))
-    else:
-        grow(4, [0b10, 0b100, 0b110])
+    grow(4, [0b10, 0b100, 0b110], [2, 2, -1])  # hung from leaf 1, the root edge has clade 0b110
     # each row is freed as it is read, so the rows and the index are never both whole
     index = {mask: int.from_bytes(rows.pop(mask), "little") for mask in list(rows)}
     return tuple(trees), MappingProxyType(index)

@@ -2,6 +2,7 @@ import random
 import sys
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -216,6 +217,38 @@ def test_split_and_topology_hold_no_instance_dict():
 def test_census_split_sets_are_no_larger_than_set_built_ones(n):
     for t in enumerate_binary_topologies(n):
         assert sys.getsizeof(t.splits) <= sys.getsizeof(frozenset(set(t.splits)))
+
+
+def test_census_build_makes_fewer_split_hashes_than_trees():
+    # the last leaf goes in by set algebra on frozensets that keep their members' hashes;
+    # a per-tree set of the splits made 51,975 calls here, five per tree
+    calls = 0
+    hash_of = Split.__hash__
+
+    def counting(s):
+        nonlocal calls
+        calls += 1
+        return hash_of(s)
+
+    with mock.patch.object(Split, "__hash__", counting):
+        trees, _ = _census.__wrapped__(8)  # past the lru_cache: a fresh build
+    assert len(trees) == 10395
+    assert 0 < calls < len(trees)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_census_trees_hold_the_very_splits_enumerate_splits_made(n):
+    made = []
+
+    def recording(m):
+        made.extend(enumerate_splits(m))
+        return list(made)
+
+    with mock.patch.object(topology, "enumerate_splits", recording):
+        trees, _ = _census.__wrapped__(n)
+    by_mask = {s.mask: s for s in made}
+    assert len(by_mask) == len(made)
+    assert all(s is by_mask[s.mask] for t in trees for s in t.splits)
 
 
 def _random_permutation(rnd, n):
