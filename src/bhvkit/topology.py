@@ -101,7 +101,7 @@ class Topology:
         """A Topology from splits on n leaves that are pairwise compatible by
         construction, built without the checks of __post_init__."""
         t = object.__new__(cls)
-        _SET_N(t, n)  # the slots' own descriptors: frozen, so no instance __setattr__ to go through
+        _SET_N(t, n)  # each slot's own setter: cheaper than object.__setattr__ on a frozen class
         _SET_SPLITS(t, splits)
         _SET_TREE(t, None)
         return t
