@@ -266,7 +266,7 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     rows = {s.mask: bytearray((double_factorial(2 * n - 5) + 7) // 8) for s in shared.values()}
     trees: list[Topology] = []
     last = 1 << (n - 1)
-    # a clade on n-1 leaves that is a split both ways (no leaf edge, nor the root) -> both splits
+    # a clade on n-1 leaves that is a split both ways (not a leaf or the root edge) -> its two splits
     swap = {c: frozenset((s, shared[c | last])) for c, s in shared.items() if c < last and c | last in shared}
     # the edge with clade c -> the split inserting leaf n there adds: c, or the cherry c + {n}
     cherry = {c: frozenset((shared.get(c) or shared[c | last],)) for c in range(2, last, 2)}

@@ -220,8 +220,8 @@ def test_census_split_sets_are_no_larger_than_set_built_ones(n):
 
 
 def test_census_build_makes_fewer_split_hashes_than_trees():
-    # the last leaf goes in by set algebra on frozensets that keep their members' hashes;
-    # a per-tree set of the splits made 51,975 calls here, five per tree
+    # hashing each tree's five splits would take 51,975 calls; the build hashes only the
+    # splits of the 945 trees on 7 leaves and its per-n tables
     calls = 0
     hash_of = Split.__hash__
 
