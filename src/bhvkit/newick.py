@@ -213,7 +213,7 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
                 leaf_lengths[index[names[first]]] = w
         elif w:
             lengths[_laminar_split(below[end] ^ below[first], n)] = w
-    return TreePoint(Topology._laminar(n, frozenset(lengths)), lengths, leaf_lengths)
+    return TreePoint(Topology._laminar(n, [frozenset(lengths)])[0], lengths, leaf_lengths)
 
 
 def to_newick(x: TreePoint) -> str:

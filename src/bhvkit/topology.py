@@ -10,8 +10,9 @@ cross. A Topology keeps the tree it walked, and clade_children, degree
 sequences, orthant counts, the DOT rendering and the canonical Newick all
 read it.
 The binary census is built by leaf insertion on the same clade masks, the
-last leaf by frozenset algebra along each tree's edges: its trees share one
-Split per split and none hashes one. A read-only index maps each split mask
+last leaf by frozenset algebra along each tree's edges, with the cyclic GC
+paused: its trees share one Split per split, none hashes one, and they are
+made in one batch. A read-only index maps each split mask
 to the bitset of census trees holding it, so enumerating the refinements of
 a face, still an exhaustive filter over the census, is an AND of bitsets.
 
@@ -19,19 +20,21 @@ Topology(...) and make_topology check every split set they are given. The
 trusted paths, Topology._laminar and _laminar_split (a Split without its
 checks, on the side splits._canonical_side picks, as for every Split), skip
 them. Their callers build splits valid by construction:
-- the census, through _laminar: each tree's splits are the clades of one
-  tree grown by leaf insertion, and the clades of a tree form a laminar family;
+- the census, through _laminar, all trees in one call: each tree's splits are
+  the clades of one tree grown by leaf insertion, a laminar family;
 - parse_newick, through both: the splits are the clades of the one tree it
   parsed, two or more leaves on each side, and it checks the leaf count.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from math import prod
 from types import MappingProxyType
 
@@ -73,8 +76,8 @@ class Topology:
     The constructor checks the leaf count, each split's n and the n-3 bound,
     and keeps the clade tree whose walk decides compatibility. _laminar, for
     the census and parse_newick only (the module docstring says why their
-    splits are compatible), builds an equal value without the checks or the
-    tree; its first reader walks it: one idempotent write from immutable
+    splits are compatible), builds equal values without the checks or the
+    tree; a value's first reader walks it: one idempotent write from immutable
     data to a slot no caller reaches, so a Topology is still safe to share.
     """
 
@@ -97,14 +100,15 @@ class Topology:
             raise IncompatiblePair(*next(p for p in combinations(ordered, 2) if not are_compatible(*p)))
 
     @classmethod
-    def _laminar(cls, n: int, splits: frozenset[Split]) -> "Topology":
-        """A Topology from splits on n leaves that are pairwise compatible by
-        construction, built without the checks of __post_init__."""
-        t = object.__new__(cls)
-        _SET_N(t, n)  # each slot's own setter: cheaper than object.__setattr__ on a frozen class
-        _SET_SPLITS(t, splits)
-        _SET_TREE(t, None)
-        return t
+    def _laminar(cls, n: int, split_sets: list[frozenset[Split]]) -> tuple["Topology", ...]:
+        """One Topology per frozenset in split_sets, each of splits on n leaves
+        that are pairwise compatible by construction, built without the checks
+        of __post_init__ in one batch of C-level maps."""
+        trees = tuple(map(object.__new__, repeat(cls, len(split_sets))))
+        deque(map(_SET_N, trees, repeat(n)), 0)  # slot setters: cheaper than object.__setattr__
+        deque(map(_SET_SPLITS, trees, split_sets), 0)
+        deque(map(_SET_TREE, trees, repeat(None)), 0)
+        return trees
 
     def _clades(self) -> dict[int, list[int]] | None:
         """_clade_tree of the splits, walked at most once per Topology; read-only."""
@@ -243,8 +247,8 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     every tree on k-1 leaves takes leaf k once, which realizes the
     classical bijection, so no deduplication is needed. The internal
     splits are the clades of size 2..n-2; one Split per clade is shared
-    by every tree. The clades of one tree form a laminar family, so each
-    tree goes through the trusted Topology._laminar, unchecked.
+    by every tree. The clades of one tree form a laminar family, so all
+    the trees go through the trusted Topology._laminar at once, unchecked.
 
     The last leaf goes in by set algebra on frozensets, which keep their
     members' hashes, so no tree calls Split.__hash__. Leaf n joins the
@@ -252,19 +256,22 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     its parent edge and a tree on n-1 leaves is walked ancestors first: an
     edge's split set is its parent's, with its own split traded for the one
     holding n (`^ swap[c]`) when its clade is a split both ways, and the
-    root edge's is the tree's splits. Each new tree is its edge's set
-    `| cherry[c]`, the split the new edge adds, and sets its bits in the
-    index rows as it is made.
+    root edge's is the tree's splits. Each new tree's set is its edge's
+    set `| cherry[c]`, the split the new edge adds; the sets of one tree's
+    children are made in one map and then set their bits in the index rows.
+
+    The cyclic GC is paused for the walk and the batch (they make no cycles)
+    and the caller's setting restored after, also on an error; another
+    thread's gc.enable() or gc.disable() meanwhile may be overridden.
     """
     if n > MAX_CENSUS_LEAVES:
         raise EnumerationTooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
                                   f"(2n-5)!! = {double_factorial(2 * n - 5)}")
-    laminar = Topology._laminar
     if n == 3:
-        return (laminar(3, frozenset()),), MappingProxyType({})
+        return Topology._laminar(3, [frozenset()]), MappingProxyType({})
     shared = {s.clade: s for s in enumerate_splits(n)}
     rows = {s.mask: bytearray((double_factorial(2 * n - 5) + 7) // 8) for s in shared.values()}
-    trees: list[Topology] = []
+    sets: list[frozenset[Split]] = []  # each census tree's splits, in census order
     last = 1 << (n - 1)
     # a clade on n-1 leaves that is a split both ways (not a leaf or the root edge) -> its two splits
     swap = {c: frozenset((s, shared[c | last])) for c, s in shared.items() if c < last and c | last in shared}
@@ -285,17 +292,24 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
         for j in sorted(range(len(clades)), key=[-c.bit_count() for c in clades].__getitem__):
             traded = swap.get(clades[j])
             states[j] = states[parents[j]] ^ traded if traded else states[parents[j]]
-        for below, state in zip(clades, states):
-            byte, bit = len(trees) >> 3, 1 << (len(trees) & 7)
-            splits = state | cherry[below]
+        i = len(sets)
+        sets.extend(map(frozenset.union, states, map(cherry.__getitem__, clades)))
+        for j, splits in enumerate(sets[i:], i):
+            byte, bit = j >> 3, 1 << (j & 7)
             for s in splits:
                 rows[s.mask][byte] |= bit
-            trees.append(laminar(n, splits))
 
-    grow(4, [0b10, 0b100, 0b110], [2, 2, -1])  # hung from leaf 1, the root edge has clade 0b110
+    enabled = gc.isenabled()
+    gc.disable()  # the build's frozensets and trees form no cycles; refcounting still frees
+    try:
+        grow(4, [0b10, 0b100, 0b110], [2, 2, -1])  # hung from leaf 1, the root edge has clade 0b110
+        trees = Topology._laminar(n, sets)
+    finally:
+        if enabled:
+            gc.enable()
     # each row is freed as it is read, so the rows and the index are never both whole
     index = {mask: int.from_bytes(rows.pop(mask), "little") for mask in list(rows)}
-    return tuple(trees), MappingProxyType(index)
+    return trees, MappingProxyType(index)
 
 
 @lru_cache(maxsize=8)

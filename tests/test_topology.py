@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -249,6 +251,57 @@ def test_census_trees_hold_the_very_splits_enumerate_splits_made(n):
     by_mask = {s.mask: s for s in made}
     assert len(by_mask) == len(made)
     assert all(s is by_mask[s.mask] for t in trees for s in t.splits)
+
+
+# sha256 of each census's canonical text, computed before the census build took
+# its present shape: a reordered census, or a tree or index row changed, fails here
+CENSUS_DIGESTS = {
+    4: "387e20634b948e6ad0ea422d27388f184d25ba5208cf29b86a73fb0c3afab0e6",
+    5: "29f0dc475b5f0f8c702286b957569a31724559354aeafec8f67514108cc8527e",
+    6: "42f32b6174d548c4d54cdea9cc449e7a965f74d16ac42d278262a7c5953fd1c5",
+    7: "12e92b205ab3a099fc54be227b478b4efe08a42a6f4399fee1f96be8c7730b4d",
+    8: "2416f8b4a68d3ea02f4a0b75da3f9a1e759d6e9063b43d692607559afa372b40",
+    9: "beed5432a95905d7c2fdf5c49658ac92570c123d4446a6cd7a87401f10a3a338",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_DIGESTS))
+def test_census_order_and_index_match_their_golden_digest(n):
+    trees, index = _census(n)
+    h = hashlib.sha256()
+    for t in trees:  # one line per tree in census order: its split masks, ascending
+        h.update((" ".join(map(str, sorted(s.mask for s in t.splits))) + "\n").encode())
+    for mask, bits in sorted(index.items()):  # then one line per index row, "mask:bits in hex"
+        h.update(f"{mask}:{bits:x}\n".encode())
+    assert h.hexdigest() == CENSUS_DIGESTS[n]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_census_build_leaves_the_gc_as_it_found_it(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        trees, _ = _census.__wrapped__(7)  # past the lru_cache: a fresh build
+        assert len(trees) == 945
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_census_build_that_fails_restores_the_gc():
+    was = gc.isenabled()
+
+    def failing(n, split_sets):
+        assert not gc.isenabled()  # raised inside the paused region
+        raise RuntimeError("injected")
+
+    try:
+        gc.enable()
+        with mock.patch.object(Topology, "_laminar", failing), pytest.raises(RuntimeError, match="injected"):
+            _census.__wrapped__(7)
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def _random_permutation(rnd, n):
