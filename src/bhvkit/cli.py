@@ -99,10 +99,12 @@ def _parse_tree_line(line: str) -> TreePoint:
 def _load_trees(arg: str) -> list[TreePoint]:
     """Tree argument: '-' for stdin, an existing file (one tree per line,
     '#' comments skipped), or an inline string. Each tree may be Newick or
-    the JSON tree-point schema. A source with no tree is an error."""
+    the JSON tree-point schema; one leading byte-order mark is skipped. A
+    source with no tree is an error."""
     if arg != "-" and not os.path.isfile(arg):
         return [_parse_tree_line(arg)]
     content = sys.stdin.read() if arg == "-" else Path(arg).read_text(encoding="utf-8")
+    content = content.removeprefix("\ufeff")
     trees = [_parse_tree_line(line) for line in iter_newick_lines(content)]
     if not trees:
         raise ValueError(f"{arg}: no tree found")

@@ -27,8 +27,9 @@ class TreePoint:
 
     Finite non-negative leaf-edge lengths may ride along as metadata but
     never enter coordinates, norms, or distances; an empty leaf map is
-    stored as None. Immutable and hashable: both length maps are read-only
-    copies of the mappings passed in.
+    stored as None. No length is a bool, and every leaf is an int.
+    Immutable and hashable: both length maps are read-only copies of the
+    mappings passed in.
     """
 
     topology: Topology
@@ -43,14 +44,18 @@ class TreePoint:
         if frozenset(lengths) != self.topology.splits:  # from a dict: no Split.__hash__ calls
             raise ValueError("lengths must be keyed by exactly the topology's splits")
         for s, w in lengths.items():
+            if type(w) is bool:
+                raise ValueError(f"edge {s} has bool length {w}")
             if not w > 0:
                 raise ValueError(f"edge {s} has nonpositive length {w}; drop it from the topology")
             if not math.isfinite(w):
                 raise ValueError(f"edge {s} has non-finite length {w}")
         n = self.topology.n
         for leaf, w in (leaf_lengths or {}).items():
-            if not 1 <= leaf <= n:
-                raise ValueError(f"leaf {leaf} not in 1..{n}")
+            if type(leaf) is not int or not 1 <= leaf <= n:  # to_json writes str(leaf)
+                raise ValueError(f"leaf {leaf!r} not in 1..{n}")
+            if type(w) is bool:
+                raise ValueError(f"leaf {leaf} has bool length {w}")
             if not (w >= 0 and math.isfinite(w)):
                 raise ValueError(f"leaf {leaf} has negative or non-finite length {w}")
 
@@ -104,13 +109,18 @@ class TreePoint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreePoint":
-        """Inverse of to_json, raising ValueError for a missing or mistyped field.
-        Lengths must be JSON numbers, leaf_lengths keys plain decimal leaf labels."""
+        """Inverse of to_json, raising ValueError for a missing or mistyped field
+        or a split given twice, by either side. Lengths must be JSON numbers,
+        leaf_lengths keys plain decimal leaf labels."""
         try:
             n = obj["n"]
             lengths = {}
             for e in obj["edges"]:
-                lengths[make_split(e["side"], n)] = _json_number(e["length"])
+                w = _json_number(e["length"])  # a bad length is named before a bad side
+                s = make_split(e["side"], n)
+                if s in lengths:  # either side of a split names it
+                    raise ValueError(f"edge {s} is given twice")
+                lengths[s] = w
             leaf = obj.get("leaf_lengths")
             if leaf is not None:
                 leaf = {_json_leaf(k): _json_number(v) for k, v in leaf.items()}

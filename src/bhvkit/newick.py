@@ -42,8 +42,8 @@ from .errors import (
     UnknownLeafName,
 )
 from .measure import TreePoint
-from .splits import MAX_LEAVES, check_leaf_count, full_mask
-from .topology import Topology, _laminar_split
+from .splits import MAX_LEAVES, Split, check_leaf_count, full_mask
+from .topology import Topology
 
 # Punctuation, a ':' with its number (matched as a prefix), labels, and the
 # rejected quote and bracket characters: every character of the text falls
@@ -193,7 +193,7 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
     internal edges are dropped from the topology and leaf edge lengths are
     retained as metadata. The splits are clades of one tree, a laminar
     family whose sides all hold at least two leaves, so each Split is built
-    by the trusted _laminar_split and the topology by Topology._laminar;
+    by the trusted Split._laminar and the topology by Topology._laminar;
     the leaf count is checked here, and TreePoint checks the lengths.
     """
     names, items = _scan(text)
@@ -212,7 +212,7 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
             if w is not None:
                 leaf_lengths[index[names[first]]] = w
         elif w:
-            lengths[_laminar_split(below[end] ^ below[first], n)] = w
+            lengths[Split._laminar(below[end] ^ below[first], n)] = w
     return TreePoint(Topology._laminar(n, [frozenset(lengths)])[0], lengths, leaf_lengths)
 
 

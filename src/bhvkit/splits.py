@@ -4,6 +4,10 @@ A split is the bipartition of the leaf set {1, ..., n} induced by cutting an
 internal edge of an unrooted tree. Only one side is stored, as a bitmask,
 canonicalized to the smaller side (ties at n/2 go to the side containing
 leaf 1). Everything in this module is immutable and pure.
+
+Split(...), split_of_mask and make_split check what they build; the one
+trusted path, Split._laminar, does not. Its callers, enumerate_splits and
+parse_newick, give it sides of two or more leaves on a checked leaf count.
 """
 
 from __future__ import annotations
@@ -101,6 +105,14 @@ class Split:
         """True if the canonical side contains the leaf."""
         return bool(self.mask >> (leaf - 1) & 1)
 
+    @classmethod
+    def _laminar(cls, mask: int, n: int) -> "Split":
+        """split_of_mask without the checks, for sides of two or more leaves."""
+        s = object.__new__(cls)
+        _SET_N(s, n)  # slot setters: cheaper than object.__setattr__
+        _SET_MASK(s, _canonical_side(mask, n))
+        return s
+
     def __hash__(self) -> int:  # equal splits have equal masks
         return hash(self.mask)
 
@@ -110,6 +122,8 @@ class Split:
     def __repr__(self) -> str:
         return f"Split({{{','.join(map(str, self.side))}}}, n={self.n})"
 
+
+_SET_N, _SET_MASK = Split.n.__set__, Split.mask.__set__
 
 _ORDER_BYTES = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits reversed, then flipped
 
@@ -170,13 +184,10 @@ def enumerate_splits(n: int) -> list[Split]:
 
     This is the vertex set of the link graph; its length is 2^(n-1) - n - 1.
     """
-    check_leaf_count(n)
+    bits = [1 << i for i in range(check_leaf_count(n))]  # leaf i on bit i-1
     out: list[Split] = []
-    for k in range(2, n // 2 + 1):
-        for side in combinations(range(1, n + 1), k):
-            mask = mask_of(side, n)
-            if _canonical_side(mask, n) == mask:
-                out.append(Split(n, mask))
+    for k in range(2, n // 2 + 1):  # a side of n/2 leaves is canonical when it holds leaf 1
+        out += [Split._laminar(sum(side), n) for side in combinations(bits, k) if 2 * k < n or side[0] == 1]
     return out
 
 

@@ -16,14 +16,11 @@ made in one batch. A read-only index maps each split mask
 to the bitset of census trees holding it, so enumerating the refinements of
 a face, still an exhaustive filter over the census, is an AND of bitsets.
 
-Topology(...) and make_topology check every split set they are given. The
-trusted paths, Topology._laminar and _laminar_split (a Split without its
-checks, on the side splits._canonical_side picks, as for every Split), skip
-them. Their callers build splits valid by construction:
-- the census, through _laminar, all trees in one call: each tree's splits are
-  the clades of one tree grown by leaf insertion, a laminar family;
-- parse_newick, through both: the splits are the clades of the one tree it
-  parsed, two or more leaves on each side, and it checks the leaf count.
+Topology(...) and make_topology check every split set they are given; the
+one trusted path, Topology._laminar, does not. Its callers give it laminar
+families on a checked leaf count: the census, all trees in one call, the
+clades of trees grown by leaf insertion; parse_newick, the clades of the
+one tree it parsed.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from .errors import (
 from .splits import (
     Permutation,
     Split,
-    _canonical_side,
     apply_permutation,
     are_compatible,
     check_leaf_count,
@@ -74,11 +70,10 @@ class Topology:
     """A face of tree space: n leaves plus a pairwise-compatible split set.
 
     The constructor checks the leaf count, each split's n and the n-3 bound,
-    and keeps the clade tree whose walk decides compatibility. _laminar, for
-    the census and parse_newick only (the module docstring says why their
-    splits are compatible), builds equal values without the checks or the
-    tree; a value's first reader walks it: one idempotent write from immutable
-    data to a slot no caller reaches, so a Topology is still safe to share.
+    and keeps the clade tree whose walk decides compatibility. _laminar (see
+    the module docstring) builds equal values without the checks or the tree;
+    a value's first reader walks it: one idempotent write from immutable data
+    to a slot no caller reaches, so a Topology is still safe to share.
     """
 
     n: int
@@ -164,21 +159,13 @@ class Topology:
 _SET_N, _SET_SPLITS, _SET_TREE = Topology.n.__set__, Topology.splits.__set__, Topology._tree.__set__
 
 
-def _laminar_split(mask: int, n: int) -> Split:
-    """split_of_mask without Split's checks, for sides of two or more leaves."""
-    s = object.__new__(Split)
-    object.__setattr__(s, "n", n)
-    object.__setattr__(s, "mask", _canonical_side(mask, n))
-    return s
-
-
 def make_topology(splits, n: int) -> Topology:
     """Validate a split collection and wrap it as a Topology.
 
     Raises IncompatiblePair naming the first violating pair (in canonical
     split order) and TooManySplits when the count exceeds n-3.
     """
-    return Topology(n, frozenset(splits))
+    return Topology(n, splits)
 
 
 def is_binary(t: Topology) -> bool:

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from bhvkit import (
     DegreeTwoInternal,
     DuplicateLeaf,
@@ -779,3 +781,15 @@ def scan_with_offsets(text: str) -> tuple[list[str], list[tuple]]:
             merged = None if wa is None and wb is None else (wa or 0.0) + (wb or 0.0)
             root = [(b0, b1, merged) if a1 - a0 > 1 else (a0, a1, merged)]
     return names, items + root
+
+
+@st.composite
+def newick_trees(draw):
+    """Well-formed Newick on 3..12 leaves, lengths anywhere in 0..1e308 or absent."""
+    length = st.one_of(st.just(""), st.floats(0, 1e308).map(lambda w: f":{w!r}"))
+    n = draw(st.integers(3, 12))
+    items = [f"{leaf}{draw(length)}" for leaf in draw(st.permutations(range(1, n + 1)))]
+    while len(items) > 3 and draw(st.booleans()):
+        i = draw(st.integers(0, len(items) - 2))
+        items[i : i + 2] = [f"({items[i]},{items[i + 1]}){draw(length)}"]
+    return f"({','.join(items)});"

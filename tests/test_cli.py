@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import bhvkit
 from bhvkit.cli import build_parser, main
 from bhvkit.topology import MAX_CENSUS_LEAVES
-from helpers import realized_by_sweep
+from helpers import newick_trees, realized_by_sweep
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
 
@@ -312,6 +312,22 @@ def test_undecodable_tree_file_is_rejected_input(capsys, tmp_path):
     assert_rejected(*run(capsys, "parse", str(source)))
 
 
+@pytest.mark.parametrize(
+    "tree, newick",
+    [
+        ("(1,2,(3,4):1,5);", "(1,2,(3,4):1.0,5);"),
+        ('{"n":5,"edges":[{"side":[1,2],"length":1}]}', "(1,2,(3,4,5):1.0);"),
+    ],
+)
+def test_a_leading_byte_order_mark_is_skipped(capsys, monkeypatch, tmp_path, tree, newick):
+    source = tmp_path / "bom.txt"
+    source.write_bytes(b"\xef\xbb\xbf" + tree.encode() + b"\n")
+    code, out, _ = run(capsys, "parse", str(source))
+    assert code == 0 and json.loads(out)["newick"] == newick
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + tree + "\n"))
+    assert run(capsys, "parse", "-") == (code, out, "")
+
+
 def test_dist_rejects_empty_files(capsys, tmp_path):
     empty = tmp_path / "empty.nwk"
     empty.write_text("# no trees\n")
@@ -603,6 +619,8 @@ def test_empty_dot_path_is_one_error_line(capsys, tmp_path, monkeypatch, argv):
         '{"n":5,"edges":[],"leaf_lengths":{"1":true}}',
         '{"n":5,"edges":[],"leaf_lengths":{"01":1}}',
         '{"n":5,"edges":[],"leaf_lengths":{" 1":1}}',
+        '{"n":6,"edges":[{"side":[1,2],"length":1},{"side":[1,2],"length":2}]}',
+        '{"n":6,"edges":[{"side":[1,2],"length":1},{"side":[3,4,5,6],"length":2}]}',
     ],
 )
 def test_malformed_json_tree_is_one_error_line(capsys, tree):
@@ -699,18 +717,6 @@ JSON_TREES = st.fixed_dictionaries(
     },
     optional={"leaf_lengths": st.dictionaries(st.text(max_size=3), LENGTHS, max_size=3)},
 )
-
-
-@st.composite
-def newick_trees(draw):
-    """Well-formed Newick on 3..12 leaves, lengths anywhere in 0..1e308 or absent."""
-    length = st.one_of(st.just(""), st.floats(0, 1e308).map(lambda w: f":{w!r}"))
-    n = draw(st.integers(3, 12))
-    items = [f"{leaf}{draw(length)}" for leaf in draw(st.permutations(range(1, n + 1)))]
-    while len(items) > 3 and draw(st.booleans()):
-        i = draw(st.integers(0, len(items) - 2))
-        items[i : i + 2] = [f"({items[i]},{items[i + 1]}){draw(length)}"]
-    return f"({','.join(items)});"
 
 
 @st.composite

@@ -436,6 +436,31 @@ def test_from_json_rejects_a_missing_or_mistyped_field(obj, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("second", [[1, 2], [2, 1], [3, 4, 5, 6]])
+def test_from_json_rejects_a_split_given_twice(second):
+    edges = [{"side": [1, 2], "length": 1}, {"side": second, "length": 2}]
+    with pytest.raises(ValueError, match="given twice"):
+        TreePoint.from_json({"n": 6, "edges": edges})
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_tree_point_rejects_a_bool_length(flag):
+    t, s = make_topology([make_split((1, 2), 5)], 5), make_split((1, 2), 5)
+    with pytest.raises(ValueError, match="bool length"):
+        TreePoint(t, {s: flag})
+    with pytest.raises(ValueError, match="bool length"):
+        TreePoint(t, {s: 1.0}, {3: flag})
+    x = TreePoint(t, {s: 1}, {3: 0})  # ints are lengths, and to_json's inverse takes them back
+    assert TreePoint.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("leaf", [True, 1.0, "1"])
+def test_tree_point_rejects_a_leaf_that_is_not_an_int(leaf):
+    t, s = make_topology([make_split((1, 2), 5)], 5), make_split((1, 2), 5)
+    with pytest.raises(ValueError, match="not in 1..5"):
+        TreePoint(t, {s: 1.0}, {leaf: 1.0})
+
+
 _FINITE = {"allow_nan": False, "allow_infinity": False}
 
 

@@ -38,11 +38,12 @@ from bhvkit import (
     to_newick,
 )
 from bhvkit import topology
-from bhvkit.topology import _DENSE, _census, _clade_tree, _laminar_split, _select
+from bhvkit.topology import _DENSE, _census, _clade_tree, _select
 from helpers import (
     all_faces,
     census_by_graph_walk,
     clade_children_by_parent_search,
+    newick_trees,
     random_face,
     reconstruct_tree,
     to_newick_by_parent_search,
@@ -332,7 +333,7 @@ def test_permute_rejects_another_leaf_count(sides, other):
 
 def test_trusted_constructor_stays_in_two_modules():
     package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
-    callers = {f.name for f in package.glob("*.py") if "_laminar" in f.read_text()}
+    callers = {f.name for f in package.glob("*.py") if "Topology._laminar" in f.read_text()}
     assert callers == {"topology.py", "newick.py"}
 
 
@@ -618,18 +619,47 @@ def test_topology_keeps_no_caller_container():
 def test_laminar_split_equals_split_of_mask(n):
     for mask in range(1 << n):
         if 2 <= mask.bit_count() <= n - 2:
-            s, checked = _laminar_split(mask, n), split_of_mask(mask, n)
+            s, checked = Split._laminar(mask, n), split_of_mask(mask, n)
             assert (type(s), s.n, s.mask, hash(s)) == (Split, n, checked.mask, hash(checked))
             assert s == checked
 
 
+def assert_splits_pass_every_check(splits):
+    """Each split equals its checked rebuild, so Split._laminar made none that Split refuses."""
+    for s in splits:
+        assert (type(s), s) == (Split, Split(s.n, s.mask))
+
+
+def assert_passes_every_check(t):
+    """The same for a Topology and its splits, for Topology._laminar."""
+    assert_splits_pass_every_check(t.splits)
+    assert (type(t), t) == (Topology, Topology(t.n, t.splits))
+
+
+@settings(deadline=None)
+@given(newick_trees())
+def test_parsed_trees_pass_every_check(text):
+    assert_passes_every_check(parse_newick(text).topology)
+
+
+def test_generated_splits_and_census_trees_pass_every_check():
+    for n in range(3, 13):
+        assert_splits_pass_every_check(enumerate_splits(n))
+    for n in range(4, 9):
+        for t in enumerate_binary_topologies(n):
+            assert_passes_every_check(t)
+
+
 def test_trusted_split_constructor_stays_in_the_parser():
     package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
-    callers = {f.name for f in package.glob("*.py") if "_laminar_split" in f.read_text()}
-    assert callers == {"topology.py", "newick.py"}
-    # topology.py holds only its definition and the docstring naming it
-    code = (package / "topology.py").read_text()
-    assert code.count("_laminar_split(") == 1
+    callers = {f.name for f in package.glob("*.py") if "Split._laminar(" in f.read_text()}
+    assert callers == {"splits.py", "newick.py"}
+    # splits.py calls it once, in enumerate_splits
+    assert (package / "splits.py").read_text().count("Split._laminar(") == 1
+    # no other module builds a Split field by field or picks its canonical side
+    for f in package.glob("*.py"):
+        if f.name != "splits.py":
+            assert "object.__new__(Split)" not in f.read_text() and "_canonical_side" not in f.read_text()
 
 
 @st.composite
