@@ -32,10 +32,10 @@ from .linkgraph import (
     LinkGraph,
     brute_force_automorphisms,
     build_link_graph,
+    certify_aut,
     degree_formula,
     ekr_independent_sets,
     kneser_subgraph,
-    leaf_relabeling,
     maximum_independent_sets,
     permutation_to_automorphism,
     verify_degrees,

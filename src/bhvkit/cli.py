@@ -6,8 +6,8 @@ json), so identical inputs give byte-identical bytes. Only `--dot PATH`
 writes a file; `parse` writes every tree's DOT there, in order.
 
 `aut n` runs for 5 <= n <= 12, the n that `link` takes; "realized"
-certifies Aut = image of S_n from the order n! and a leaf relabeling for
-every generator the search found.
+certifies Aut = image of S_n by linkgraph.certify_aut's lemma chain on the
+built graph, and the generators are the relabelings by (1 2) and (1 ... n).
 `count n --oracle` runs for n <= 10 (a binary face needs no census). A
 tree source must hold a tree, and each `dist` argument exactly one.
 
@@ -33,12 +33,7 @@ from .errors import (
     SearchBudgetExceeded,
     TooLarge,
 )
-from .linkgraph import (
-    brute_force_automorphisms,
-    build_link_graph,
-    leaf_relabeling,
-    verify_degrees,
-)
+from .linkgraph import build_link_graph, certify_aut, verify_degrees
 from .measure import TreePoint, _distances, ball_volume, ball_volume_bounds, is_cone_point
 from .newick import iter_newick_lines, parse_newick, to_newick
 from .splits import make_split
@@ -128,18 +123,15 @@ def cmd_aut(args) -> int:
             "automorphism group of order 6, while there are 4! = 24 leaf "
             "relabelings, so the relabeling action is not faithful at n=4."
         )
-    g = build_link_graph(args.n)
-    group = brute_force_automorphisms(g)
+    generators = certify_aut(build_link_graph(args.n))
     expected = math.factorial(args.n)
-    realized = group.order == expected and all(
-        leaf_relabeling(g, gen) is not None for gen in group.generators
-    )
+    realized = generators is not None
     report = {
         "n": args.n,
-        "aut_order": group.order,
+        "aut_order": expected if realized else None,
         "expected_order": expected,
         "realized": realized,
-        "generators": [list(gen) for gen in group.generators],
+        "generators": [list(gen) for gen in generators or ()],
     }
     print(_dump(report))
     return EXIT_OK if realized else EXIT_FAIL
@@ -173,7 +165,11 @@ def cmd_count(args) -> int:
     sides = [] if args.refine is None else _decode(args.refine, "--refine")
     if not (isinstance(sides, list) and all(isinstance(side, list) for side in sides)):
         raise ValueError("--refine must be a JSON list of leaf lists, e.g. [[1,2]]")
-    face = make_topology((make_split(side, args.n) for side in sides), args.n)
+    splits, seen = [make_split(side, args.n) for side in sides], set()
+    twice = next((s for s in splits if s in seen or seen.add(s)), None)
+    if twice is not None:  # either side of a split names it, as in a JSON tree
+        raise ValueError(f"--refine names split {twice} twice")
+    face = make_topology(splits, args.n)
     value = count_refining_orthants(face)
     if args.oracle:
         ok = len(enumerate_binary_refinements(face)) == value
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH", help="write Graphviz output ('-' for stdout)")
     p.set_defaults(func=cmd_link)
 
-    p = sub.add_parser("aut", help="certify Aut(link) = S_n by stabiliser chain (5 <= n <= 12)")
+    p = sub.add_parser("aut", help="certify Aut(link) = S_n by the lemma chain (5 <= n <= 12)")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_aut)
 

@@ -2,14 +2,14 @@
 
 Vertices are all canonical splits on n leaves; edges join compatible pairs.
 The size-k layers are Kneser graphs, whose maximum independent sets are the
-leaf stars, and the full automorphism group is realized by leaf relabelings.
-Both facts are checked here by exact search at desk scale rather than
-assumed. Adjacency rows are vertex-index bitmasks built from per-leaf
-bitsets. The automorphism group is read off a stabiliser chain, whose
-order is the product of its orbit lengths, and leaf_relabeling certifies
-from its generators that it is the image of S_n; no step walks n! elements.
-Both searches take only the graph; NODE_CAP search nodes is the only bound
-on either, so the automorphism search runs on every graph build_link_graph makes.
+leaf stars, and the full automorphism group is realized by leaf relabelings;
+both facts are checked by exact search on the built graph, not assumed.
+Adjacency rows are vertex-index bitmasks built from per-leaf bitsets.
+certify_aut proves Aut = S_n by the paper's lemma chain, never by
+degree_formula: the size layers are kept, the pair layer's maximum
+independent sets are the leaf stars, and the pair layer pins every vertex.
+The stabiliser-chain search stays as the tests' oracle. NODE_CAP search
+nodes is the only bound on either exact search.
 """
 
 from __future__ import annotations
@@ -364,27 +364,30 @@ def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
     return tuple(index[m] if m in index else index[full ^ m] for m in images)
 
 
-def leaf_relabeling(g: LinkGraph, perm: VertexPerm) -> Permutation | None:
-    """The sigma with permutation_to_automorphism(sigma, g) == perm, else None.
+def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:
+    """The relabelings by (1 2) and (1 2 ... n) when four checks on g prove
+    that Aut(g) is S_n acting on the leaves, else None (always for n < 5).
 
-    A relabeling sends the pair {i, j} to {sigma(i), sigma(j)}, so sigma(i)
-    is the one leaf shared by the images of the pairs holding i; two such
-    pairs propose it, and relabeling through the proposed sigma must give
-    perm back. None also for n < 5, where the action is not faithful.
-
-    Relabelings are automorphisms, so the image of S_n lies in Aut. If each
-    of a generating set of Aut has a leaf relabeling, Aut lies in that image
-    too; if also |Aut| = n!, Aut is S_n acting on the leaves.
+    (a) Each degree class lies in one size layer, so automorphisms keep the
+    layers. (b) The pair layer's maximum independent sets are the n leaf
+    stars, so an automorphism permutes the leaves by some sigma and agrees
+    with its relabeling on the pairs. (c) No two vertices have the same pair
+    neighbours, so only the identity fixes every pair: |Aut| <= n!. (d) The
+    two relabelings, which generate S_n, are automorphisms: |Aut| >= n!.
     """
-    n, index, vertices = g.n, g._index, g.vertices
-    if n < 5 or sorted(perm) != list(range(len(vertices))):
+    n, adj = g.n, g.adjacency
+    if n < 5:
         return None
-    images = []
-    for i in range(n):
-        a, b = (vertices[perm[index[1 << i | 1 << (i + d) % n]]].mask for d in (1, 2))
-        images.append((a & b).bit_length())
-    if sorted(images) != list(range(1, n + 1)):
+    size_of: dict[int, int] = {}
+    if any(size_of.setdefault(g.degree(i), v.size) != v.size for i, v in enumerate(g.vertices)):
         return None
-    sigma = Permutation(tuple(images))
-    return sigma if permutation_to_automorphism(sigma, g) == tuple(perm) else None
-
+    if set(maximum_independent_sets(kneser_subgraph(g, 2))) != set(ekr_independent_sets(g, 2)):
+        return None
+    pair_mask = sum(1 << i for i, v in enumerate(g.vertices) if v.size == 2)
+    if len({row & pair_mask for row in adj}) < len(adj):
+        return None
+    generators = tuple(
+        permutation_to_automorphism(Permutation.from_cycles(n, cycle), g)
+        for cycle in ((1, 2), range(1, n + 1))
+    )
+    return generators if all(is_vertex_automorphism(g, p) for p in generators) else None

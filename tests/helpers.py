@@ -12,6 +12,7 @@ from bhvkit import (
     DegreeTwoInternal,
     DuplicateLeaf,
     LeafCountMismatch,
+    LinkGraph,
     NegativeLength,
     NewickSyntaxError,
     SearchBudgetExceeded,
@@ -155,6 +156,31 @@ def realized_by_sweep(g, group) -> bool:
         return False
     images = {permutation_to_automorphism(sigma, g) for sigma in all_permutations(g.n)}
     return images == set(group.elements)
+
+
+# Doctored link graphs for certify_aut, one per check it makes, each failing
+# that check alone on the n=7 graph: (join?, rule picking the vertex pairs)
+DOCTORS = {
+    # the triples sharing two leaves joined: triples get the pairs' degree
+    "a": (True, lambda u, v: u.size == v.size == 3 and (u.mask & v.mask).bit_count() == 2),
+    # the pair layer made complete: its maximum independent sets are single pairs
+    "b": (True, lambda u, v: u.size == v.size == 2),
+    # every pair-triple edge dropped: no triple has a pair neighbour
+    "c": (False, lambda u, v: {u.size, v.size} == {2, 3}),
+    # the one edge {1,2}-{3,4} dropped: the n-cycle's relabeling breaks it
+    "d": (False, lambda u, v: {u.side, v.side} == {(1, 2), (3, 4)}),
+}
+
+
+def doctored(g, check: str) -> LinkGraph:
+    """g with the vertex pairs that DOCTORS[check] picks joined or cut apart."""
+    join, rule = DOCTORS[check]
+    rows = list(g.adjacency)
+    for i, u in enumerate(g.vertices):
+        for j, v in enumerate(g.vertices):
+            if i != j and rule(u, v):
+                rows[i] = rows[i] | 1 << j if join else rows[i] & ~(1 << j)
+    return LinkGraph(g.n, g.vertices, rows)
 
 
 def compose(p, q):

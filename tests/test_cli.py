@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 import bhvkit
 from bhvkit.cli import build_parser, main
 from bhvkit.topology import MAX_CENSUS_LEAVES
-from helpers import newick_trees, realized_by_sweep
+from helpers import doctored, newick_trees, realized_by_sweep
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
 
@@ -94,7 +93,36 @@ def test_aut_node_budget_is_one_error_line(capsys, monkeypatch):
     code, out, err = run(capsys, "aut", "7")
     assert code == 2
     assert out == ""
-    assert err == "error: automorphism search exceeded 10 nodes\n"
+    assert err == "error: independent-set search exceeded 10 nodes\n"
+
+
+def test_aut_does_not_run_the_automorphism_search(capsys, monkeypatch):
+    def refuse(g):
+        raise AssertionError("aut ran the stabiliser-chain search")
+
+    monkeypatch.setattr(bhvkit.linkgraph, "brute_force_automorphisms", refuse)
+    assert not hasattr(bhvkit.cli, "brute_force_automorphisms")
+    code, out, _ = run(capsys, "aut", "7")
+    assert code == 0
+    assert json.loads(out)["realized"] is True
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_aut_generators_are_the_two_relabelings(capsys, n):
+    code, out, _ = run(capsys, "aut", str(n))
+    g = bhvkit.build_link_graph(n)
+    expected = [
+        list(bhvkit.permutation_to_automorphism(bhvkit.Permutation.from_cycles(n, cycle), g))
+        for cycle in ((1, 2), range(1, n + 1))
+    ]
+    assert code == 0
+    assert json.loads(out) == {
+        "n": n,
+        "aut_order": math.factorial(n),
+        "expected_order": math.factorial(n),
+        "realized": True,
+        "generators": expected,
+    }
 
 
 def test_aut_8_is_certified(capsys):
@@ -122,35 +150,28 @@ def test_aut_certificate_agrees_with_sweep(capsys, n):
     assert code == 0
 
 
-def doctored_aut(capsys, monkeypatch, n, doctor):
-    import bhvkit.cli
-
-    group = doctor(bhvkit.brute_force_automorphisms(bhvkit.build_link_graph(n)))
-    monkeypatch.setattr(bhvkit.cli, "brute_force_automorphisms", lambda g: group)
+def doctored_aut(capsys, monkeypatch, n, check):
+    """aut n on the link graph doctored to fail one check of certify_aut."""
+    g = doctored(bhvkit.build_link_graph(n), check)
+    monkeypatch.setattr(bhvkit.cli, "build_link_graph", lambda n: g)
     code, out, _ = run(capsys, "aut", str(n))
-    return code, json.loads(out)
+    report = json.loads(out)
+    assert report["realized"] is False
+    assert report["aut_order"] is None
+    assert report["generators"] == []
+    return code
 
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_aut_rejects_a_fake_generator(capsys, monkeypatch, n):
-    def doctor(group):
-        fake = list(range(len(group.generators[0])))
-        fake[0], fake[-1] = fake[-1], fake[0]
-        return replace(group, generators=group.generators + (tuple(fake),), elements=None)
-
-    code, report = doctored_aut(capsys, monkeypatch, n, doctor)
-    assert code == 1
-    assert report["realized"] is False
+    # with the edge {1,2}-{3,4} cut, the n-cycle's relabeling is no automorphism
+    assert doctored_aut(capsys, monkeypatch, n, "d") == 1
 
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_aut_rejects_a_wrong_order(capsys, monkeypatch, n):
-    code, report = doctored_aut(
-        capsys, monkeypatch, n, lambda group: replace(group, order=group.order // 2, elements=None)
-    )
-    assert code == 1
-    assert report["realized"] is False
-    assert report["aut_order"] == math.factorial(n) // 2
+    # a complete pair layer has no leaf stars to pin the group down to n!
+    assert doctored_aut(capsys, monkeypatch, n, "b") == 1
 
 
 def test_volume_binary_tree(capsys):
@@ -454,6 +475,14 @@ def test_count_refine_must_be_a_list_of_leaf_lists(capsys, refine):
     assert "list of leaf lists" in err
 
 
+@pytest.mark.parametrize("refine", ["[[1,2],[3,4,5]]", "[[1,2],[2,1]]", "[[3,4,5],[1,2],[1,2]]"])
+def test_count_refine_rejects_a_split_named_twice(capsys, refine):
+    # by either side, as a JSON tree is; a set would have merged the two
+    code, out, err = run(capsys, "count", "5", "--refine", refine)
+    assert_rejected(code, out, err)
+    assert err == "error: --refine names split Split({1,2}, n=5) twice\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -664,6 +693,7 @@ def test_knob_inventory():
         bhvkit.enumerate_binary_topologies,
         bhvkit.enumerate_binary_refinements,
         bhvkit.brute_force_automorphisms,
+        bhvkit.certify_aut,
         bhvkit.maximum_independent_sets,
     ):
         assert len(inspect.signature(fn).parameters) == 1
@@ -684,11 +714,11 @@ def test_public_api_inventory():
         "SearchBudgetExceeded", "Split", "SubsetTooSmall", "TooLarge", "TooManySplits",
         "Topology", "TreePoint", "UnknownLeafName", "all_permutations", "apply_permutation",
         "are_compatible", "ball_volume", "ball_volume_bounds", "brute_force_automorphisms",
-        "build_link_graph", "clade_children", "cone_point", "count_refining_orthants",
+        "build_link_graph", "certify_aut", "clade_children", "cone_point", "count_refining_orthants",
         "degree_formula", "degree_sequence", "distance_upper_bound", "double_factorial",
         "ekr_independent_sets", "enumerate_binary_refinements", "enumerate_binary_topologies",
         "enumerate_splits", "euclidean_ball_volume", "is_binary", "is_cone_point",
-        "kneser_subgraph", "leaf_relabeling", "make_split", "make_topology",
+        "kneser_subgraph", "make_split", "make_topology",
         "maximum_independent_sets", "parse_newick", "permutation_to_automorphism",
         "same_orthant_distance", "split_of_mask", "to_newick", "verify_degrees",
     ]

@@ -19,13 +19,13 @@ from bhvkit import (
     are_compatible,
     brute_force_automorphisms,
     build_link_graph,
+    certify_aut,
     degree_formula,
     double_factorial,
     ekr_independent_sets,
     enumerate_binary_topologies,
     enumerate_splits,
     kneser_subgraph,
-    leaf_relabeling,
     make_split,
     make_topology,
     maximum_independent_sets,
@@ -37,6 +37,7 @@ from bhvkit.linkgraph import is_vertex_automorphism
 from bhvkit.splits import set_bits
 from helpers import (
     compose,
+    doctored,
     enumerate_automorphisms,
     maximal_cliques,
     neighbors_of_size,
@@ -355,41 +356,56 @@ def test_relabeling_is_an_automorphism(pair, a, b):
     assert is_vertex_automorphism(g, swapped) == preserves_adjacency_pairwise(g, swapped)
 
 
-@settings(deadline=None)
-@given(permutation_pairs(max_n=12))
-def test_leaf_relabeling_inverts_relabeling(pair):
-    sigma, _ = pair
-    g = cached_link_graph(sigma.n)
-    assert leaf_relabeling(g, permutation_to_automorphism(sigma, g)) == sigma
+def test_vertex_automorphism_needs_a_vertex_permutation(link5):
+    identity = tuple(range(link5.vertex_count))
+    assert is_vertex_automorphism(link5, identity)
+    assert not is_vertex_automorphism(link5, identity[:-1])  # too short
+    assert not is_vertex_automorphism(link5, (1,) + identity[1:])  # a repeated image
 
 
-def swap(perm, i, j):
-    out = list(perm)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
+def chain_checks(g) -> tuple[bool, bool, bool, bool]:
+    """certify_aut's four checks, each read from the definitions: (a) each
+    degree class in one size layer, (b) the pair layer's maximum independent
+    sets are the leaf stars, taken from the sides, (c) distinct pair
+    neighbourhoods, (d) both relabelings keep adjacency, pair by pair."""
+    sizes = {}
+    for i, v in enumerate(g.vertices):
+        sizes.setdefault(g.degree(i), set()).add(v.size)
+    pairs = [v for v in g.vertices if v.size == 2]
+    stars = {frozenset(v for v in pairs if leaf in v.side) for leaf in range(1, g.n + 1)}
+    neighbourhoods = [frozenset(neighbors_of_size(g, v, 2)) for v in g.vertices]
+    relabelings = (
+        relabel_by_make_split(Permutation.from_cycles(g.n, cycle), g)
+        for cycle in ((1, 2), range(1, g.n + 1))
+    )
+    return (
+        all(len(s) == 1 for s in sizes.values()),
+        set(maximum_independent_sets(kneser_subgraph(g, 2))) == stars,
+        len(set(neighbourhoods)) == len(neighbourhoods),
+        all(preserves_adjacency_pairwise(g, perm) for perm in relabelings),
+    )
 
 
-def test_leaf_relabeling_rejects_non_relabelings(link7):
-    sigma = Permutation.from_cycles(7, (1, 5, 2), (3, 7))
-    perm = permutation_to_automorphism(sigma, link7)
-    index = {v: i for i, v in enumerate(link7.vertices)}
-    pair_a, pair_b = index[make_split({1, 2}, 7)], index[make_split({3, 4}, 7)]
-    triple_a, triple_b = index[make_split({1, 2, 3}, 7)], index[make_split({4, 5, 6}, 7)]
-    assert leaf_relabeling(link7, perm) == sigma
-    # two pair vertices swapped
-    assert leaf_relabeling(link7, swap(perm, pair_a, pair_b)) is None
-    # two size-3 vertices swapped: the pairs still read sigma, but its
-    # relabeling is not the perm
-    assert leaf_relabeling(link7, swap(perm, triple_a, triple_b)) is None
-    # not vertex permutations: too short, a repeated image, an image out of range
-    assert leaf_relabeling(link7, perm[:-1]) is None
-    assert leaf_relabeling(link7, (perm[0],) + perm[:-1]) is None
-    assert leaf_relabeling(link7, (link7.vertex_count,) + perm[1:]) is None
+def test_certify_aut_gives_the_two_relabelings():
+    for n in range(5, 10):
+        g = cached_link_graph(n)
+        assert chain_checks(g) == (True, True, True, True)
+        assert certify_aut(g) == tuple(
+            permutation_to_automorphism(Permutation.from_cycles(n, cycle), g)
+            for cycle in ((1, 2), range(1, n + 1))
+        )
 
 
-def test_leaf_relabeling_refuses_n4():
-    g = build_link_graph(4)
-    assert leaf_relabeling(g, tuple(range(g.vertex_count))) is None
+def test_certify_aut_refuses_n_below_5():
+    for n in (3, 4):
+        assert certify_aut(build_link_graph(n)) is None
+
+
+@pytest.mark.parametrize("check", "abcd")
+def test_certify_aut_rejects_a_graph_failing_one_check(link7, check):
+    h = doctored(link7, check)
+    assert chain_checks(h) == tuple(c != check for c in "abcd")
+    assert certify_aut(h) is None
 
 
 def test_elements_match_enumeration_oracle():
