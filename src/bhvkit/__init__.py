@@ -10,7 +10,6 @@ from .errors import (
     BhvError,
     DegreeTwoInternal,
     DuplicateLeaf,
-    EnumerationTooLarge,
     EpsilonTooLarge,
     IncompatiblePair,
     KOutOfRange,
@@ -45,7 +44,6 @@ from .measure import (
     TreePoint,
     ball_volume,
     ball_volume_bounds,
-    cone_point,
     distance_upper_bound,
     euclidean_ball_volume,
     is_cone_point,

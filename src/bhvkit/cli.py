@@ -12,8 +12,9 @@ built graph, and the generators are the relabelings by (1 2) and (1 ... n).
 tree source must hold a tree, and each `dist` argument exactly one.
 
 Exit codes: 0 success, 1 verification failure, 2 size/budget cap or `aut`
-outside 5..12, 3 epsilon too large, 4 leaf-count mismatch, 5 rejected input
-(a usage error too). Codes 2 to 5 each come with one `error:` line.
+outside 5..12 (n = 3, 4 or 13..64), 3 epsilon too large, 4 leaf-count
+mismatch, 5 rejected input (a usage error, or any command's n outside
+3..64). Codes 2 to 5 each come with one `error:` line.
 """
 
 from __future__ import annotations
@@ -25,18 +26,11 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (
-    BhvError,
-    EnumerationTooLarge,
-    EpsilonTooLarge,
-    LeafCountMismatch,
-    SearchBudgetExceeded,
-    TooLarge,
-)
+from .errors import BhvError, EpsilonTooLarge, LeafCountMismatch, SearchBudgetExceeded, TooLarge
 from .linkgraph import build_link_graph, certify_aut, verify_degrees
 from .measure import TreePoint, _distances, ball_volume, ball_volume_bounds, is_cone_point
 from .newick import iter_newick_lines, parse_newick, to_newick
-from .splits import make_split
+from .splits import check_leaf_count, make_split
 from .topology import (
     count_refining_orthants,
     degree_sequence,
@@ -54,7 +48,7 @@ EXIT_BAD_INPUT = 5
 # (exception types, exit code) for main; the first matching row wins
 EXIT_CODES = (
     (EpsilonTooLarge, EXIT_EPSILON),
-    ((TooLarge, EnumerationTooLarge, SearchBudgetExceeded), EXIT_TOO_LARGE),
+    ((TooLarge, SearchBudgetExceeded), EXIT_TOO_LARGE),
     (LeafCountMismatch, EXIT_LEAF_MISMATCH),
     ((BhvError, ValueError), EXIT_BAD_INPUT),
 )
@@ -116,7 +110,7 @@ def cmd_link(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    if args.n < 5:
+    if check_leaf_count(args.n) < 5:
         raise TooLarge(
             f"aut {args.n} refused: the group-equals-leaf-permutations check only "
             "applies for n >= 5; the n=4 link graph is three isolated vertices with "

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all bhvkit modules.
 
 The errors below derive from BhvError, so callers can catch one base class
-for them. Some checks raise plain ValueError instead: check_leaf_count,
+for them. Every size cap raises TooLarge, the census's and the link graph's
+alike. Some checks raise plain ValueError instead: check_leaf_count,
 Permutation, TreePoint (its lengths and from_json) and the finite-float
 guards of measure. The CLI reports either as rejected input (exit 5) unless
 a more specific exit code applies.
@@ -45,10 +46,6 @@ class TooManySplits(BhvError):
     """More than n-3 splits supplied for a topology on n leaves."""
 
 
-class EnumerationTooLarge(BhvError):
-    """A requested census lies past its leaf bound (topology.MAX_CENSUS_LEAVES)."""
-
-
 class NegativeOrEven(BhvError):
     """Double factorial argument must be odd and >= -1."""
 
@@ -62,8 +59,8 @@ class KOutOfRange(BhvError):
 
 
 class TooLarge(BhvError):
-    """Input lies outside the sizes this desk-scale routine supports: past
-    its cap, or, for the CLI's aut, below the n = 5 where it applies."""
+    """Input lies outside the sizes this desk-scale routine supports: past a leaf
+    cap (MAX_CENSUS_LEAVES, MAX_LINK_LEAVES), or, for the CLI's aut, below n = 5."""
 
 
 class SearchBudgetExceeded(BhvError):

@@ -85,15 +85,12 @@ class TreePoint:
 
     def permute(self, sigma: Permutation) -> "TreePoint":
         """Relabel leaves through sigma, a permutation of the same n leaves;
-        lengths follow their splits."""
-        topology = self.topology.permute(sigma)
-        new_lengths = {apply_permutation(sigma, s): w for s, w in self.lengths.items()}
-        new_leaf = (
-            {sigma(leaf): w for leaf, w in self.leaf_lengths.items()}
-            if self.leaf_lengths is not None
-            else None
-        )
-        return TreePoint(topology, new_lengths, new_leaf)
+        lengths follow their splits, each relabeled once."""
+        if sigma.n != self.n:
+            raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs topology on {self.n}")
+        lengths = {apply_permutation(sigma, s): w for s, w in self.lengths.items()}
+        leaf = None if self.leaf_lengths is None else {sigma(i): w for i, w in self.leaf_lengths.items()}
+        return TreePoint(Topology(self.n, lengths), lengths, leaf)
 
     def to_json(self) -> dict:
         obj = {
@@ -167,11 +164,6 @@ def _euclidean(what: str, coordinates: list[float]) -> float:
     return _finite(
         what, lambda: math.sqrt(sum(c**2 for c in coordinates)), lambda: math.hypot(*coordinates)
     )
-
-
-def cone_point(n: int) -> TreePoint:
-    """The star tree with no internal edges, common to every orthant."""
-    return TreePoint(Topology(n), {})
 
 
 def is_cone_point(x: TreePoint) -> bool:

@@ -193,14 +193,14 @@ def enumerate_splits(n: int) -> list[Split]:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {1, ..., n}, stored as the image tuple (images[i-1] = sigma(i))."""
+    """A bijection of {1, ..., n}, stored as the image tuple of plain ints (images[i-1] = sigma(i))."""
 
     images: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
         n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        if not {*map(type, self.images)} <= {int} or sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @property
@@ -209,22 +209,6 @@ class Permutation:
 
     def __call__(self, leaf: int) -> int:
         return self.images[leaf - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise LeafCountMismatch(f"permutations of {self.n} and {other.n} leaves")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycles(cls, n: int, *cycles: Iterable[int]) -> "Permutation":

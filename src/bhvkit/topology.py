@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -35,13 +36,7 @@ from itertools import combinations, compress, repeat
 from math import prod
 from types import MappingProxyType
 
-from .errors import (
-    EnumerationTooLarge,
-    IncompatiblePair,
-    LeafCountMismatch,
-    NegativeOrEven,
-    TooManySplits,
-)
+from .errors import IncompatiblePair, LeafCountMismatch, NegativeOrEven, TooLarge, TooManySplits
 from .splits import (
     Permutation,
     Split,
@@ -56,6 +51,7 @@ from .splits import (
 MAX_CENSUS_LEAVES = 10  # 15!! = 2,027,025 trees; n=11 would hold 17!! = 34,459,425
 _DENSE = 24  # _select takes the byte mask below this many items per set bit
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_CENSUS_LOCK = threading.Lock()  # held around every _census call, so each n is built once
 
 
 def double_factorial(m: int) -> int:
@@ -252,8 +248,8 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     thread's gc.enable() or gc.disable() meanwhile may be overridden.
     """
     if n > MAX_CENSUS_LEAVES:
-        raise EnumerationTooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
-                                  f"(2n-5)!! = {double_factorial(2 * n - 5)}")
+        raise TooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
+                       f"(2n-5)!! = {double_factorial(2 * n - 5)}")
     if n == 3:
         return Topology._laminar(3, [frozenset()]), MappingProxyType({})
     shared = {s.clade: s for s in enumerate_splits(n)}
@@ -336,10 +332,11 @@ def enumerate_binary_topologies(n: int):
     """Iterate all (2n-5)!! binary topologies on n leaves, no repeats.
 
     The census is built once per n by leaf insertion on clade masks and
-    cached; its trees share one Split object per split. Raises
-    EnumerationTooLarge up front for n > MAX_CENSUS_LEAVES; checks n first.
+    cached; its trees share one Split object per split. Raises TooLarge
+    up front for n > MAX_CENSUS_LEAVES; checks n first.
     """
-    return iter(_census(check_leaf_count(n))[0])
+    with _CENSUS_LOCK:
+        return iter(_census(check_leaf_count(n))[0])
 
 
 def enumerate_binary_refinements(t: Topology) -> list[Topology]:
@@ -350,11 +347,12 @@ def enumerate_binary_refinements(t: Topology) -> list[Topology]:
     bitset of census trees holding it, and the trees at the set bits of
     their AND are returned. Serves as the brute-force oracle for
     count_refining_orthants. A binary t is its own only refinement; any
-    other t raises EnumerationTooLarge for t.n > MAX_CENSUS_LEAVES.
+    other t raises TooLarge for t.n > MAX_CENSUS_LEAVES.
     """
     if is_binary(t):
         return [t]
-    trees, index = _census(t.n)
+    with _CENSUS_LOCK:
+        trees, index = _census(t.n)
     if not t.splits:
         return list(trees)
     first, *rest = t.splits

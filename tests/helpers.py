@@ -15,6 +15,7 @@ from bhvkit import (
     LinkGraph,
     NegativeLength,
     NewickSyntaxError,
+    Permutation,
     SearchBudgetExceeded,
     Split,
     Topology,
@@ -186,6 +187,21 @@ def doctored(g, check: str) -> LinkGraph:
 def compose(p, q):
     """(p o q)(i) = p[q[i]]."""
     return tuple(p[x] for x in q)
+
+
+def compose_permutations(sigma: Permutation, tau: Permutation) -> Permutation:
+    """The leaf permutation sigma after tau: i -> sigma(tau(i))."""
+    return Permutation(tuple(map(sigma, tau.images)))
+
+
+def inverse_permutation(sigma: Permutation) -> Permutation:
+    """The leaf permutation that undoes sigma: sigma(i) -> i."""
+    return Permutation(tuple(sorted(range(1, sigma.n + 1), key=sigma)))
+
+
+def cone_point(n: int) -> TreePoint:
+    """The star tree with no internal edges, common to every orthant."""
+    return TreePoint(Topology(n), {})
 
 
 def _closure(gens, nv: int) -> set[tuple[int, ...]]:

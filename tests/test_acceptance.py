@@ -21,7 +21,6 @@ from bhvkit import (
     brute_force_automorphisms,
     build_link_graph,
     certify_aut,
-    cone_point,
     count_refining_orthants,
     degree_formula,
     degree_sequence,
@@ -41,7 +40,7 @@ from bhvkit import (
 )
 from bhvkit.cli import main as cli_main
 from bhvkit.linkgraph import is_vertex_automorphism
-from helpers import all_faces
+from helpers import all_faces, cone_point
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
 REL_TOL = 1e-12

@@ -86,6 +86,10 @@ def test_aut_range(capsys):
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+    for n in ("2", "65"):  # no splits outside 3..64: rejected input, as for link and count
+        for command in ("aut", "link", "count"):
+            code, out, err = run(capsys, command, n)
+            assert (code, out, err) == (5, "", f"error: leaf count must be in [3, 64], got {n}\n")
 
 
 def test_aut_node_budget_is_one_error_line(capsys, monkeypatch):
@@ -708,13 +712,13 @@ def test_public_api_inventory():
     )
     assert exported == [
         "AutomorphismGroup", "BallVolume", "BhvError", "DegreeTwoInternal", "DuplicateLeaf",
-        "EnumerationTooLarge", "EpsilonTooLarge", "IncompatiblePair", "KOutOfRange",
+        "EpsilonTooLarge", "IncompatiblePair", "KOutOfRange",
         "LeafCountMismatch", "LeafOutOfRange", "LinkGraph", "NegativeLength", "NegativeOrEven",
         "NewickSyntaxError", "NonpositiveRadius", "POutOfRange", "Permutation",
         "SearchBudgetExceeded", "Split", "SubsetTooSmall", "TooLarge", "TooManySplits",
         "Topology", "TreePoint", "UnknownLeafName", "all_permutations", "apply_permutation",
         "are_compatible", "ball_volume", "ball_volume_bounds", "brute_force_automorphisms",
-        "build_link_graph", "certify_aut", "clade_children", "cone_point", "count_refining_orthants",
+        "build_link_graph", "certify_aut", "clade_children", "count_refining_orthants",
         "degree_formula", "degree_sequence", "distance_upper_bound", "double_factorial",
         "ekr_independent_sets", "enumerate_binary_refinements", "enumerate_binary_topologies",
         "enumerate_splits", "euclidean_ball_volume", "is_binary", "is_cone_point",

@@ -3,6 +3,7 @@ import math
 import sys
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from bhvkit.linkgraph import is_vertex_automorphism
 from bhvkit.splits import set_bits
 from helpers import (
     compose,
+    compose_permutations,
     doctored,
     enumerate_automorphisms,
     maximal_cliques,
@@ -320,7 +322,7 @@ def test_permutation_to_automorphism_transposition(link5):
 
 def test_permutation_to_automorphism_needs_the_graph_leaf_count(link5):
     with pytest.raises(LeafCountMismatch, match="permutation of 6 leaves vs graph on 5"):
-        permutation_to_automorphism(Permutation.identity(6), link5)
+        permutation_to_automorphism(Permutation.from_cycles(6), link5)
 
 
 @settings(deadline=None)
@@ -336,7 +338,7 @@ def test_relabeling_matches_make_split_oracle(pair):
 def test_relabeling_is_a_homomorphism(pair):
     sigma, tau = pair
     g = cached_link_graph(sigma.n)
-    assert permutation_to_automorphism(sigma.compose(tau), g) == compose(
+    assert permutation_to_automorphism(compose_permutations(sigma, tau), g) == compose(
         permutation_to_automorphism(sigma, g), permutation_to_automorphism(tau, g)
     )
 
@@ -426,6 +428,20 @@ def test_generators_generate_the_group(link5):
 def test_group_order_divides_vertex_factorial(link5):
     group = brute_force_automorphisms(link5)
     assert math.factorial(link5.vertex_count) % group.order == 0
+
+
+def test_search_self_check_on_the_group_order(link5, monkeypatch):
+    # a vertex factorial that the order found does not divide trips the first self-check
+    monkeypatch.setattr(linkgraph, "math", SimpleNamespace(prod=math.prod, factorial=lambda m: 1))
+    with pytest.raises(AssertionError, match="^group order does not divide the vertex factorial$"):
+        brute_force_automorphisms(link5)
+
+
+def test_search_self_check_on_each_generator(link5, monkeypatch):
+    # a row check that refuses every permutation trips the second
+    monkeypatch.setattr(linkgraph, "is_vertex_automorphism", lambda g, perm: False)
+    with pytest.raises(AssertionError, match="^search produced a non-automorphism generator$"):
+        brute_force_automorphisms(link5)
 
 
 def test_search_budget_cap(link6, monkeypatch):

@@ -18,7 +18,6 @@ from bhvkit import (
     are_compatible,
     ball_volume,
     ball_volume_bounds,
-    cone_point,
     distance_upper_bound,
     euclidean_ball_volume,
     is_binary,
@@ -27,7 +26,7 @@ from bhvkit import (
     make_topology,
     same_orthant_distance,
 )
-from helpers import all_faces, random_face
+from helpers import all_faces, cone_point, random_face
 
 
 def point(n, sides_lengths, leaf_lengths=None):
@@ -226,7 +225,7 @@ def test_permute_moves_splits_and_leaf_lengths():
 
 @pytest.mark.parametrize("other", [5, 7])
 def test_permute_rejects_another_leaf_count(other):
-    sigma = Permutation.identity(other)
+    sigma = Permutation.from_cycles(other)
     for x in (
         cone_point(6),
         TreePoint(make_topology((), 6), {}, {1: 0.5, 6: 1.0}),

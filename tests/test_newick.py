@@ -11,7 +11,6 @@ from bhvkit import (
     NewickSyntaxError,
     TreePoint,
     UnknownLeafName,
-    cone_point,
     enumerate_binary_topologies,
     is_binary,
     is_cone_point,
@@ -23,6 +22,7 @@ from bhvkit import (
 from bhvkit.newick import _scan, iter_newick_lines
 from helpers import (
     NewickNode,
+    cone_point,
     has_single_child_node,
     parse_newick_by_tree,
     parse_tree_string,

@@ -2,6 +2,8 @@ import gc
 import hashlib
 import random
 import sys
+import threading
+import time
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -11,12 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bhvkit import (
-    EnumerationTooLarge,
     IncompatiblePair,
     LeafCountMismatch,
     NegativeOrEven,
     Permutation,
     Split,
+    TooLarge,
     TooManySplits,
     Topology,
     TreePoint,
@@ -43,6 +45,7 @@ from helpers import (
     all_faces,
     census_by_graph_walk,
     clade_children_by_parent_search,
+    inverse_permutation,
     newick_trees,
     random_face,
     reconstruct_tree,
@@ -305,6 +308,54 @@ def test_census_build_that_fails_restores_the_gc():
         gc.enable() if was else gc.disable()
 
 
+def _concurrently(calls):
+    """Run each call in its own thread, all released at once; their results, in order."""
+    barrier, results = threading.Barrier(len(calls)), [None] * len(calls)
+
+    def work(i):
+        barrier.wait()
+        results[i] = calls[i]()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    return results
+
+
+def test_concurrent_first_callers_build_the_census_once():
+    was, laminar, batches = gc.isenabled(), Topology._laminar.__func__, []
+
+    def counting(cls, n, split_sets):
+        batches.append(n)
+        time.sleep(0.05)  # gives up the GIL mid-build, so an unguarded caller would build too
+        return laminar(cls, n, split_sets)
+
+    face = make_topology((), 7)
+    calls = [lambda: list(enumerate_binary_topologies(7)), lambda: enumerate_binary_refinements(face)] * 2
+    _census.cache_clear()
+    try:
+        gc.enable()
+        with mock.patch.object(Topology, "_laminar", classmethod(counting)):
+            results = _concurrently(calls)
+        assert batches == [7]
+        assert gc.isenabled()
+        assert len(results[0]) == 945
+        assert all(list(map(id, trees)) == list(map(id, results[0])) for trees in results)  # the same trees
+    finally:
+        _census.cache_clear()
+        gc.enable() if was else gc.disable()
+
+
+def test_concurrent_first_readers_see_equal_clade_trees():
+    t = make_topology(splits(8, {1, 2}, {1, 2, 3}, {6, 7}, {5, 6, 7}), 8)
+    fresh = Topology._laminar(8, [t.splits] * 50)  # equal values, none of which has walked its tree
+    results = _concurrently([lambda: [(clade_children(x), degree_sequence(x)) for x in fresh]] * 4)
+    assert all(r == [(clade_children(t), degree_sequence(t))] * 50 for r in results)
+
+
 def _random_permutation(rnd, n):
     images = list(range(1, n + 1))
     rnd.shuffle(images)
@@ -320,7 +371,7 @@ def test_permute_equals_validated_rebuild(n, rnd):
     checked = make_topology([apply_permutation(sigma, s) for s in t.splits], n)
     assert moved == checked
     assert hash(moved) == hash(checked)
-    assert moved.permute(sigma.inverse()) == t
+    assert moved.permute(inverse_permutation(sigma)) == t
 
 
 @pytest.mark.parametrize("other", [5, 7])
@@ -328,7 +379,7 @@ def test_permute_equals_validated_rebuild(n, rnd):
 def test_permute_rejects_another_leaf_count(sides, other):
     t = make_topology(splits(6, *sides), 6)
     with pytest.raises(LeafCountMismatch):
-        t.permute(Permutation.identity(other))
+        t.permute(Permutation.from_cycles(other))
 
 
 def test_trusted_constructor_stays_in_two_modules():
@@ -443,9 +494,9 @@ def test_binary_topology_counts(n, count):
 
 
 def test_binary_enumeration_cap():
-    with pytest.raises(EnumerationTooLarge, match="n = 10, got 11"):
+    with pytest.raises(TooLarge, match="n = 10, got 11"):
         enumerate_binary_topologies(11)
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(TooLarge):
         enumerate_binary_refinements(make_topology((), 11))
 
 
@@ -461,7 +512,7 @@ def test_binary_enumeration_cap_at_its_boundary(monkeypatch):
     monkeypatch.setattr(topology, "MAX_CENSUS_LEAVES", 6)
     try:
         assert len(list(enumerate_binary_topologies(6))) == 105
-        with pytest.raises(EnumerationTooLarge, match=r"^census capped at n = 6, got 7: \(2n-5\)!! = 945$"):
+        with pytest.raises(TooLarge, match=r"^census capped at n = 6, got 7: \(2n-5\)!! = 945$"):
             enumerate_binary_topologies(7)
     finally:
         _census.cache_clear()
