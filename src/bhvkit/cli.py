@@ -111,11 +111,12 @@ def cmd_link(args) -> int:
 
 def cmd_aut(args) -> int:
     if check_leaf_count(args.n) < 5:
+        graph = "has no vertices: no split of 3 leaves has two leaves on each side" if args.n == 3 else (
+            "is three isolated vertices with automorphism group of order 6, while there are "
+            "4! = 24 leaf relabelings, so the relabeling action is not faithful at n=4")
         raise TooLarge(
             f"aut {args.n} refused: the group-equals-leaf-permutations check only "
-            "applies for n >= 5; the n=4 link graph is three isolated vertices with "
-            "automorphism group of order 6, while there are 4! = 24 leaf "
-            "relabelings, so the relabeling action is not faithful at n=4."
+            f"applies for n >= 5; the n={args.n} link graph {graph}."
         )
     generators = certify_aut(build_link_graph(args.n))
     expected = math.factorial(args.n)

@@ -4,12 +4,13 @@ Vertices are all canonical splits on n leaves; edges join compatible pairs.
 The size-k layers are Kneser graphs, whose maximum independent sets are the
 leaf stars, and the full automorphism group is realized by leaf relabelings;
 both facts are checked by exact search on the built graph, not assumed.
-Adjacency rows are vertex-index bitmasks built from per-leaf bitsets.
-certify_aut proves Aut = S_n by the paper's lemma chain, never by
-degree_formula: the size layers are kept, the pair layer's maximum
-independent sets are the leaf stars, and the pair layer pins every vertex.
-The stabiliser-chain search stays as the tests' oracle. NODE_CAP search
-nodes is the only bound on either exact search.
+Adjacency rows are vertex-index bitmasks, each read off two half-leaf subset
+tables of per-leaf bitsets. certify_aut proves Aut = S_n by the paper's
+lemma chain, never by degree_formula: the size layers are kept, the pair
+layer's maximum independent sets are the leaf stars, and the pair layer pins
+every vertex; that a vertex permutation keeps the rows is checked by
+bit-matrix transposition. The stabiliser-chain search stays as the tests'
+oracle. NODE_CAP search nodes is the only bound on either exact search.
 """
 
 from __future__ import annotations
@@ -82,32 +83,37 @@ class LinkGraph:
 def build_link_graph(n: int) -> LinkGraph:
     """Graph with every canonical split as a vertex and compatible pairs as edges.
 
-    Canonical sides are compatible exactly when they are disjoint or nested,
-    as no two cover every leaf (splits.are_compatible). With holds[l] the
-    bitset of vertices whose side contains leaf l, the vertices whose side
-    misses a leaf set X are ~OR(holds[X]) and those whose side covers X are
-    AND(holds[X]). A vertex's row is the sides that miss its side, cover it
-    or miss its complement (lie inside it), minus the vertex itself.
+    Canonical sides are compatible unless they cross, as no two cover every
+    leaf (splits.are_compatible): j crosses i when j's side meets i's side,
+    lacks a leaf of it and meets its complement. With holds[l] the bitset of
+    vertices whose side holds leaf l, the sides meeting a leaf set X are
+    OR(holds[X]) and those lacking a leaf of X are OR(~holds[X]). Each OR is
+    two lookups, in _subset_images tables over leaves 1..n//2 and the rest.
     """
     check_leaf_count(n)
     if n > MAX_LINK_LEAVES:
         raise TooLarge(f"link graph capped at n = {MAX_LINK_LEAVES}, got {n}")
     vertices = tuple(enumerate_splits(n))
-    all_mask = (1 << len(vertices)) - 1
-    holds = [0] * n
-    for i, v in enumerate(vertices):
-        for leaf in set_bits(v.mask):
-            holds[leaf] |= 1 << i
-    rows = []
-    for i, v in enumerate(vertices):
-        meets, covers, outside = 0, all_mask, 0
-        for leaf in set_bits(v.mask):
-            meets |= holds[leaf]
-            covers &= holds[leaf]
-        for leaf in set_bits(v.complement_mask):
-            outside |= holds[leaf]
-        rows.append(((all_mask ^ meets) | covers | (all_mask ^ outside)) & ~(1 << i))
+    all_mask, half, full, sides = (1 << len(vertices)) - 1, n // 2, full_mask(n), [v.mask for v in vertices]
+    digits = "0" * n + "".join([format(m, f"0{n}b") for m in reversed(sides)])
+    holds = [int(digits[n - 1 - leaf :: n], 2) for leaf in range(n)]  # leaf l: every n-th digit
+    meets_lo, meets_hi = _subset_images(holds[:half]), _subset_images(holds[half:])
+    lacks_lo, lacks_hi = (_subset_images([all_mask ^ h for h in part]) for part in (holds[:half], holds[half:]))
+    cut, rows = (1 << half) - 1, []
+    for i, m in enumerate(sides):
+        lo, hi, c = m & cut, m >> half, full ^ m
+        meets, lacks = meets_lo[lo] | meets_hi[hi], lacks_lo[lo] | lacks_hi[hi]
+        outside = meets_lo[c & cut] | meets_hi[c >> half]
+        rows.append(all_mask ^ (meets & lacks & outside | 1 << i))  # a side meets and covers itself
     return LinkGraph(n, vertices, tuple(rows))
+
+
+def _subset_images(bits: list[int]) -> list[int]:
+    """table[m] = OR of bits[j] over the set bits j of m."""
+    table = [0]
+    for bit in bits:
+        table += [t | bit for t in table]
+    return table
 
 
 def degree_formula(n: int, k: int) -> int:
@@ -119,10 +125,10 @@ def degree_formula(n: int, k: int) -> int:
 
 
 def verify_degrees(g: LinkGraph) -> bool:
-    """True when every vertex degree matches the closed-form formula."""
-    return all(
-        g.degree(i) == degree_formula(g.n, v.size) for i, v in enumerate(g.vertices)
-    )
+    """True when every vertex degree matches the closed-form formula, taken once per side size."""
+    sizes = [v.mask.bit_count() for v in g.vertices]
+    want = {k: degree_formula(g.n, k) for k in set(sizes)}
+    return list(map(int.bit_count, g.adjacency)) == list(map(want.__getitem__, sizes))
 
 
 def kneser_subgraph(g: LinkGraph, k: int) -> LinkGraph:
@@ -220,14 +226,37 @@ def _grow_orbit(orbit: dict[int, VertexPerm], generators: list[VertexPerm]) -> N
                 frontier.append((image, orbit[image]))
 
 
-def is_vertex_automorphism(g: LinkGraph, perm: VertexPerm) -> bool:
-    """Exhaustive check that a vertex permutation maps each row onto its image's row."""
-    adj = g.adjacency
-    if sorted(perm) != list(range(len(adj))):
+def are_automorphisms(g: LinkGraph, perms: list[VertexPerm] | tuple[VertexPerm, ...]) -> bool:
+    """True when every vertex permutation p in perms keeps the rows: bit p[j]
+    of row p[i] is bit j of row i, for all i and j. Reads the rows alone.
+
+    The rows in the order p, packed through bytes, form a w-by-w bit matrix,
+    w a power of two. Its transpose, read in the order p, must equal the
+    transposed adjacency. Stage b of the log2(w) transposition stages swaps
+    bit (r, c), with r & b == 0 and c & b != 0, and bit (r + b, c - b) in
+    every matrix by one delta swap, under a mask built for that stage alone.
+    """
+    nv = len(g.adjacency)
+    if any(sorted(p) != list(range(nv)) for p in perms):
         return False
-    return all(  # distinct bits map to distinct bits, so the sum is their OR
-        sum(1 << perm[j] for j in set_bits(row)) == adj[perm[i]] for i, row in enumerate(adj)
-    )
+    w = max(8, 1 << (nv - 1).bit_length())
+    rows = [row.to_bytes(w // 8, "little") for row in g.adjacency] + [bytes(w // 8)] * (w - nv)
+    orders = [[*p, *range(nv, w)] for p in perms]
+    mats = [int.from_bytes(b"".join(map(rows.__getitem__, order)), "little") for order in [range(w), *orders]]
+    b = w // 2
+    while b:
+        cols = ((1 << w) // ((1 << 2 * b) - 1) * ((1 << b) - 1) << b).to_bytes(w // 8, "little")
+        mask, shift = int.from_bytes((cols * b + bytes(w // 8 * b)) * (w // (2 * b)), "little"), b * (w - 1)
+        for k, x in enumerate(mats):
+            t = (x ^ x >> shift) & mask
+            mats[k] = x ^ t ^ t << shift
+        b //= 2
+    target, *flipped = (m.to_bytes(w * w // 8, "little") for m in mats)
+    for order, m in zip(orders, flipped):
+        chunks = [m[r * w // 8 : (r + 1) * w // 8] for r in range(w)]
+        if b"".join(map(chunks.__getitem__, order)) != target:
+            return False
+    return True
 
 
 def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
@@ -326,9 +355,8 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
     group_order = math.prod(len(t) for t in transversals)
     if math.factorial(nv) % group_order:
         raise AssertionError("group order does not divide the vertex factorial")
-    for gen in generators:
-        if not is_vertex_automorphism(g, gen):
-            raise AssertionError("search produced a non-automorphism generator")
+    if not are_automorphisms(g, generators):
+        raise AssertionError("search produced a non-automorphism generator")
     elements = None
     if group_order <= ELEMENT_CAP:
         products = [identity]
@@ -336,14 +364,6 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
             products = [_compose(t, p) for t in transversal for p in products]
         elements = tuple(sorted(products))
     return AutomorphismGroup(group_order, tuple(generators), elements)
-
-
-def _subset_images(bits: list[int]) -> list[int]:
-    """table[m] = OR of bits[j] over the set bits j of m."""
-    table = [0]
-    for bit in bits:
-        table += [t | bit for t in table]
-    return table
 
 
 def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
@@ -373,7 +393,8 @@ def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:
     stars, so an automorphism permutes the leaves by some sigma and agrees
     with its relabeling on the pairs. (c) No two vertices have the same pair
     neighbours, so only the identity fixes every pair: |Aut| <= n!. (d) The
-    two relabelings, which generate S_n, are automorphisms: |Aut| >= n!.
+    two relabelings, which generate S_n, are automorphisms: |Aut| >= n!;
+    are_automorphisms checks both on the rows by bit-matrix transposition.
     """
     n, adj = g.n, g.adjacency
     if n < 5:
@@ -390,4 +411,4 @@ def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:
         permutation_to_automorphism(Permutation.from_cycles(n, cycle), g)
         for cycle in ((1, 2), range(1, n + 1))
     )
-    return generators if all(is_vertex_automorphism(g, p) for p in generators) else None
+    return generators if are_automorphisms(g, generators) else None

@@ -216,6 +216,8 @@ class Permutation:
         images = list(range(1, n + 1))
         for cycle in cycles:
             cycle = tuple(cycle)
+            if bad := [x for x in cycle if type(x) is not int or not 1 <= x <= n]:  # no bool, no wrap-around
+                raise ValueError(f"cycle entry {bad[0]!r} is not a leaf in 1..{n}")
             for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
                 images[src - 1] = dst
         return cls(tuple(images))

@@ -138,6 +138,17 @@ def neighbors_of_size(g, v: Split, size: int) -> set[Split]:
     return {w for j, w in enumerate(g.vertices) if row >> j & 1 and w.size == size}
 
 
+def is_vertex_automorphism(g, perm) -> bool:
+    """Exhaustive check that a vertex permutation maps each row onto its image's row,
+    one set bit at a time. The oracle for linkgraph.are_automorphisms."""
+    adj = g.adjacency
+    if sorted(perm) != list(range(len(adj))):
+        return False
+    return all(  # distinct bits map to distinct bits, so the sum is their OR
+        sum(1 << perm[j] for j in set_bits(row)) == adj[perm[i]] for i, row in enumerate(adj)
+    )
+
+
 def preserves_adjacency_pairwise(g, perm) -> bool:
     """Adjacency preservation by one comparison per vertex pair."""
     nv = g.vertex_count

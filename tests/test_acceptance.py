@@ -39,8 +39,7 @@ from bhvkit import (
     to_newick,
 )
 from bhvkit.cli import main as cli_main
-from bhvkit.linkgraph import is_vertex_automorphism
-from helpers import all_faces, cone_point
+from helpers import all_faces, cone_point, is_vertex_automorphism
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
 REL_TOL = 1e-12

@@ -92,6 +92,17 @@ def test_aut_range(capsys):
             assert (code, out, err) == (5, "", f"error: leaf count must be in [3, 64], got {n}\n")
 
 
+def test_aut_3_and_4_each_give_their_own_reason(capsys):
+    reasons = {
+        "3": "the n=3 link graph has no vertices: no split of 3 leaves has two leaves on each side.",
+        "4": "the n=4 link graph is three isolated vertices with automorphism group of order 6, "
+        "while there are 4! = 24 leaf relabelings, so the relabeling action is not faithful at n=4.",
+    }
+    for n, reason in reasons.items():
+        prefix = f"error: aut {n} refused: the group-equals-leaf-permutations check only applies for n >= 5; "
+        assert run(capsys, "aut", n) == (2, "", prefix + reason + "\n")
+
+
 def test_aut_node_budget_is_one_error_line(capsys, monkeypatch):
     monkeypatch.setattr(bhvkit.linkgraph, "NODE_CAP", 10)
     code, out, err = run(capsys, "aut", "7")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import sys
 from functools import lru_cache
 from itertools import combinations
@@ -34,13 +35,15 @@ from bhvkit import (
     verify_degrees,
 )
 from bhvkit import linkgraph
-from bhvkit.linkgraph import is_vertex_automorphism
+from bhvkit.linkgraph import are_automorphisms
 from bhvkit.splits import set_bits
 from helpers import (
+    DOCTORS,
     compose,
     compose_permutations,
     doctored,
     enumerate_automorphisms,
+    is_vertex_automorphism,
     maximal_cliques,
     neighbors_of_size,
     pairwise_adjacency,
@@ -92,9 +95,16 @@ def test_link6_vertex_count(link6):
 
 
 def test_adjacency_matches_pairwise_oracle():
-    for n in range(4, 11):
+    for n in range(4, 12):
         g = build_link_graph(n)
         assert g.adjacency == pairwise_adjacency(g.vertices)
+
+
+def test_sampled_rows_match_pairwise_oracle_at_n12():
+    g = cached_link_graph(12)
+    for i in random.Random(1212).sample(range(g.vertex_count), 40):
+        u = g.vertices[i]
+        assert g.adjacency[i] == sum(1 << j for j, v in enumerate(g.vertices) if j != i and are_compatible(u, v))
 
 
 def test_link_graph_size_cap():
@@ -121,6 +131,18 @@ def test_every_degree_matches_formula():
         for i, v in enumerate(g.vertices):
             assert g.degree(i) == degree_formula(n, v.size)
         assert verify_degrees(g)
+
+
+def test_one_cut_edge_fails_the_degree_check():
+    for n in (5, 9, 12):
+        g = cached_link_graph(n)
+        i = n  # any vertex with a neighbour
+        j = set_bits(g.adjacency[i])[0]
+        rows = list(g.adjacency)
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        assert verify_degrees(g)
+        assert not verify_degrees(LinkGraph(n, g.vertices, rows))
 
 
 def test_vertex_set_partitions_by_size():
@@ -359,10 +381,80 @@ def test_relabeling_is_an_automorphism(pair, a, b):
 
 
 def test_vertex_automorphism_needs_a_vertex_permutation(link5):
-    identity = tuple(range(link5.vertex_count))
-    assert is_vertex_automorphism(link5, identity)
-    assert not is_vertex_automorphism(link5, identity[:-1])  # too short
-    assert not is_vertex_automorphism(link5, (1,) + identity[1:])  # a repeated image
+    # on the edgeless n = 4 graph every map of the vertices keeps the rows
+    for g in (build_link_graph(4), link5):
+        identity = tuple(range(g.vertex_count))
+        for check in (is_vertex_automorphism, lambda g, p: are_automorphisms(g, [p])):
+            assert check(g, identity)
+            assert not check(g, identity[:-1])  # too short
+            assert not check(g, (1,) + identity[1:])  # a repeated image
+            assert not check(g, identity[:-1] + (len(identity),))  # an image past the last vertex
+
+
+@st.composite
+def graphs_and_vertex_maps(draw):
+    """A link graph for n <= 9, or one of the doctored n = 7 graphs, perhaps
+    with one arc dropped, and a few vertex maps: the identity, relabelings,
+    relabelings with two images swapped, random permutations, and maps cut
+    short or with a repeated image."""
+    n = draw(st.integers(3, 9))
+    g = cached_link_graph(n)
+    if n == 7 and draw(st.booleans()):
+        g = cached_doctored(draw(st.sampled_from(sorted(DOCTORS))))
+    nv = g.vertex_count
+    if nv and draw(st.booleans()):  # one arc dropped: rows that are not symmetric
+        i = draw(st.integers(0, nv - 1))
+        rows = list(g.adjacency)
+        rows[i] &= rows[i] - 1
+        g = LinkGraph(g.n, g.vertices, rows)
+    maps = []
+    for kind in draw(st.lists(st.sampled_from(["identity", "relabel", "swap", "random", "short", "repeat"]), max_size=4)):
+        if kind in ("relabel", "swap"):
+            sigma = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+            perm = list(permutation_to_automorphism(sigma, g))
+        else:
+            perm = list(range(nv)) if kind == "identity" else list(draw(st.permutations(range(nv))))
+        if kind == "swap" and nv:
+            a, b = draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1))
+            perm[a], perm[b] = perm[b], perm[a]
+        if kind == "short":
+            perm = perm[:-1]
+        if kind == "repeat" and nv > 1:
+            perm[draw(st.integers(1, nv - 1))] = perm[0]
+        maps.append(tuple(perm))
+    return g, maps
+
+
+@lru_cache(maxsize=None)
+def cached_doctored(check):
+    return doctored(cached_link_graph(7), check)
+
+
+@settings(deadline=None)
+@given(graphs_and_vertex_maps())
+def test_transposition_check_matches_the_row_walk(graph_and_maps):
+    g, maps = graph_and_maps
+    assert are_automorphisms(g, maps) == all(is_vertex_automorphism(g, p) for p in maps)
+
+
+@pytest.mark.parametrize("check", sorted(DOCTORS))
+def test_transposition_check_on_each_doctored_graph(check):
+    h = cached_doctored(check)
+    relabelings = [permutation_to_automorphism(Permutation.from_cycles(7, c), h) for c in ((1, 2), range(1, 8))]
+    for perms in ([p] for p in relabelings):
+        assert are_automorphisms(h, perms) == is_vertex_automorphism(h, perms[0])
+    assert are_automorphisms(h, relabelings) == (check != "d")
+
+
+def test_transposition_check_at_n12_with_one_edge_cut():
+    g = cached_link_graph(12)
+    relabelings = [permutation_to_automorphism(Permutation.from_cycles(12, c), g) for c in ((1, 2), range(1, 13))]
+    assert are_automorphisms(g, relabelings)
+    i, j = (g.vertices.index(make_split(side, 12)) for side in ({1, 2}, {3, 4}))
+    rows = list(g.adjacency)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    assert not are_automorphisms(LinkGraph(12, g.vertices, rows), relabelings[1:])
 
 
 def chain_checks(g) -> tuple[bool, bool, bool, bool]:
@@ -439,7 +531,7 @@ def test_search_self_check_on_the_group_order(link5, monkeypatch):
 
 def test_search_self_check_on_each_generator(link5, monkeypatch):
     # a row check that refuses every permutation trips the second
-    monkeypatch.setattr(linkgraph, "is_vertex_automorphism", lambda g, perm: False)
+    monkeypatch.setattr(linkgraph, "are_automorphisms", lambda g, perms: False)
     with pytest.raises(AssertionError, match="^search produced a non-automorphism generator$"):
         brute_force_automorphisms(link5)
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -292,6 +293,19 @@ def test_permutation_rejects_non_bijection():
     for images in ((1.0, 2.0, 3.0, 4.0, 5.0), (True, 2, 3, 4, 5)):  # equal to 1..5, but no leaf labels
         with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.5: "):
             Permutation(images)
+
+
+@pytest.mark.parametrize("cycle, bad", [
+    ((1, 7), "7"),  # past n: an IndexError once
+    ((6, 0), "0"),  # 0 and -1 wrapped round to the last images, here undoing the first write
+    ((5, -1), "-1"),
+    ((True, 2), "True"),
+    ((1.0, 2), "1.0"),
+    (("1", 2), "'1'"),
+])
+def test_from_cycles_names_a_bad_entry(cycle, bad):
+    with pytest.raises(ValueError, match=rf"^cycle entry {re.escape(bad)} is not a leaf in 1\.\.6$"):
+        Permutation.from_cycles(6, cycle)
 
 
 def test_permutation_action_is_group_action():
