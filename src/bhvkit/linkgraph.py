@@ -94,11 +94,13 @@ def build_link_graph(n: int) -> LinkGraph:
     if n > MAX_LINK_LEAVES:
         raise TooLarge(f"link graph capped at n = {MAX_LINK_LEAVES}, got {n}")
     vertices = tuple(enumerate_splits(n))
-    all_mask, half, full, sides = (1 << len(vertices)) - 1, n // 2, full_mask(n), [v.mask for v in vertices]
+    sides = [v.mask for v in vertices]
+    all_mask, full, half = (1 << len(vertices)) - 1, full_mask(n), n // 2
     digits = "0" * n + "".join([format(m, f"0{n}b") for m in reversed(sides)])
     holds = [int(digits[n - 1 - leaf :: n], 2) for leaf in range(n)]  # leaf l: every n-th digit
+    misses = [all_mask ^ h for h in holds]
     meets_lo, meets_hi = _subset_images(holds[:half]), _subset_images(holds[half:])
-    lacks_lo, lacks_hi = (_subset_images([all_mask ^ h for h in part]) for part in (holds[:half], holds[half:]))
+    lacks_lo, lacks_hi = _subset_images(misses[:half]), _subset_images(misses[half:])
     cut, rows = (1 << half) - 1, []
     for i, m in enumerate(sides):
         lo, hi, c = m & cut, m >> half, full ^ m
@@ -242,11 +244,13 @@ def are_automorphisms(g: LinkGraph, perms: list[VertexPerm] | tuple[VertexPerm, 
     w = max(8, 1 << (nv - 1).bit_length())
     rows = [row.to_bytes(w // 8, "little") for row in g.adjacency] + [bytes(w // 8)] * (w - nv)
     orders = [[*p, *range(nv, w)] for p in perms]
-    mats = [int.from_bytes(b"".join(map(rows.__getitem__, order)), "little") for order in [range(w), *orders]]
+    packed = (b"".join(map(rows.__getitem__, order)) for order in [range(w), *orders])
+    mats = [int.from_bytes(m, "little") for m in packed]  # the adjacency first
     b = w // 2
     while b:
         cols = ((1 << w) // ((1 << 2 * b) - 1) * ((1 << b) - 1) << b).to_bytes(w // 8, "little")
-        mask, shift = int.from_bytes((cols * b + bytes(w // 8 * b)) * (w // (2 * b)), "little"), b * (w - 1)
+        mask = int.from_bytes((cols * b + bytes(w // 8 * b)) * (w // (2 * b)), "little")
+        shift = b * (w - 1)  # from bit (r + b, c - b) to bit (r, c)
         for k, x in enumerate(mats):
             t = (x ^ x >> shift) & mask
             mats[k] = x ^ t ^ t << shift
