@@ -4,13 +4,13 @@ Vertices are all canonical splits on n leaves; edges join compatible pairs.
 The size-k layers are Kneser graphs, whose maximum independent sets are the
 leaf stars, and the full automorphism group is realized by leaf relabelings;
 both facts are checked by exact search on the built graph, not assumed.
-Adjacency rows are vertex-index bitmasks, each read off two half-leaf subset
-tables of per-leaf bitsets. certify_aut proves Aut = S_n by the paper's
-lemma chain, never by degree_formula: the size layers are kept, the pair
-layer's maximum independent sets are the leaf stars, and the pair layer pins
-every vertex; that a vertex permutation keeps the rows is checked by
-bit-matrix transposition. The stabiliser-chain search stays as the tests'
-oracle. NODE_CAP search nodes is the only bound on either exact search.
+Adjacency rows are vertex-index bitmasks, each read off subset tables of
+per-leaf bitsets, one per half of the leaves. certify_aut proves Aut = S_n
+by the paper's lemma chain, never by degree_formula: the size layers are
+kept, the pair layer's maximum independent sets are the leaf stars, and the
+pair layer pins every vertex; that a vertex permutation keeps the rows is
+checked by bit-matrix transposition. The stabiliser-chain search stays as
+the tests' oracle. NODE_CAP search nodes is the only bound on either search.
 """
 
 from __future__ import annotations

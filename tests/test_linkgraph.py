@@ -136,7 +136,7 @@ def test_every_degree_matches_formula():
 def test_one_cut_edge_fails_the_degree_check():
     for n in (5, 9, 12):
         g = cached_link_graph(n)
-        i = n  # any vertex with a neighbour
+        i = n  # for n >= 5 every vertex has neighbours
         j = set_bits(g.adjacency[i])[0]
         rows = list(g.adjacency)
         rows[i] ^= 1 << j
@@ -441,8 +441,8 @@ def test_transposition_check_matches_the_row_walk(graph_and_maps):
 def test_transposition_check_on_each_doctored_graph(check):
     h = cached_doctored(check)
     relabelings = [permutation_to_automorphism(Permutation.from_cycles(7, c), h) for c in ((1, 2), range(1, 8))]
-    for perms in ([p] for p in relabelings):
-        assert are_automorphisms(h, perms) == is_vertex_automorphism(h, perms[0])
+    for p in relabelings:
+        assert are_automorphisms(h, [p]) == is_vertex_automorphism(h, p)
     assert are_automorphisms(h, relabelings) == (check != "d")
 
 
@@ -454,6 +454,7 @@ def test_transposition_check_at_n12_with_one_edge_cut():
     rows = list(g.adjacency)
     rows[i] ^= 1 << j
     rows[j] ^= 1 << i
+    # (1 2) keeps {1,2} and {3,4}, so only the n-cycle's relabeling breaks the cut graph
     assert not are_automorphisms(LinkGraph(12, g.vertices, rows), relabelings[1:])
 
 
