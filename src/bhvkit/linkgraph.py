@@ -5,18 +5,22 @@ The size-k layers are Kneser graphs, whose maximum independent sets are the
 leaf stars, and the full automorphism group is realized by leaf relabelings;
 both facts are checked by exact search on the built graph, not assumed.
 Adjacency rows are vertex-index bitmasks, each read off subset tables of
-per-leaf bitsets, one per half of the leaves. certify_aut proves Aut = S_n
-by the paper's lemma chain, never by degree_formula: the size layers are
-kept, the pair layer's maximum independent sets are the leaf stars, and the
-pair layer pins every vertex; that a vertex permutation keeps the rows is
-checked by bit-matrix transposition. The stabiliser-chain search stays as
-the tests' oracle. NODE_CAP search nodes is the only bound on either search.
+per-leaf bitsets, one per half of the leaves. A leaf relabeling moves each
+side through like tables of leaf bits and finds its image with one lookup
+in an index that the graph's first relabel fills in. certify_aut proves
+Aut = S_n by the paper's lemma chain, never by degree_formula: the size
+layers are kept, the pair layer's maximum independent sets are the leaf
+stars, and the pair layer pins every vertex; bit-matrix transposition
+checks that a vertex permutation keeps the rows. The stabiliser-chain
+search stays as the tests' oracle. NODE_CAP search nodes is the only
+bound on either search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     KOutOfRange,
@@ -47,13 +51,12 @@ class LinkGraph:
     n: int
     vertices: tuple[Split, ...]
     adjacency: tuple[int, ...]
-    # canonical side mask -> vertex index, built once and never mutated
-    _index: dict[int, int] = field(init=False, compare=False, repr=False)
+    # each side mask and its complement -> vertex index, filled in by the first relabel
+    _index: dict[int, int] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))  # no caller's list to change
         object.__setattr__(self, "adjacency", tuple(self.adjacency))
-        object.__setattr__(self, "_index", {v.mask: i for i, v in enumerate(self.vertices)})
 
     @property
     def vertex_count(self) -> int:
@@ -71,13 +74,10 @@ class LinkGraph:
 
     def to_dot(self) -> str:
         names = ['"' + ",".join(map(str, v.side)) + '"' for v in self.vertices]
-        lines = ["graph link {"]
-        lines += [f"  {name};" for name in names]
+        lines = ["graph link {", *(f"  {name};" for name in names)]
         for i, row in enumerate(self.adjacency):
-            for j in set_bits(row >> i + 1):
-                lines.append(f"  {names[i]} -- {names[i + 1 + j]};")
-        lines.append("}")
-        return "\n".join(lines)
+            lines += [f"  {names[i]} -- {names[i + 1 + j]};" for j in set_bits(row >> i + 1)]
+        return "\n".join([*lines, "}"])
 
 
 def build_link_graph(n: int) -> LinkGraph:
@@ -166,12 +166,9 @@ def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
     its only bound, since its cost tracks the nodes it expands, not the
     vertex count.
     """
-    nv = g.vertex_count
-    adj = g.adjacency
+    nv, adj = g.vertex_count, g.adjacency
     order = sorted(range(nv), key=lambda v: adj[v].bit_count(), reverse=True)
-    best = 0
-    results: list[int] = []
-    budget = NODE_CAP
+    best, results, budget = 0, [], NODE_CAP
 
     def search(chosen: int, size: int, cand: int):
         # the include branch recurses; the exclude branch is the next pass of
@@ -211,8 +208,8 @@ class AutomorphismGroup:
 
 
 def _compose(p: VertexPerm, q: VertexPerm) -> VertexPerm:
-    """(p o q)(i) = p[q[i]]."""
-    return tuple(map(p.__getitem__, q))
+    """(p o q)(i) = p[q[i]]; itemgetter gives a bare item for one index and refuses none."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(map(p.__getitem__, q))
 
 
 def _grow_orbit(orbit: dict[int, VertexPerm], generators: list[VertexPerm]) -> None:
@@ -285,10 +282,8 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
     orbit representative per level. The probes together raise
     SearchBudgetExceeded after NODE_CAP nodes.
     """
-    nv = g.vertex_count
-    adj = g.adjacency
+    nv, adj, budget = g.vertex_count, g.adjacency, NODE_CAP
     all_mask = (1 << nv) - 1
-    budget = NODE_CAP
 
     def fix(cand: list[int], rest: int, v: int, w: int) -> tuple[list[int], int] | None:
         """Map v -> w and narrow the candidates in rest; returns them and the vertex
@@ -374,18 +369,21 @@ def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
     """The vertex permutation induced by relabeling leaves through sigma.
 
     Each side mask is relabeled through two lookup tables, one per half of
-    the leaves; a half-size side whose image lacks leaf 1 is looked up by
-    its complement, the canonical form.
+    the leaves, then looked up once in g's index of every side and its
+    complement: only a half-size side can relabel to a non-canonical mask.
+    The first relabel of g fills that index in, one idempotent write from
+    immutable vertices to a slot no caller reaches.
     """
     if sigma.n != g.n:
         raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs graph on {g.n}")
-    moved = [1 << (image - 1) for image in sigma.images]
-    half = g.n // 2
+    if g._index is None:
+        sides = [v.mask for v in g.vertices]
+        sides += [full_mask(g.n) ^ m for m in sides]
+        object.__setattr__(g, "_index", dict(zip(sides, [*range(g.vertex_count)] * 2)))
+    moved, half = [1 << (image - 1) for image in sigma.images], g.n // 2
     low, high = _subset_images(moved[:half]), _subset_images(moved[half:])
-    cut, full = (1 << half) - 1, full_mask(g.n)
-    index = g._index
-    images = (low[v.mask & cut] | high[v.mask >> half] for v in g.vertices)
-    return tuple(index[m] if m in index else index[full ^ m] for m in images)
+    cut, index = (1 << half) - 1, g._index
+    return tuple([index[low[v.mask & cut] | high[v.mask >> half]] for v in g.vertices])
 
 
 def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:

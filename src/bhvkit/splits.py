@@ -208,6 +208,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, leaf: int) -> int:
+        if type(leaf) is not int or not 1 <= leaf <= len(self.images):  # no bool, no wrap-around
+            raise ValueError(f"leaf {leaf!r} is not in 1..{len(self.images)}")
         return self.images[leaf - 1]
 
     @classmethod
@@ -224,16 +226,16 @@ class Permutation:
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
-    """Every permutation of {1, ..., n}, in itertools order."""
+    """Every permutation of {1, ..., n}, in itertools order, unchecked: itertools yields bijections."""
     for images in permutations(range(1, n + 1)):
-        yield Permutation(images)
+        sigma = object.__new__(Permutation)
+        object.__setattr__(sigma, "images", images)
+        yield sigma
 
 
 def apply_permutation(sigma: Permutation, s: Split) -> Split:
     """Relabel a split's leaves through sigma and re-canonicalize."""
     if sigma.n != s.n:
         raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs split on {s.n}")
-    mask = 0
-    for i in set_bits(s.mask):
-        mask |= 1 << (sigma.images[i] - 1)
-    return split_of_mask(mask, s.n)
+    moved = sum(1 << (sigma.images[i] - 1) for i in set_bits(s.mask))  # distinct bits: the sum is their OR
+    return split_of_mask(moved, s.n)

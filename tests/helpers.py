@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -123,6 +124,23 @@ def maximal_cliques(adjacency: tuple[int, ...]) -> list[int]:
 
     expand(0, (1 << len(adjacency)) - 1, 0)
     return out
+
+
+def concurrently(calls):
+    """Run each call in its own thread, all released at once; their results, in order."""
+    barrier, results = threading.Barrier(len(calls)), [None] * len(calls)
+
+    def work(i):
+        barrier.wait()
+        results[i] = calls[i]()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    return results
 
 
 def relabel_by_make_split(sigma, g) -> tuple[int, ...]:

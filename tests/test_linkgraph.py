@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -41,6 +41,7 @@ from helpers import (
     DOCTORS,
     compose,
     compose_permutations,
+    concurrently,
     doctored,
     enumerate_automorphisms,
     is_vertex_automorphism,
@@ -375,6 +376,49 @@ def test_relabeling_is_an_automorphism(pair, a, b):
     a, b = a % len(perm), b % len(perm)
     swapped[a], swapped[b] = swapped[b], swapped[a]
     assert is_vertex_automorphism(g, swapped) == preserves_adjacency_pairwise(g, swapped)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_relabeling_a_half_size_layer_matches_make_split_oracle(n):
+    # half-size vertices alone, indexed apart from the full graph: any image may be a complement
+    layer = kneser_subgraph(cached_link_graph(n), n // 2)
+    rng = random.Random(n)
+    sigmas = [Permutation.from_cycles(n, cycle) for cycle in ((1, 2), range(1, n + 1), (n - 1, n))]
+    sigmas += [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(5)]
+    for sigma in sigmas:
+        assert permutation_to_automorphism(sigma, layer) == relabel_by_make_split(sigma, layer)
+
+
+def test_first_relabel_leaves_the_graph_equal_to_a_fresh_build():
+    g, fresh = build_link_graph(7), build_link_graph(7)
+    before = hash(g)
+    permutation_to_automorphism(Permutation.from_cycles(7, (1, 2)), g)
+    assert g._index is not None and fresh._index is None
+    assert g == fresh and hash(g) == hash(fresh) == before
+    assert repr(g) == repr(fresh)
+
+
+def test_concurrent_first_relabels_agree():
+    g = cached_link_graph(8)
+    sigma = Permutation.from_cycles(8, (1, 2, 5), (3, 8))
+    fresh = [LinkGraph(8, g.vertices, g.adjacency) for _ in range(50)]  # equal graphs, none relabeled yet
+    results = concurrently([lambda: [permutation_to_automorphism(sigma, x) for x in fresh]] * 4)
+    assert all(r == [relabel_by_make_split(sigma, g)] * 50 for r in results)
+    assert all(x == g and x._index == fresh[0]._index for x in fresh)
+
+
+def test_compose_matches_the_oracle_at_every_length():
+    # itemgetter gives a bare item for one index and refuses none, so lengths 0 and 1 take another path
+    for length in range(4):
+        perms = list(permutations(range(length)))
+        for p in perms:
+            for q in perms:
+                assert type(linkgraph._compose(p, q)) is tuple
+                assert linkgraph._compose(p, q) == compose(p, q)
+    rng = random.Random(56)
+    for _ in range(200):
+        p, q = (tuple(rng.sample(range(56), 56)) for _ in range(2))
+        assert linkgraph._compose(p, q) == compose(p, q)
 
 
 def test_vertex_automorphism_needs_a_vertex_permutation(link5):

@@ -1,6 +1,8 @@
+import math
 import random
 import re
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -341,8 +343,40 @@ def test_permutation_action_permutes_vertex_set():
         assert image == set(splits)
 
 
+@pytest.mark.parametrize("leaf", [0, -1, 6, True, 1.0, "1", None])
+def test_calling_a_permutation_names_a_bad_leaf(leaf):
+    # 0 and -1 once wrapped round to the last images, True read as leaf 1 and 6 was an IndexError
+    sigma = Permutation.from_cycles(5, (1, 2, 3))
+    with pytest.raises(ValueError, match=rf"^leaf {re.escape(repr(leaf))} is not in 1\.\.5$"):
+        sigma(leaf)
+
+
+def test_calling_a_permutation_maps_every_leaf():
+    sigma = Permutation.from_cycles(5, (1, 2, 3))
+    assert [sigma(leaf) for leaf in range(1, 6)] == [2, 3, 1, 4, 5]
+
+
 def test_all_permutations_count():
     assert sum(1 for _ in all_permutations(4)) == 24
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_unchecked_permutations_equal_checked_ones(n):
+    unchecked = list(all_permutations(n))
+    checked = [Permutation(images) for images in permutations(range(1, n + 1))]
+    assert len(unchecked) == math.factorial(n)
+    assert unchecked == checked
+    assert all(type(p) is Permutation and type(p.images) is tuple for p in unchecked)
+    assert list(map(hash, unchecked)) == list(map(hash, checked))
+    assert len(set(unchecked)) == math.factorial(n)
+
+
+def test_unchecked_permutation_constructor_stays_in_splits():
+    package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
+    callers = {f.name for f in package.glob("*.py") if "object.__new__(Permutation)" in f.read_text()}
+    assert callers == {"splits.py"}
+    # splits.py builds them once, in all_permutations
+    assert (package / "splits.py").read_text().count("object.__new__(Permutation)") == 1
 
 
 def test_split_json_round_trip():

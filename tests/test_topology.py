@@ -2,7 +2,6 @@ import gc
 import hashlib
 import random
 import sys
-import threading
 import time
 from itertools import combinations
 from pathlib import Path
@@ -45,6 +44,7 @@ from helpers import (
     all_faces,
     census_by_graph_walk,
     clade_children_by_parent_search,
+    concurrently,
     inverse_permutation,
     newick_trees,
     random_face,
@@ -308,23 +308,6 @@ def test_census_build_that_fails_restores_the_gc():
         gc.enable() if was else gc.disable()
 
 
-def _concurrently(calls):
-    """Run each call in its own thread, all released at once; their results, in order."""
-    barrier, results = threading.Barrier(len(calls)), [None] * len(calls)
-
-    def work(i):
-        barrier.wait()
-        results[i] = calls[i]()
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-    return results
-
-
 def test_concurrent_first_callers_build_the_census_once():
     was, laminar, batches = gc.isenabled(), Topology._laminar.__func__, []
 
@@ -339,7 +322,7 @@ def test_concurrent_first_callers_build_the_census_once():
     try:
         gc.enable()
         with mock.patch.object(Topology, "_laminar", classmethod(counting)):
-            results = _concurrently(calls)
+            results = concurrently(calls)
         assert batches == [7]
         assert gc.isenabled()
         assert len(results[0]) == 945
@@ -352,7 +335,7 @@ def test_concurrent_first_callers_build_the_census_once():
 def test_concurrent_first_readers_see_equal_clade_trees():
     t = make_topology(splits(8, {1, 2}, {1, 2, 3}, {6, 7}, {5, 6, 7}), 8)
     fresh = Topology._laminar(8, [t.splits] * 50)  # equal values, none of which has walked its tree
-    results = _concurrently([lambda: [(clade_children(x), degree_sequence(x)) for x in fresh]] * 4)
+    results = concurrently([lambda: [(clade_children(x), degree_sequence(x)) for x in fresh]] * 4)
     assert all(r == [(clade_children(t), degree_sequence(t))] * 50 for r in results)
 
 
