@@ -351,11 +351,6 @@ def test_calling_a_permutation_names_a_bad_leaf(leaf):
         sigma(leaf)
 
 
-def test_calling_a_permutation_maps_every_leaf():
-    sigma = Permutation.from_cycles(5, (1, 2, 3))
-    assert [sigma(leaf) for leaf in range(1, 6)] == [2, 3, 1, 4, 5]
-
-
 def test_all_permutations_count():
     assert sum(1 for _ in all_permutations(4)) == 24
 
