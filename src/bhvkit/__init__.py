@@ -12,18 +12,10 @@ from .errors import (
     DuplicateLeaf,
     EpsilonTooLarge,
     IncompatiblePair,
-    KOutOfRange,
     LeafCountMismatch,
-    LeafOutOfRange,
     NegativeLength,
-    NegativeOrEven,
     NewickSyntaxError,
-    NonpositiveRadius,
-    POutOfRange,
-    SearchBudgetExceeded,
-    SubsetTooSmall,
     TooLarge,
-    TooManySplits,
     UnknownLeafName,
 )
 from .linkgraph import (

@@ -26,7 +26,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import BhvError, EpsilonTooLarge, LeafCountMismatch, SearchBudgetExceeded, TooLarge
+from .errors import EpsilonTooLarge, LeafCountMismatch, TooLarge
 from .linkgraph import build_link_graph, certify_aut, verify_degrees
 from .measure import TreePoint, _distances, ball_volume, ball_volume_bounds, is_cone_point
 from .newick import iter_newick_lines, parse_newick, to_newick
@@ -45,12 +45,12 @@ EXIT_TOO_LARGE = 2
 EXIT_EPSILON = 3
 EXIT_LEAF_MISMATCH = 4
 EXIT_BAD_INPUT = 5
-# (exception types, exit code) for main; the first matching row wins
+# (exception type, exit code) for main; the first matching row wins
 EXIT_CODES = (
     (EpsilonTooLarge, EXIT_EPSILON),
-    ((TooLarge, SearchBudgetExceeded), EXIT_TOO_LARGE),
+    (TooLarge, EXIT_TOO_LARGE),
     (LeafCountMismatch, EXIT_LEAF_MISMATCH),
-    ((BhvError, ValueError), EXIT_BAD_INPUT),
+    (ValueError, EXIT_BAD_INPUT),
 )
 
 
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (BhvError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)  # an argument may hold a newline
         return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 

@@ -1,29 +1,18 @@
 """Exception hierarchy shared by all bhvkit modules.
 
-The errors below derive from BhvError, so callers can catch one base class
-for them. Every size cap raises TooLarge, the census's and the link graph's
-alike. Some checks raise plain ValueError instead: check_leaf_count,
-Permutation, TreePoint (its lengths and from_json) and the finite-float
-guards of measure. The CLI reports either as rejected input (exit 5) unless
-a more specific exit code applies.
+Every bhvkit error is a ValueError: BhvError, its subclasses below, each kept
+where a caller tells it apart, and the plain ValueError of a few checks.
+Every size cap raises TooLarge, the searches' NODE_CAP included.
 """
 
 
-class BhvError(Exception):
+class BhvError(ValueError):
     """Base class for all bhvkit errors."""
 
 
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------
-
-class SubsetTooSmall(BhvError):
-    """A split side or its complement has fewer than 2 leaves."""
-
-
-class LeafOutOfRange(BhvError):
-    """A leaf label lies outside {1, ..., n}."""
-
 
 class LeafCountMismatch(BhvError):
     """Two values built over different leaf counts were combined."""
@@ -42,38 +31,19 @@ class IncompatiblePair(BhvError):
         super().__init__(f"incompatible splits {a} and {b}")
 
 
-class TooManySplits(BhvError):
-    """More than n-3 splits supplied for a topology on n leaves."""
-
-
-class NegativeOrEven(BhvError):
-    """Double factorial argument must be odd and >= -1."""
-
-
 # ---------------------------------------------------------------------------
 # link graph
 # ---------------------------------------------------------------------------
 
-class KOutOfRange(BhvError):
-    """Partition size k outside the valid range for this query."""
-
-
 class TooLarge(BhvError):
     """Input lies outside the sizes this desk-scale routine supports: past a leaf
-    cap (MAX_CENSUS_LEAVES, MAX_LINK_LEAVES), or, for the CLI's aut, below n = 5."""
-
-
-class SearchBudgetExceeded(BhvError):
-    """A backtracking search exhausted its node budget."""
+    cap (MAX_CENSUS_LEAVES, MAX_LINK_LEAVES) or a search's NODE_CAP nodes, or,
+    for the CLI's aut, below n = 5."""
 
 
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
-
-class NonpositiveRadius(BhvError):
-    """Ball radius must be strictly positive and finite."""
-
 
 class EpsilonTooLarge(BhvError):
     """Radius is not smaller than the shortest edge, so the closed-form
@@ -81,13 +51,7 @@ class EpsilonTooLarge(BhvError):
 
     def __init__(self, min_edge):
         self.min_edge = min_edge
-        super().__init__(
-            f"epsilon must be smaller than the minimum edge length {min_edge}"
-        )
-
-
-class POutOfRange(BhvError):
-    """Edge count p outside 0 <= p <= n-3."""
+        super().__init__(f"epsilon must be smaller than the minimum edge length {min_edge}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import (
-    KOutOfRange,
-    LeafCountMismatch,
-    SearchBudgetExceeded,
-    TooLarge,
-)
+from .errors import BhvError, LeafCountMismatch, TooLarge
 from .splits import (
     Permutation,
     Split,
@@ -121,8 +116,10 @@ def _subset_images(bits: list[int]) -> list[int]:
 def degree_formula(n: int, k: int) -> int:
     """Closed-form degree of a size-k vertex: 2^k + 2^(n-k) - n - 4."""
     check_leaf_count(n)
+    if type(k) is not int:
+        raise BhvError(f"k must be an int, got {k!r}")
     if k < 2 or 2 * k > n:
-        raise KOutOfRange(f"need 2 <= k <= n/2, got k={k} for n={n}")
+        raise BhvError(f"need 2 <= k <= n/2, got k={k} for n={n}")
     return 2**k + 2 ** (n - k) - n - 4
 
 
@@ -139,8 +136,10 @@ def kneser_subgraph(g: LinkGraph, k: int) -> LinkGraph:
     For k < n/2 this is the Kneser graph on k-subsets: adjacency within the
     layer is exactly disjointness of sides.
     """
+    if type(k) is not int:
+        raise BhvError(f"k must be an int, got {k!r}")
     if k < 2 or 2 * k > g.n:
-        raise KOutOfRange(f"need 2 <= k <= n/2, got k={k} for n={g.n}")
+        raise BhvError(f"need 2 <= k <= n/2, got k={k} for n={g.n}")
     keep = [i for i, v in enumerate(g.vertices) if v.size == k]
     rows = (sum(1 << j for j, u in enumerate(keep) if g.adjacency[i] >> u & 1) for i in keep)
     return LinkGraph(g.n, tuple(g.vertices[i] for i in keep), tuple(rows))
@@ -150,8 +149,10 @@ def ekr_independent_sets(g: LinkGraph, k: int) -> list[frozenset[Split]]:
     """The n leaf stars in the size-k layer: for each leaf i, all size-k
     splits whose side contains i. Each has size C(n-1, k-1) and is
     independent (shared leaf forces intersecting sides)."""
+    if type(k) is not int:
+        raise BhvError(f"k must be an int, got {k!r}")
     if k < 2 or 2 * k >= g.n:
-        raise KOutOfRange(f"need 2 <= k < n/2, got k={k} for n={g.n}")
+        raise BhvError(f"need 2 <= k < n/2, got k={k} for n={g.n}")
     layer = [v for v in g.vertices if v.size == k]
     return [frozenset(v for v in layer if v.contains(i)) for i in range(1, g.n + 1)]
 
@@ -162,7 +163,7 @@ def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
     Branching takes the highest-degree candidate, include before exclude,
     so the first branch to run out of candidates holds a maximal set; it
     sets the size bound, and branches that cannot reach the bound are cut.
-    The search raises SearchBudgetExceeded after NODE_CAP nodes; that is
+    The search raises TooLarge after NODE_CAP nodes; that is
     its only bound, since its cost tracks the nodes it expands, not the
     vertex count.
     """
@@ -177,7 +178,7 @@ def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
         while True:
             budget -= 1
             if budget < 0:
-                raise SearchBudgetExceeded(f"independent-set search exceeded {NODE_CAP} nodes")
+                raise TooLarge(f"independent-set search exceeded {NODE_CAP} nodes")
             if size + cand.bit_count() < best:
                 return
             if not cand:  # size >= best, or the bound above would have cut it
@@ -280,7 +281,7 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
     generators, so they generate the group; its order is the product of the
     orbit lengths. Up to ELEMENT_CAP, elements lists the products of one
     orbit representative per level. The probes together raise
-    SearchBudgetExceeded after NODE_CAP nodes.
+    TooLarge after NODE_CAP nodes.
     """
     nv, adj, budget = g.vertex_count, g.adjacency, NODE_CAP
     all_mask = (1 << nv) - 1
@@ -307,7 +308,7 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
         while True:
             budget -= 1
             if budget < 0:
-                raise SearchBudgetExceeded(f"automorphism search exceeded {NODE_CAP} nodes")
+                raise TooLarge(f"automorphism search exceeded {NODE_CAP} nodes")
             if not unmapped:
                 return tuple(c.bit_length() - 1 for c in cand)
             unmapped &= ~(1 << v)

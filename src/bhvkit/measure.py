@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import EpsilonTooLarge, LeafCountMismatch, NonpositiveRadius, POutOfRange
+from .errors import BhvError, EpsilonTooLarge, LeafCountMismatch
 from .splits import Permutation, Split, apply_permutation, check_leaf_count, make_split, split_key
 from .topology import Topology, _clade_tree, count_refining_orthants, double_factorial, make_topology
 
@@ -185,7 +185,7 @@ class BallVolume:
 
 def _check_radius(eps: float):
     if not (eps > 0 and math.isfinite(eps)):
-        raise NonpositiveRadius(f"radius must be positive and finite, got {eps}")
+        raise BhvError(f"radius must be positive and finite, got {eps}")
 
 
 def euclidean_ball_volume(m: int, eps: float) -> float:
@@ -194,6 +194,8 @@ def euclidean_ball_volume(m: int, eps: float) -> float:
     Computed as written; only where that overflows, which pi^(m/2) eps^m can
     do when the volume does not, it is exp of the same formula in logs.
     """
+    if type(m) is not int:
+        raise BhvError(f"dimension m must be an int, got {m!r}")
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
     _check_radius(eps)
@@ -231,8 +233,10 @@ def ball_volume_bounds(n: int, p: int, eps: float) -> tuple[float, float]:
     degree sequence.
     """
     check_leaf_count(n)
+    if type(p) is not int:
+        raise BhvError(f"p must be an int, got {p!r}")
     if p < 0 or p > n - 3:
-        raise POutOfRange(f"need 0 <= p <= n-3, got p={p} for n={n}")
+        raise BhvError(f"need 0 <= p <= n-3, got p={p} for n={n}")
     a = euclidean_ball_volume(n - 3, eps)
     upper_coeff = Fraction(double_factorial(2 * n - 2 * p - 5) * 2**p, 2 ** (n - 3))
     return a, _finite("volume upper bound", lambda: float(upper_coeff) * a)

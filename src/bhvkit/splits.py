@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
-from .errors import LeafCountMismatch, LeafOutOfRange, SubsetTooSmall
+from .errors import BhvError, LeafCountMismatch
 
 MIN_LEAVES = 3
 MAX_LEAVES = 64
@@ -41,7 +41,7 @@ def mask_of(leaves: Iterable[int], n: int) -> int:
     mask = 0
     for leaf in leaves:
         if not isinstance(leaf, int) or isinstance(leaf, bool) or leaf < 1 or leaf > n:
-            raise LeafOutOfRange(f"leaf {leaf!r} not in 1..{n}")
+            raise BhvError(f"leaf {leaf!r} not in 1..{n}")
         mask |= 1 << (leaf - 1)
     return mask
 
@@ -75,12 +75,12 @@ class Split:
     def __post_init__(self):
         check_leaf_count(self.n)
         if self.mask & ~full_mask(self.n):
-            raise LeafOutOfRange(f"mask {self.mask:#x} has bits outside 1..{self.n}")
+            raise BhvError(f"mask {self.mask:#x} has bits outside 1..{self.n}")
         size = self.mask.bit_count()
         if size < 2:
-            raise SubsetTooSmall(f"a split side needs >= 2 leaves, got {size} for n={self.n}")
+            raise BhvError(f"a split needs >= 2 leaves on each side, got sides of {size} and {self.n - size}")
         if _canonical_side(self.mask, self.n) != self.mask:
-            raise SubsetTooSmall(f"side of {size} is not canonical for n={self.n}; use make_split")
+            raise BhvError(f"side of {size} is not canonical for n={self.n}; use make_split")
 
     @property
     def side(self) -> tuple[int, ...]:
@@ -139,7 +139,7 @@ def make_split(subset: Iterable[int], n: int) -> Split:
     """Build the canonical Split for a leaf subset of {1, ..., n}.
 
     The stored side is the smaller of subset/complement; on a size tie the
-    side containing leaf 1 wins. Raises SubsetTooSmall unless both sides
+    side containing leaf 1 wins. Raises BhvError unless both sides
     have at least two leaves.
     """
     check_leaf_count(n)
@@ -160,7 +160,7 @@ def split_of_mask(mask: int, n: int) -> Split:
     mask within full_mask(n).
 
     Keeps the smaller side; on a size tie, the side containing leaf 1.
-    Split raises SubsetTooSmall unless that side has at least two leaves.
+    Split raises BhvError unless that side has at least two leaves.
     """
     return Split(n, _canonical_side(mask, n))
 

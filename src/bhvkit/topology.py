@@ -36,7 +36,7 @@ from itertools import combinations, compress, repeat
 from math import prod
 from types import MappingProxyType
 
-from .errors import IncompatiblePair, LeafCountMismatch, NegativeOrEven, TooLarge, TooManySplits
+from .errors import BhvError, IncompatiblePair, LeafCountMismatch, TooLarge
 from .splits import (
     Permutation,
     Split,
@@ -56,8 +56,10 @@ _CENSUS_LOCK = threading.Lock()  # held around every _census call, so each n is 
 
 def double_factorial(m: int) -> int:
     """m!! for odd m >= -1, with (-1)!! = 1 (empty product)."""
+    if type(m) is not int:
+        raise BhvError(f"double factorial needs an int, got {m!r}")
     if m < -1 or m % 2 == 0:
-        raise NegativeOrEven(f"double factorial needs odd m >= -1, got {m}")
+        raise BhvError(f"double factorial needs odd m >= -1, got {m}")
     return prod(range(m, 0, -2))
 
 
@@ -83,9 +85,7 @@ class Topology:
             if s.n != self.n:
                 raise LeafCountMismatch(f"split {s} in topology over n={self.n}")
         if len(self.splits) > self.n - 3:
-            raise TooManySplits(
-                f"{len(self.splits)} splits exceed n-3 = {self.n - 3}"
-            )
+            raise BhvError(f"{len(self.splits)} splits exceed n-3 = {self.n - 3}")
         if self._clades() is None:  # two clades cross: name the first such pair in canonical order
             ordered = sorted(self.splits, key=split_key)
             raise IncompatiblePair(*next(p for p in combinations(ordered, 2) if not are_compatible(*p)))
@@ -159,7 +159,7 @@ def make_topology(splits, n: int) -> Topology:
     """Validate a split collection and wrap it as a Topology.
 
     Raises IncompatiblePair naming the first violating pair (in canonical
-    split order) and TooManySplits when the count exceeds n-3.
+    split order) and BhvError when the count exceeds n-3.
     """
     return Topology(n, splits)
 

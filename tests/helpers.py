@@ -17,8 +17,8 @@ from bhvkit import (
     NegativeLength,
     NewickSyntaxError,
     Permutation,
-    SearchBudgetExceeded,
     Split,
+    TooLarge,
     Topology,
     TreePoint,
     all_permutations,
@@ -277,7 +277,7 @@ def enumerate_automorphisms(g, node_cap: int = 5_000_000) -> list[tuple[int, ...
         nonlocal budget
         budget -= 1
         if budget < 0:
-            raise SearchBudgetExceeded(f"automorphism search exceeded {node_cap} nodes")
+            raise TooLarge(f"automorphism search exceeded {node_cap} nodes")
         if not unmapped:
             elements.append(tuple(image))
             return

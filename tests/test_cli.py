@@ -498,6 +498,13 @@ def test_count_refine_rejects_a_split_named_twice(capsys, refine):
     assert err == "error: --refine names split Split({1,2}, n=5) twice\n"
 
 
+@pytest.mark.parametrize("side", ["[1]", "[1,2,3,4,5]"])
+def test_count_refine_error_gives_both_side_sizes(capsys, side):
+    # the side given is the short one or the complement of the short one
+    message = "error: a split needs >= 2 leaves on each side, got sides of 1 and 5\n"
+    assert run(capsys, "count", "6", "--refine", f"[{side}]") == (5, "", message)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -723,11 +730,9 @@ def test_public_api_inventory():
     )
     assert exported == [
         "AutomorphismGroup", "BallVolume", "BhvError", "DegreeTwoInternal", "DuplicateLeaf",
-        "EpsilonTooLarge", "IncompatiblePair", "KOutOfRange",
-        "LeafCountMismatch", "LeafOutOfRange", "LinkGraph", "NegativeLength", "NegativeOrEven",
-        "NewickSyntaxError", "NonpositiveRadius", "POutOfRange", "Permutation",
-        "SearchBudgetExceeded", "Split", "SubsetTooSmall", "TooLarge", "TooManySplits",
-        "Topology", "TreePoint", "UnknownLeafName", "all_permutations", "apply_permutation",
+        "EpsilonTooLarge", "IncompatiblePair", "LeafCountMismatch", "LinkGraph",
+        "NegativeLength", "NewickSyntaxError", "Permutation", "Split", "TooLarge", "Topology",
+        "TreePoint", "UnknownLeafName", "all_permutations", "apply_permutation",
         "are_compatible", "ball_volume", "ball_volume_bounds", "brute_force_automorphisms",
         "build_link_graph", "certify_aut", "clade_children", "count_refining_orthants",
         "degree_formula", "degree_sequence", "distance_upper_bound", "double_factorial",
@@ -737,6 +742,14 @@ def test_public_api_inventory():
         "maximum_independent_sets", "parse_newick", "permutation_to_automorphism",
         "same_orthant_distance", "split_of_mask", "to_newick", "verify_degrees",
     ]
+
+
+def test_every_exported_error_is_a_value_error():
+    """main reports any ValueError, so every bhvkit error must be one; each class
+    beside BhvError is one a caller tells apart, by exit code or attribute."""
+    errors = [v for v in vars(bhvkit).values() if inspect.isclass(v) and issubclass(v, BaseException)]
+    assert len(errors) == 10
+    assert all(issubclass(e, bhvkit.BhvError) and issubclass(e, ValueError) for e in errors)
 
 
 # Fuzz of main: random inline trees (text, Newick-like text, JSON tree points,

@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhvkit import (
-    KOutOfRange,
+    BhvError,
     LeafCountMismatch,
     LinkGraph,
     Permutation,
-    SearchBudgetExceeded,
     TooLarge,
     all_permutations,
     are_compatible,
@@ -117,9 +116,9 @@ def test_degree_formula_values():
 
 
 def test_degree_formula_k_range():
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(BhvError, match=r"^need 2 <= k <= n/2, got k=1 for n=6$"):
         degree_formula(6, 1)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(BhvError, match=r"^need 2 <= k <= n/2, got k=4 for n=6$"):
         degree_formula(6, 4)
 
 
@@ -184,10 +183,19 @@ def test_kneser_edges_are_exactly_disjoint_pairs(link7):
 
 
 def test_kneser_k_range(link6):
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(BhvError, match=r"^need 2 <= k <= n/2, got k=1 for n=6$"):
         kneser_subgraph(link6, 1)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(BhvError, match=r"^need 2 <= k <= n/2, got k=4 for n=6$"):
         kneser_subgraph(link6, 4)
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, True, "2"])
+def test_k_must_be_an_int(link6, k):
+    message = rf"^k must be an int, got {k!r}$"
+    for call in (lambda: degree_formula(6, k), lambda: kneser_subgraph(link6, k),
+                 lambda: ekr_independent_sets(link6, k)):
+        with pytest.raises(BhvError, match=message):
+            call()
 
 
 def test_ekr_star_sets_n5(link5):
@@ -210,7 +218,7 @@ def test_ekr_star_sets_sizes_and_independence(link6, link7):
 
 
 def test_ekr_rejects_half_size(link6):
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(BhvError, match=r"^need 2 <= k < n/2, got k=3 for n=6$"):
         ekr_independent_sets(link6, 3)
 
 
@@ -247,7 +255,7 @@ def test_maximum_independent_sets_vertex_cap(link7):
 
 def test_maximum_independent_sets_node_cap(link7, monkeypatch):
     monkeypatch.setattr(linkgraph, "NODE_CAP", 10)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(TooLarge, match=r"^independent-set search exceeded 10 nodes$"):
         maximum_independent_sets(kneser_subgraph(link7, 3))
 
 
@@ -580,7 +588,7 @@ def test_search_self_check_on_each_generator(link5, monkeypatch):
 
 def test_search_budget_cap(link6, monkeypatch):
     monkeypatch.setattr(linkgraph, "NODE_CAP", 10)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(TooLarge, match=r"^automorphism search exceeded 10 nodes$"):
         brute_force_automorphisms(link6)
 
 

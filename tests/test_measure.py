@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhvkit import (
+    BhvError,
     EpsilonTooLarge,
     LeafCountMismatch,
-    NonpositiveRadius,
-    POutOfRange,
     Permutation,
     Topology,
     TreePoint,
@@ -77,10 +76,16 @@ def test_ball_volume_is_the_direct_formula_where_it_is_finite():
 
 
 def test_ball_volume_rejects_nonpositive_radius():
-    with pytest.raises(NonpositiveRadius):
+    with pytest.raises(BhvError, match=r"^radius must be positive and finite, got 0.0$"):
         euclidean_ball_volume(3, 0.0)
-    with pytest.raises(NonpositiveRadius):
+    with pytest.raises(BhvError, match=r"^radius must be positive and finite, got -1.0$"):
         euclidean_ball_volume(3, -1.0)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, True])
+def test_ball_volume_rejects_non_int_dimension(m):
+    with pytest.raises(BhvError, match=rf"^dimension m must be an int, got {m!r}$"):
+        euclidean_ball_volume(m, 0.1)
 
 
 def test_tree_point_requires_exact_split_keys():
@@ -122,11 +127,12 @@ def test_tree_point_accepts_zero_leaf_length():
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])
 def test_volumes_require_finite_radius(eps):
-    with pytest.raises(NonpositiveRadius):
+    message = rf"^radius must be positive and finite, got {eps}$"
+    with pytest.raises(BhvError, match=message):
         euclidean_ball_volume(3, eps)
-    with pytest.raises(NonpositiveRadius):
+    with pytest.raises(BhvError, match=message):
         ball_volume(cone_point(6), eps)
-    with pytest.raises(NonpositiveRadius):
+    with pytest.raises(BhvError, match=message):
         ball_volume_bounds(6, 0, eps)
 
 
@@ -173,10 +179,16 @@ def test_volume_bounds_examples():
 
 
 def test_volume_bounds_p_range():
-    with pytest.raises(POutOfRange):
+    with pytest.raises(BhvError, match=r"^need 0 <= p <= n-3, got p=4 for n=6$"):
         ball_volume_bounds(6, 4, 0.1)
-    with pytest.raises(POutOfRange):
+    with pytest.raises(BhvError, match=r"^need 0 <= p <= n-3, got p=-1 for n=6$"):
         ball_volume_bounds(6, -1, 0.1)
+
+
+@pytest.mark.parametrize("p", [1.5, 1.0, True])
+def test_volume_bounds_p_must_be_an_int(p):
+    with pytest.raises(BhvError, match=rf"^p must be an int, got {p!r}$"):
+        ball_volume_bounds(6, p, 0.1)
 
 
 def test_volume_between_bounds_with_binary_equality():

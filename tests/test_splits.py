@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhvkit import (
+    BhvError,
     LeafCountMismatch,
-    LeafOutOfRange,
     Permutation,
     Split,
-    SubsetTooSmall,
     all_permutations,
     apply_permutation,
     are_compatible,
@@ -50,7 +49,9 @@ def test_split_of_mask_agrees_with_make_split():
                 side = [i + 1 for i in range(n) if mask >> i & 1]
                 assert split_of_mask(mask, n) == make_split(side, n)
             else:
-                with pytest.raises(SubsetTooSmall):
+                small = min(mask.bit_count(), n - mask.bit_count())
+                sizes = f"got sides of {small} and {n - small}$"
+                with pytest.raises(BhvError, match="^a split needs >= 2 leaves on each side, " + sizes):
                     split_of_mask(mask, n)
 
 
@@ -69,16 +70,17 @@ def test_make_split_half_size_tie_goes_to_leaf_one():
 
 
 def test_make_split_rejects_small_sides():
-    with pytest.raises(SubsetTooSmall):
+    message = r"^a split needs >= 2 leaves on each side, got sides of 1 and 5$"
+    with pytest.raises(BhvError, match=message):
         make_split({1}, 6)
-    with pytest.raises(SubsetTooSmall):
+    with pytest.raises(BhvError, match=message):
         make_split({1, 2, 3, 4, 5}, 6)  # complement too small
 
 
 def test_make_split_rejects_out_of_range_leaves():
-    with pytest.raises(LeafOutOfRange):
+    with pytest.raises(BhvError, match=r"^leaf 7 not in 1..6$"):
         make_split({1, 7}, 6)
-    with pytest.raises(LeafOutOfRange):
+    with pytest.raises(BhvError, match=r"^leaf 0 not in 1..6$"):
         make_split({0, 1}, 6)
 
 
@@ -90,13 +92,13 @@ def test_leaf_count_bounds():
 
 
 def test_split_constructor_rejects_noncanonical_mask():
-    with pytest.raises(SubsetTooSmall):
+    with pytest.raises(BhvError, match=r"^side of 4 is not canonical for n=6; use make_split$"):
         Split(6, 0b111100)  # {3,4,5,6}: larger side stored directly
 
 
 @pytest.mark.parametrize("mask", [0b100011, 1 << 63 | 0b11])
 def test_split_constructor_rejects_bits_past_n(mask):
-    with pytest.raises(LeafOutOfRange, match=f"mask {mask:#x} has bits outside 1..5"):
+    with pytest.raises(BhvError, match=f"mask {mask:#x} has bits outside 1..5"):
         Split(5, mask)
 
 

@@ -12,13 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bhvkit import (
+    BhvError,
     IncompatiblePair,
     LeafCountMismatch,
-    NegativeOrEven,
     Permutation,
     Split,
     TooLarge,
-    TooManySplits,
     Topology,
     TreePoint,
     apply_permutation,
@@ -66,10 +65,16 @@ def test_double_factorial_values():
 
 
 def test_double_factorial_rejects_even_and_small():
-    with pytest.raises(NegativeOrEven):
+    with pytest.raises(BhvError, match=r"^double factorial needs odd m >= -1, got 4$"):
         double_factorial(4)
-    with pytest.raises(NegativeOrEven):
+    with pytest.raises(BhvError, match=r"^double factorial needs odd m >= -1, got -3$"):
         double_factorial(-3)
+
+
+@pytest.mark.parametrize("m", [3.0, 4.0, True, "3"])
+def test_double_factorial_rejects_non_int(m):
+    with pytest.raises(BhvError, match=rf"^double factorial needs an int, got {m!r}$"):
+        double_factorial(m)
 
 
 def test_empty_topology_is_cone_point():
@@ -94,7 +99,7 @@ def test_incompatible_pair_names_the_pair():
 
 
 def test_too_many_splits():
-    with pytest.raises(TooManySplits, match=r"^4 splits exceed n-3 = 3$"):
+    with pytest.raises(BhvError, match=r"^4 splits exceed n-3 = 3$"):
         make_topology(splits(6, {1, 2}, {1, 3}, {1, 4}, {1, 5}), 6)
 
 
