@@ -27,9 +27,9 @@ class TreePoint:
 
     Finite non-negative leaf-edge lengths may ride along as metadata but
     never enter coordinates, norms, or distances; an empty leaf map is
-    stored as None. No length is a bool, and every leaf is an int.
-    Immutable and hashable: both length maps are read-only copies of the
-    mappings passed in.
+    stored as None. A length is an int or float, not a bool, and is stored
+    as a float; every leaf is an int. Immutable and hashable: both length
+    maps are read-only copies of the mappings passed in.
     """
 
     topology: Topology
@@ -38,26 +38,15 @@ class TreePoint:
 
     def __post_init__(self):
         lengths = dict(self.lengths)
-        object.__setattr__(self, "lengths", MappingProxyType(lengths))
-        leaf_lengths = MappingProxyType(dict(self.leaf_lengths)) if self.leaf_lengths else None
-        object.__setattr__(self, "leaf_lengths", leaf_lengths)
         if frozenset(lengths) != self.topology.splits:  # from a dict: no Split.__hash__ calls
             raise ValueError("lengths must be keyed by exactly the topology's splits")
-        for s, w in lengths.items():
-            if type(w) is bool:
-                raise ValueError(f"edge {s} has bool length {w}")
-            if not w > 0:
-                raise ValueError(f"edge {s} has nonpositive length {w}; drop it from the topology")
-            if not math.isfinite(w):
-                raise ValueError(f"edge {s} has non-finite length {w}")
+        object.__setattr__(self, "lengths", MappingProxyType(_lengths(lengths, "edge {} length")))
         n = self.topology.n
-        for leaf, w in (leaf_lengths or {}).items():
+        for leaf in self.leaf_lengths or ():
             if type(leaf) is not int or not 1 <= leaf <= n:  # to_json writes str(leaf)
                 raise ValueError(f"leaf {leaf!r} not in 1..{n}")
-            if type(w) is bool:
-                raise ValueError(f"leaf {leaf} has bool length {w}")
-            if not (w >= 0 and math.isfinite(w)):
-                raise ValueError(f"leaf {leaf} has negative or non-finite length {w}")
+        leaf = self.leaf_lengths and _lengths(dict(self.leaf_lengths), "leaf {} length", zero_ok=True)
+        object.__setattr__(self, "leaf_lengths", MappingProxyType(leaf) if leaf else None)
 
     def __hash__(self) -> int:
         leaf = None if self.leaf_lengths is None else frozenset(self.leaf_lengths.items())
@@ -79,9 +68,7 @@ class TreePoint:
     @property
     def min_edge(self) -> float | None:
         """Shortest internal edge, or None at the cone point."""
-        if not self.lengths:
-            return None
-        return min(self.lengths.values())
+        return min(self.lengths.values(), default=None)
 
     def permute(self, sigma: Permutation) -> "TreePoint":
         """Relabel leaves through sigma, a permutation of the same n leaves;
@@ -93,34 +80,29 @@ class TreePoint:
         return TreePoint(Topology(self.n, lengths), lengths, leaf)
 
     def to_json(self) -> dict:
-        obj = {
-            "n": self.n,
-            "edges": [
-                {"side": list(s.side), "length": self.lengths[s]}
-                for s in self.topology.sorted_splits
-            ],
-        }
+        edges = [{"side": list(s.side), "length": self.lengths[s]} for s in self.topology.sorted_splits]
+        obj = {"n": self.n, "edges": edges}
         if self.leaf_lengths:
             obj["leaf_lengths"] = {str(k): v for k, v in sorted(self.leaf_lengths.items())}
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreePoint":
-        """Inverse of to_json, raising ValueError for a missing or mistyped field
-        or a split given twice, by either side. Lengths must be JSON numbers,
-        leaf_lengths keys plain decimal leaf labels."""
+        """Inverse of to_json, raising ValueError for a missing or mistyped field,
+        a bad length or a split given twice, by either side. leaf_lengths keys
+        must be plain decimal leaf labels."""
         try:
-            n = obj["n"]
+            n, edges = obj["n"], obj["edges"]
+            ws = _lengths({i: e["length"] for i, e in enumerate(edges)}, "edges[{}].length")
             lengths = {}
-            for e in obj["edges"]:
-                w = _json_number(e["length"])  # a bad length is named before a bad side
+            for e, w in zip(edges, ws.values()):
                 s = make_split(e["side"], n)
                 if s in lengths:  # either side of a split names it
                     raise ValueError(f"edge {s} is given twice")
                 lengths[s] = w
             leaf = obj.get("leaf_lengths")
             if leaf is not None:
-                leaf = {_json_leaf(k): _json_number(v) for k, v in leaf.items()}
+                leaf = {_json_leaf(k): v for k, v in leaf.items()}
             return cls(make_topology(lengths.keys(), n), lengths, leaf)
         except KeyError as exc:
             raise ValueError(f"JSON tree lacks field {exc}") from None
@@ -128,14 +110,23 @@ class TreePoint:
             raise ValueError(f"JSON tree has a mistyped field: {exc}") from None
 
 
-def _json_number(value) -> float:
-    """A JSON number as a float; true, false and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"length {value!r} is not a JSON number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError("length is too large for a float") from None
+def _lengths(values: dict, label: str, zero_ok: bool = False) -> dict:
+    """The one rule for a length or a radius: values, each made a float in place, where
+    each is an int or float (not a bool) whose float is finite and above 0, or at least 0
+    where zero_ok; else BhvError on the first that is not, named by label.format(key)."""
+    least = 0.0 if zero_ok else 5e-324  # the least float accepted
+    for key, w in values.items():  # a value replaced keeps the dict's size: the walk goes on
+        if type(w) is not float:
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise BhvError(f"{label.format(key)} {w!r} is not an int or float")
+            try:
+                w = values[key] = float(w)
+            except OverflowError:
+                raise BhvError(f"{label.format(key)} is too large for a float") from None
+        if not least <= w < math.inf:
+            rule = "finite" if not math.isfinite(w) else "at least 0" if zero_ok else "above 0"
+            raise BhvError(f"{label.format(key)} {w!r} is not {rule}")
+    return values
 
 
 def _json_leaf(key: str) -> int:
@@ -183,11 +174,6 @@ class BallVolume:
     coefficient: Fraction
 
 
-def _check_radius(eps: float):
-    if not (eps > 0 and math.isfinite(eps)):
-        raise BhvError(f"radius must be positive and finite, got {eps}")
-
-
 def euclidean_ball_volume(m: int, eps: float) -> float:
     """Volume of a radius-eps ball in R^m: pi^(m/2) eps^m / Gamma(m/2 + 1).
 
@@ -198,7 +184,7 @@ def euclidean_ball_volume(m: int, eps: float) -> float:
         raise BhvError(f"dimension m must be an int, got {m!r}")
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
-    _check_radius(eps)
+    eps = _lengths({0: eps}, "radius")[0]
     return _finite(
         "ball volume",
         lambda: math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1),
@@ -213,7 +199,7 @@ def ball_volume(x: TreePoint, eps: float) -> BallVolume:
     no lower-dimensional face; otherwise EpsilonTooLarge is raised rather
     than returning a silently wrong number.
     """
-    _check_radius(eps)
+    eps = _lengths({0: eps}, "radius")[0]
     min_edge = x.min_edge
     if min_edge is not None and eps >= min_edge:
         raise EpsilonTooLarge(min_edge)

@@ -854,6 +854,13 @@ def scan_with_offsets(text: str) -> tuple[list[str], list[tuple]]:
     return names, items + root
 
 
+# JSON-ish values drawn as lengths: floats of every kind, ints up to past a float's range,
+# and the bools, None and short strings no length may be
+LENGTHS = st.one_of(
+    st.floats(), st.integers(-3, 10**400), st.booleans(), st.none(), st.text(max_size=4)
+)
+
+
 @st.composite
 def newick_trees(draw):
     """Well-formed Newick on 3..12 leaves, lengths anywhere in 0..1e308 or absent."""

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import bhvkit
 from bhvkit.cli import build_parser, main
 from bhvkit.topology import MAX_CENSUS_LEAVES
-from helpers import doctored, newick_trees, realized_by_sweep
+from helpers import LENGTHS, doctored, newick_trees, realized_by_sweep
 
 FIG_TREE = "((1:1,6:1):0.25,((2:1,3:1):0.3,(4:1,5:1):0.45));"
 
@@ -755,9 +755,6 @@ def test_every_exported_error_is_a_value_error():
 # Fuzz of main: random inline trees (text, Newick-like text, JSON tree points,
 # any JSON), random bytes in a tree file or on stdin, and random counts.
 TREE_FILE = "<the tree file>"  # replaced by the path of a file holding the drawn bytes
-LENGTHS = st.one_of(
-    st.floats(), st.integers(-3, 10**400), st.booleans(), st.none(), st.text(max_size=4)
-)
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | LENGTHS | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from bhvkit import (
     make_topology,
     same_orthant_distance,
 )
-from helpers import all_faces, cone_point, random_face
+from helpers import LENGTHS, all_faces, cone_point, random_face
 
 
 def point(n, sides_lengths, leaf_lengths=None):
@@ -76,9 +77,9 @@ def test_ball_volume_is_the_direct_formula_where_it_is_finite():
 
 
 def test_ball_volume_rejects_nonpositive_radius():
-    with pytest.raises(BhvError, match=r"^radius must be positive and finite, got 0.0$"):
+    with pytest.raises(BhvError, match=r"^radius 0\.0 is not above 0$"):
         euclidean_ball_volume(3, 0.0)
-    with pytest.raises(BhvError, match=r"^radius must be positive and finite, got -1.0$"):
+    with pytest.raises(BhvError, match=r"^radius -1\.0 is not above 0$"):
         euclidean_ball_volume(3, -1.0)
 
 
@@ -102,16 +103,44 @@ def test_tree_point_requires_positive_lengths():
         TreePoint(t, {make_split({1, 2}, 6): 0.0})
 
 
-@pytest.mark.parametrize("w", [math.inf, math.nan])
-def test_tree_point_rejects_non_finite_lengths(w):
+# values that are no length, edge or leaf, with what the refusal says of each
+NOT_NUMBERS = [
+    pytest.param("1", "'1' is not an int or float", id="str"),
+    pytest.param(None, "None is not an int or float", id="None"),
+    pytest.param(1j, "1j is not an int or float", id="complex"),
+    pytest.param(Fraction(1, 3), r"Fraction\(1, 3\) is not an int or float", id="Fraction"),
+    pytest.param(Decimal("0.5"), r"Decimal\('0\.5'\) is not an int or float", id="Decimal"),
+    pytest.param(10**400, "is too large for a float", id="10**400"),
+]
+
+
+@pytest.mark.parametrize(
+    "w, says",
+    [
+        pytest.param(math.inf, "inf is not finite", id="inf"),
+        pytest.param(math.nan, "nan is not finite", id="nan"),  # not "nonpositive"
+        *NOT_NUMBERS,
+    ],
+)
+def test_tree_point_rejects_non_finite_lengths(w, says):
     t = make_topology({make_split({1, 2}, 6)}, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(BhvError, match=r"^edge Split\(\{1,2\}, n=6\) length " + says + "$"):
         TreePoint(t, {make_split({1, 2}, 6): w})
 
 
-@pytest.mark.parametrize("w", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
-def test_tree_point_rejects_negative_or_non_finite_leaf_lengths(w):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "w, says",
+    [
+        pytest.param(-1.0, r"-1\.0 is not at least 0", id="-1.0"),
+        pytest.param(-1e-300, "-1e-300 is not at least 0", id="-1e-300"),
+        pytest.param(math.inf, "inf is not finite", id="inf"),
+        pytest.param(-math.inf, "-inf is not finite", id="-inf"),
+        pytest.param(math.nan, "nan is not finite", id="nan"),
+        *NOT_NUMBERS,
+    ],
+)
+def test_tree_point_rejects_negative_or_non_finite_leaf_lengths(w, says):
+    with pytest.raises(BhvError, match=f"^leaf 1 length {says}$"):
         TreePoint(make_topology((), 5), {}, {1: w})
 
 
@@ -125,13 +154,22 @@ def test_tree_point_accepts_zero_leaf_length():
     assert TreePoint(make_topology((), 5), {}, {1: 0.0}).leaf_lengths == {1: 0.0}
 
 
-@pytest.mark.parametrize("eps", [math.inf, math.nan])
-def test_volumes_require_finite_radius(eps):
-    message = rf"^radius must be positive and finite, got {eps}$"
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        pytest.param(math.inf, "^radius inf is not finite$", id="inf"),
+        pytest.param(math.nan, "^radius nan is not finite$", id="nan"),
+        pytest.param(True, "^radius True is not an int or float$", id="True"),
+        pytest.param("0.1", r"^radius '0\.1' is not an int or float$", id="str"),
+        pytest.param(None, "^radius None is not an int or float$", id="None"),
+    ],
+)
+def test_volumes_require_finite_radius(eps, message):
     with pytest.raises(BhvError, match=message):
         euclidean_ball_volume(3, eps)
-    with pytest.raises(BhvError, match=message):
-        ball_volume(cone_point(6), eps)
+    for x in (cone_point(6), point(6, [((1, 2), 2.0)])):  # True would pass as a radius of 1
+        with pytest.raises(BhvError, match=message):
+            ball_volume(x, eps)
     with pytest.raises(BhvError, match=message):
         ball_volume_bounds(6, 0, eps)
 
@@ -457,9 +495,9 @@ def test_from_json_rejects_a_split_given_twice(second):
 @pytest.mark.parametrize("flag", [True, False])
 def test_tree_point_rejects_a_bool_length(flag):
     t, s = make_topology([make_split((1, 2), 5)], 5), make_split((1, 2), 5)
-    with pytest.raises(ValueError, match="bool length"):
+    with pytest.raises(BhvError, match=rf"^edge Split\(\{{1,2\}}, n=5\) length {flag} is not an int or float$"):
         TreePoint(t, {s: flag})
-    with pytest.raises(ValueError, match="bool length"):
+    with pytest.raises(BhvError, match=rf"^leaf 3 length {flag} is not an int or float$"):
         TreePoint(t, {s: 1.0}, {3: flag})
     x = TreePoint(t, {s: 1}, {3: 0})  # ints are lengths, and to_json's inverse takes them back
     assert TreePoint.from_json(x.to_json()) == x
@@ -470,6 +508,56 @@ def test_tree_point_rejects_a_leaf_that_is_not_an_int(leaf):
     t, s = make_topology([make_split((1, 2), 5)], 5), make_split((1, 2), 5)
     with pytest.raises(ValueError, match="not in 1..5"):
         TreePoint(t, {s: 1.0}, {leaf: 1.0})
+
+
+def test_tree_point_stores_every_length_as_a_float():
+    class Length(float):
+        pass
+
+    t, s = make_topology([make_split((1, 2), 5)], 5), make_split((1, 2), 5)
+    lengths, leaf_lengths = {s: 2}, {3: 0, 4: Length(0.5)}
+    x = TreePoint(t, lengths, leaf_lengths)
+    assert [type(w) for w in (*x.lengths.values(), *x.leaf_lengths.values())] == [float] * 3
+    assert [type(w) for w in (*lengths.values(), *leaf_lengths.values())] == [int, int, Length]
+    assert x.to_json()["edges"] == [{"side": [1, 2], "length": 2.0}]
+    assert type(ball_volume(x, 1).epsilon) is float
+
+
+@pytest.mark.parametrize(
+    "w", [True, "0.5", None, 0, -1, math.inf, 10**400], ids=["True", "str", "None", "0", "-1", "inf", "10**400"]
+)
+def test_from_json_names_a_bad_length_before_a_bad_side(w):
+    edges = [{"side": [1, 2], "length": 1}, {"side": [1, 9], "length": w}]
+    with pytest.raises(BhvError, match=r"^edges\[1\]\.length "):
+        TreePoint.from_json({"n": 5, "edges": edges})
+
+
+# LENGTHS with the numbers that are not ints or floats
+NOT_ONLY_LENGTHS = LENGTHS | st.fractions() | st.decimals() | st.complex_numbers()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["edge", "leaf", "radius"]), NOT_ONLY_LENGTHS)
+def test_a_length_or_radius_is_taken_or_refused_by_value_error(where, w):
+    """Each call returns or raises ValueError, nothing else, and every point
+    taken survives a round trip through JSON text."""
+    t, s = make_topology([make_split((1, 2), 6)], 6), make_split((1, 2), 6)
+    calls = {
+        "edge": [lambda: TreePoint(t, {s: w}, {3: 0.5})],
+        "leaf": [lambda: TreePoint(t, {s: 1.0}, {3: w})],
+        "radius": [
+            lambda: euclidean_ball_volume(3, w),
+            lambda: ball_volume(point(6, [((1, 2), 2.0)]), w),
+            lambda: ball_volume_bounds(6, 1, w),
+        ],
+    }[where]
+    for call in calls:
+        try:
+            x = call()
+        except ValueError:
+            continue
+        if isinstance(x, TreePoint):
+            assert TreePoint.from_json(json.loads(json.dumps(x.to_json(), allow_nan=False))) == x
 
 
 _FINITE = {"allow_nan": False, "allow_infinity": False}
