@@ -22,11 +22,13 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import BhvError, LeafCountMismatch, TooLarge
+from .errors import TooLarge
 from .splits import (
     Permutation,
     Split,
+    check_int,
     check_leaf_count,
+    check_same_n,
     enumerate_splits,
     full_mask,
     set_bits,
@@ -115,11 +117,7 @@ def _subset_images(bits: list[int]) -> list[int]:
 
 def degree_formula(n: int, k: int) -> int:
     """Closed-form degree of a size-k vertex: 2^k + 2^(n-k) - n - 4."""
-    check_leaf_count(n)
-    if type(k) is not int:
-        raise BhvError(f"k must be an int, got {k!r}")
-    if k < 2 or 2 * k > n:
-        raise BhvError(f"need 2 <= k <= n/2, got k={k} for n={n}")
+    check_int(k, 2, check_leaf_count(n) // 2, "k")
     return 2**k + 2 ** (n - k) - n - 4
 
 
@@ -136,12 +134,10 @@ def kneser_subgraph(g: LinkGraph, k: int) -> LinkGraph:
     For k < n/2 this is the Kneser graph on k-subsets: adjacency within the
     layer is exactly disjointness of sides.
     """
-    if type(k) is not int:
-        raise BhvError(f"k must be an int, got {k!r}")
-    if k < 2 or 2 * k > g.n:
-        raise BhvError(f"need 2 <= k <= n/2, got k={k} for n={g.n}")
+    check_int(k, 2, g.n // 2, "k")
     keep = [i for i, v in enumerate(g.vertices) if v.size == k]
-    rows = (sum(1 << j for j, u in enumerate(keep) if g.adjacency[i] >> u & 1) for i in keep)
+    position, layer = {u: j for j, u in enumerate(keep)}, sum(1 << u for u in keep)
+    rows = (sum(1 << position[u] for u in set_bits(g.adjacency[i] & layer)) for i in keep)
     return LinkGraph(g.n, tuple(g.vertices[i] for i in keep), tuple(rows))
 
 
@@ -149,10 +145,7 @@ def ekr_independent_sets(g: LinkGraph, k: int) -> list[frozenset[Split]]:
     """The n leaf stars in the size-k layer: for each leaf i, all size-k
     splits whose side contains i. Each has size C(n-1, k-1) and is
     independent (shared leaf forces intersecting sides)."""
-    if type(k) is not int:
-        raise BhvError(f"k must be an int, got {k!r}")
-    if k < 2 or 2 * k >= g.n:
-        raise BhvError(f"need 2 <= k < n/2, got k={k} for n={g.n}")
+    check_int(k, 2, (g.n - 1) // 2, "k")
     layer = [v for v in g.vertices if v.size == k]
     return [frozenset(v for v in layer if v.contains(i)) for i in range(1, g.n + 1)]
 
@@ -375,8 +368,7 @@ def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
     The first relabel of g fills that index in, one idempotent write from
     immutable vertices to a slot no caller reaches.
     """
-    if sigma.n != g.n:
-        raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs graph on {g.n}")
+    check_same_n(sigma.n, g.n)
     if g._index is None:
         sides = [v.mask for v in g.vertices]
         sides += [full_mask(g.n) ^ m for m in sides]

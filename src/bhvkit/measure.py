@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import BhvError, EpsilonTooLarge, LeafCountMismatch
-from .splits import Permutation, Split, apply_permutation, check_leaf_count, make_split, split_key
+from .errors import BhvError, EpsilonTooLarge
+from .splits import (
+    Permutation, Split, apply_permutation, check_int, check_leaf_count, check_same_n, make_split, split_key
+)
 from .topology import Topology, _clade_tree, count_refining_orthants, double_factorial, make_topology
 
 
@@ -43,8 +45,7 @@ class TreePoint:
         object.__setattr__(self, "lengths", MappingProxyType(_lengths(lengths, "edge {} length")))
         n = self.topology.n
         for leaf in self.leaf_lengths or ():
-            if type(leaf) is not int or not 1 <= leaf <= n:  # to_json writes str(leaf)
-                raise ValueError(f"leaf {leaf!r} not in 1..{n}")
+            check_int(leaf, 1, n, "leaf")  # to_json writes str(leaf)
         leaf = self.leaf_lengths and _lengths(dict(self.leaf_lengths), "leaf {} length", zero_ok=True)
         object.__setattr__(self, "leaf_lengths", MappingProxyType(leaf) if leaf else None)
 
@@ -73,8 +74,7 @@ class TreePoint:
     def permute(self, sigma: Permutation) -> "TreePoint":
         """Relabel leaves through sigma, a permutation of the same n leaves;
         lengths follow their splits, each relabeled once."""
-        if sigma.n != self.n:
-            raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs topology on {self.n}")
+        check_same_n(sigma.n, self.n)
         lengths = {apply_permutation(sigma, s): w for s, w in self.lengths.items()}
         leaf = None if self.leaf_lengths is None else {sigma(i): w for i, w in self.leaf_lengths.items()}
         return TreePoint(Topology(self.n, lengths), lengths, leaf)
@@ -180,11 +180,11 @@ def euclidean_ball_volume(m: int, eps: float) -> float:
     Computed as written; only where that overflows, which pi^(m/2) eps^m can
     do when the volume does not, it is exp of the same formula in logs.
     """
-    if type(m) is not int:
-        raise BhvError(f"dimension m must be an int, got {m!r}")
-    if m < 0:
-        raise ValueError(f"dimension must be >= 0, got {m}")
-    eps = _lengths({0: eps}, "radius")[0]
+    return _ball(check_int(m, 0, math.inf, "dimension m"), _lengths({0: eps}, "radius")[0])
+
+
+def _ball(m: int, eps: float) -> float:
+    """euclidean_ball_volume on a checked m and radius."""
     return _finite(
         "ball volume",
         lambda: math.pi ** (m / 2) * eps**m / math.gamma(m / 2 + 1),
@@ -199,14 +199,14 @@ def ball_volume(x: TreePoint, eps: float) -> BallVolume:
     no lower-dimensional face; otherwise EpsilonTooLarge is raised rather
     than returning a silently wrong number.
     """
-    eps = _lengths({0: eps}, "radius")[0]
+    eps = _lengths({0: eps}, "radius")[0]  # before min_edge: EpsilonTooLarge wins over the volume's overflow
     min_edge = x.min_edge
     if min_edge is not None and eps >= min_edge:
         raise EpsilonTooLarge(min_edge)
     n, p = x.n, x.p
     s_f = count_refining_orthants(x.topology)
     coefficient = Fraction(s_f, 2 ** (n - 3 - p))
-    a = euclidean_ball_volume(n - 3, eps)
+    a = _ball(n - 3, eps)
     value = _finite("ball volume", lambda: float(coefficient) * a)
     return BallVolume(value, n, p, s_f, eps, coefficient)
 
@@ -218,11 +218,7 @@ def ball_volume_bounds(n: int, p: int, eps: float) -> tuple[float, float]:
     bound (2n-2p-5)!! 2^p / 2^(n-3) A_(n-3)(eps) comes from the star-heaviest
     degree sequence.
     """
-    check_leaf_count(n)
-    if type(p) is not int:
-        raise BhvError(f"p must be an int, got {p!r}")
-    if p < 0 or p > n - 3:
-        raise BhvError(f"need 0 <= p <= n-3, got p={p} for n={n}")
+    check_int(p, 0, check_leaf_count(n) - 3, "p")
     a = euclidean_ball_volume(n - 3, eps)
     upper_coeff = Fraction(double_factorial(2 * n - 2 * p - 5) * 2**p, 2 ** (n - 3))
     return a, _finite("volume upper bound", lambda: float(upper_coeff) * a)
@@ -230,8 +226,7 @@ def ball_volume_bounds(n: int, p: int, eps: float) -> tuple[float, float]:
 
 def _same_orthant(a: TreePoint, b: TreePoint) -> tuple[float | None, list[float], list[float]]:
     """same_orthant_distance, and both points' coordinates on their splits' union, in order."""
-    if a.n != b.n:
-        raise LeafCountMismatch(f"points over n={a.n} and n={b.n}")
+    check_same_n(a.n, b.n)
     union = sorted(a.topology.splits | b.topology.splits, key=split_key)
     xa, xb = ([x.lengths.get(s, 0.0) for s in union] for x in (a, b))
     if _clade_tree([s.clade for s in union], a.n) is None:

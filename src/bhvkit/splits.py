@@ -8,10 +8,18 @@ leaf 1). Everything in this module is immutable and pure.
 Split(...), split_of_mask and make_split check what they build; the one
 trusted path, Split._laminar, does not. Its callers, enumerate_splits and
 parse_newick, give it sides of two or more leaves on a checked leaf count.
+
+check_int is the one rule for every integer argument of the package: a leaf
+count, a leaf, a mask, a permutation image, k, p, m. It takes a plain int in
+its range and raises BhvError otherwise, "{what} must be an int, got {value!r}"
+or "{what} must be in [{least}, {most}], got {value}"; a bool or any other int
+subclass is refused. check_same_n is the one leaf-count match, raising
+LeafCountMismatch wherever two values over different leaf counts meet.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
@@ -22,13 +30,24 @@ MIN_LEAVES = 3
 MAX_LEAVES = 64
 
 
+def check_int(value: int, least: float, most: float, what: str) -> int:
+    """value if it is a plain int in [least, most], else BhvError naming it by what."""
+    if type(value) is not int:
+        raise BhvError(f"{what} must be an int, got {value!r}")
+    if not least <= value <= most:
+        raise BhvError(f"{what} must be in [{least}, {most}], got {value}")
+    return value
+
+
+def check_same_n(n: int, m: int) -> None:
+    """LeafCountMismatch unless two values combined are over the same number of leaves."""
+    if n != m:
+        raise LeafCountMismatch(f"leaf counts {n} and {m} do not match")
+
+
 def check_leaf_count(n: int) -> int:
     """Validate a leaf count; splits exist only for 3 <= n <= 64."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"leaf count must be an integer, got {n!r}")
-    if n < MIN_LEAVES or n > MAX_LEAVES:
-        raise ValueError(f"leaf count must be in [{MIN_LEAVES}, {MAX_LEAVES}], got {n}")
-    return n
+    return check_int(n, MIN_LEAVES, MAX_LEAVES, "leaf count")
 
 
 def full_mask(n: int) -> int:
@@ -40,9 +59,7 @@ def mask_of(leaves: Iterable[int], n: int) -> int:
     """Bitmask of a leaf subset, validating every element against {1, ..., n}."""
     mask = 0
     for leaf in leaves:
-        if not isinstance(leaf, int) or isinstance(leaf, bool) or leaf < 1 or leaf > n:
-            raise BhvError(f"leaf {leaf!r} not in 1..{n}")
-        mask |= 1 << (leaf - 1)
+        mask |= 1 << (check_int(leaf, 1, n, "leaf") - 1)
     return mask
 
 
@@ -73,9 +90,7 @@ class Split:
     mask: int
 
     def __post_init__(self):
-        check_leaf_count(self.n)
-        if self.mask & ~full_mask(self.n):
-            raise BhvError(f"mask {self.mask:#x} has bits outside 1..{self.n}")
+        check_int(self.mask, 0, full_mask(check_leaf_count(self.n)), "mask")
         size = self.mask.bit_count()
         if size < 2:
             raise BhvError(f"a split needs >= 2 leaves on each side, got sides of {size} and {self.n - size}")
@@ -142,8 +157,7 @@ def make_split(subset: Iterable[int], n: int) -> Split:
     side containing leaf 1 wins. Raises BhvError unless both sides
     have at least two leaves.
     """
-    check_leaf_count(n)
-    return split_of_mask(mask_of(subset, n), n)
+    return Split(n, _canonical_side(mask_of(subset, check_leaf_count(n)), n))
 
 
 def _canonical_side(mask: int, n: int) -> int:
@@ -162,7 +176,7 @@ def split_of_mask(mask: int, n: int) -> Split:
     Keeps the smaller side; on a size tie, the side containing leaf 1.
     Split raises BhvError unless that side has at least two leaves.
     """
-    return Split(n, _canonical_side(mask, n))
+    return Split(n, _canonical_side(check_int(mask, 0, full_mask(check_leaf_count(n)), "mask"), n))
 
 
 def are_compatible(a: Split, b: Split) -> bool:
@@ -172,8 +186,7 @@ def are_compatible(a: Split, b: Split) -> bool:
     pairwise intersections of sides must be empty. Whole sets are decided
     by the clade-tree walk of bhvkit.topology; this names a crossing pair.
     """
-    if a.n != b.n:
-        raise LeafCountMismatch(f"splits over n={a.n} and n={b.n}")
+    check_same_n(a.n, b.n)
     am, bm = a.mask, b.mask
     ac, bc = a.complement_mask, b.complement_mask
     return not (am & bm) or not (am & bc) or not (ac & bm) or not (ac & bc)
@@ -200,7 +213,9 @@ class Permutation:
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
         n = len(self.images)
-        if not {*map(type, self.images)} <= {int} or sorted(self.images) != list(range(1, n + 1)):
+        for image in self.images:
+            check_int(image, 1, n, "image")
+        if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @property
@@ -208,18 +223,14 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, leaf: int) -> int:
-        if type(leaf) is not int or not 1 <= leaf <= len(self.images):  # no bool, no wrap-around
-            raise ValueError(f"leaf {leaf!r} is not in 1..{len(self.images)}")
-        return self.images[leaf - 1]
+        return self.images[check_int(leaf, 1, len(self.images), "leaf") - 1]  # no wrap-around
 
     @classmethod
     def from_cycles(cls, n: int, *cycles: Iterable[int]) -> "Permutation":
         """Permutation of 1..n from disjoint cycles, e.g. from_cycles(6, (1, 6))."""
-        images = list(range(1, n + 1))
+        images = list(range(1, check_int(n, 0, math.inf, "n") + 1))
         for cycle in cycles:
-            cycle = tuple(cycle)
-            if bad := [x for x in cycle if type(x) is not int or not 1 <= x <= n]:  # no bool, no wrap-around
-                raise ValueError(f"cycle entry {bad[0]!r} is not a leaf in 1..{n}")
+            cycle = tuple(check_int(x, 1, n, "cycle entry") for x in cycle)  # no wrap-around
             for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
                 images[src - 1] = dst
         return cls(tuple(images))
@@ -235,7 +246,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 def apply_permutation(sigma: Permutation, s: Split) -> Split:
     """Relabel a split's leaves through sigma and re-canonicalize."""
-    if sigma.n != s.n:
-        raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs split on {s.n}")
+    check_same_n(sigma.n, s.n)
     moved = sum(1 << (sigma.images[i] - 1) for i in set_bits(s.mask))  # distinct bits: the sum is their OR
     return split_of_mask(moved, s.n)

@@ -33,16 +33,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, compress, repeat
-from math import prod
+from math import inf, prod
 from types import MappingProxyType
 
-from .errors import BhvError, IncompatiblePair, LeafCountMismatch, TooLarge
+from .errors import BhvError, IncompatiblePair, TooLarge
 from .splits import (
     Permutation,
     Split,
     apply_permutation,
     are_compatible,
+    check_int,
     check_leaf_count,
+    check_same_n,
     enumerate_splits,
     full_mask,
     split_key,
@@ -56,9 +58,7 @@ _CENSUS_LOCK = threading.Lock()  # held around every _census call, so each n is 
 
 def double_factorial(m: int) -> int:
     """m!! for odd m >= -1, with (-1)!! = 1 (empty product)."""
-    if type(m) is not int:
-        raise BhvError(f"double factorial needs an int, got {m!r}")
-    if m < -1 or m % 2 == 0:
+    if check_int(m, -1, inf, "double factorial m") % 2 == 0:
         raise BhvError(f"double factorial needs odd m >= -1, got {m}")
     return prod(range(m, 0, -2))
 
@@ -81,9 +81,8 @@ class Topology:
     def __post_init__(self):
         object.__setattr__(self, "splits", frozenset(self.splits))  # no caller's set to change
         check_leaf_count(self.n)
-        for s in self.splits:
-            if s.n != self.n:
-                raise LeafCountMismatch(f"split {s} in topology over n={self.n}")
+        for n in {s.n for s in self.splits}:
+            check_same_n(n, self.n)
         if len(self.splits) > self.n - 3:
             raise BhvError(f"{len(self.splits)} splits exceed n-3 = {self.n - 3}")
         if self._clades() is None:  # two clades cross: name the first such pair in canonical order
@@ -118,8 +117,7 @@ class Topology:
 
     def permute(self, sigma: Permutation) -> "Topology":
         """Relabel all leaves through sigma, a permutation of the same n leaves."""
-        if sigma.n != self.n:
-            raise LeafCountMismatch(f"permutation of {sigma.n} leaves vs topology on {self.n}")
+        check_same_n(sigma.n, self.n)
         return Topology(self.n, frozenset(apply_permutation(sigma, s) for s in self.splits))
 
     def __repr__(self) -> str:

@@ -442,7 +442,7 @@ def test_parse_rejects_infinite_and_negative_lengths(capsys, tree):
 @pytest.mark.parametrize("leaf", ["0", "6"])
 def test_parse_rejects_a_leaf_length_off_the_leaf_set(capsys, leaf):
     code, out, err = run(capsys, "parse", '{"n":5,"edges":[],"leaf_lengths":{"%s":1}}' % leaf)
-    assert (code, out, err) == (5, "", f"error: leaf {leaf} not in 1..5\n")
+    assert (code, out, err) == (5, "", f"error: leaf must be in [1, 5], got {leaf}\n")
 
 
 @pytest.mark.parametrize("text", ["A;", "1;", "A:1.5;"])

@@ -116,9 +116,9 @@ def test_degree_formula_values():
 
 
 def test_degree_formula_k_range():
-    with pytest.raises(BhvError, match=r"^need 2 <= k <= n/2, got k=1 for n=6$"):
+    with pytest.raises(BhvError, match=r"^k must be in \[2, 3\], got 1$"):
         degree_formula(6, 1)
-    with pytest.raises(BhvError, match=r"^need 2 <= k <= n/2, got k=4 for n=6$"):
+    with pytest.raises(BhvError, match=r"^k must be in \[2, 3\], got 4$"):
         degree_formula(6, 4)
 
 
@@ -175,17 +175,19 @@ def test_half_size_layer_is_edgeless(link6):
 
 
 def test_kneser_edges_are_exactly_disjoint_pairs(link7):
-    for k in (2, 3):
-        sub = kneser_subgraph(link7, k)
+    layers = [(link7, 2), (link7, 3)]
+    layers += [(g, k) for g in map(build_link_graph, range(8, 13)) for k in range(2, g.n // 2 + 1)]
+    for g, k in layers:
+        sub = kneser_subgraph(g, k)
         for i, j in combinations(range(sub.vertex_count), 2):
             disjoint = not (sub.vertices[i].mask & sub.vertices[j].mask)
             assert sub.adjacent(i, j) == disjoint
 
 
 def test_kneser_k_range(link6):
-    with pytest.raises(BhvError, match=r"^need 2 <= k <= n/2, got k=1 for n=6$"):
+    with pytest.raises(BhvError, match=r"^k must be in \[2, 3\], got 1$"):
         kneser_subgraph(link6, 1)
-    with pytest.raises(BhvError, match=r"^need 2 <= k <= n/2, got k=4 for n=6$"):
+    with pytest.raises(BhvError, match=r"^k must be in \[2, 3\], got 4$"):
         kneser_subgraph(link6, 4)
 
 
@@ -218,7 +220,7 @@ def test_ekr_star_sets_sizes_and_independence(link6, link7):
 
 
 def test_ekr_rejects_half_size(link6):
-    with pytest.raises(BhvError, match=r"^need 2 <= k < n/2, got k=3 for n=6$"):
+    with pytest.raises(BhvError, match=r"^k must be in \[2, 2\], got 3$"):
         ekr_independent_sets(link6, 3)
 
 
@@ -349,7 +351,7 @@ def test_permutation_to_automorphism_transposition(link5):
 
 
 def test_permutation_to_automorphism_needs_the_graph_leaf_count(link5):
-    with pytest.raises(LeafCountMismatch, match="permutation of 6 leaves vs graph on 5"):
+    with pytest.raises(LeafCountMismatch, match=r"^leaf counts 6 and 5 do not match$"):
         permutation_to_automorphism(Permutation.from_cycles(6), link5)
 
 

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 import re
+from enum import IntEnum
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -13,14 +15,27 @@ from bhvkit import (
     LeafCountMismatch,
     Permutation,
     Split,
+    Topology,
+    TreePoint,
     all_permutations,
     apply_permutation,
     are_compatible,
+    ball_volume_bounds,
+    build_link_graph,
+    degree_formula,
+    double_factorial,
+    ekr_independent_sets,
+    enumerate_binary_topologies,
     enumerate_splits,
+    euclidean_ball_volume,
+    kneser_subgraph,
     make_split,
+    make_topology,
+    permutation_to_automorphism,
+    same_orthant_distance,
     split_of_mask,
 )
-from bhvkit.splits import leaves_of, mask_of, set_bits, split_key
+from bhvkit.splits import check_leaf_count, leaves_of, mask_of, set_bits, split_key
 from bhvkit.topology import _clade_tree
 from helpers import compatible_disjoint_or_nested, compose_permutations
 
@@ -78,9 +93,9 @@ def test_make_split_rejects_small_sides():
 
 
 def test_make_split_rejects_out_of_range_leaves():
-    with pytest.raises(BhvError, match=r"^leaf 7 not in 1..6$"):
+    with pytest.raises(BhvError, match=r"^leaf must be in \[1, 6\], got 7$"):
         make_split({1, 7}, 6)
-    with pytest.raises(BhvError, match=r"^leaf 0 not in 1..6$"):
+    with pytest.raises(BhvError, match=r"^leaf must be in \[1, 6\], got 0$"):
         make_split({0, 1}, 6)
 
 
@@ -96,10 +111,12 @@ def test_split_constructor_rejects_noncanonical_mask():
         Split(6, 0b111100)  # {3,4,5,6}: larger side stored directly
 
 
-@pytest.mark.parametrize("mask", [0b100011, 1 << 63 | 0b11])
+@pytest.mark.parametrize("mask", [0b100011, 1 << 63 | 0b11, -1])
 def test_split_constructor_rejects_bits_past_n(mask):
-    with pytest.raises(BhvError, match=f"mask {mask:#x} has bits outside 1..5"):
+    with pytest.raises(BhvError, match=rf"^mask must be in \[0, 31\], got {mask}$"):
         Split(5, mask)
+    with pytest.raises(BhvError, match=rf"^mask must be in \[0, 31\], got {mask}$"):
+        split_of_mask(mask, 5)  # checked as given, before it is canonicalized
 
 
 def test_compatible_nested_pair():
@@ -295,7 +312,7 @@ def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
     for images in ((1.0, 2.0, 3.0, 4.0, 5.0), (True, 2, 3, 4, 5)):  # equal to 1..5, but no leaf labels
-        with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.5: "):
+        with pytest.raises(BhvError, match=rf"^image must be an int, got {images[0]!r}$"):
             Permutation(images)
 
 
@@ -308,7 +325,8 @@ def test_permutation_rejects_non_bijection():
     (("1", 2), "'1'"),
 ])
 def test_from_cycles_names_a_bad_entry(cycle, bad):
-    with pytest.raises(ValueError, match=rf"^cycle entry {re.escape(bad)} is not a leaf in 1\.\.6$"):
+    says = r"in \[1, 6\]" if bad.lstrip("-").isdigit() else "an int"
+    with pytest.raises(BhvError, match=rf"^cycle entry must be {says}, got {re.escape(bad)}$"):
         Permutation.from_cycles(6, cycle)
 
 
@@ -349,7 +367,8 @@ def test_permutation_action_permutes_vertex_set():
 def test_calling_a_permutation_names_a_bad_leaf(leaf):
     # 0 and -1 once wrapped round to the last images, True read as leaf 1 and 6 was an IndexError
     sigma = Permutation.from_cycles(5, (1, 2, 3))
-    with pytest.raises(ValueError, match=rf"^leaf {re.escape(repr(leaf))} is not in 1\.\.5$"):
+    says = "an int" if type(leaf) is not int else r"in \[1, 5\]"
+    with pytest.raises(BhvError, match=rf"^leaf must be {says}, got {re.escape(repr(leaf))}$"):
         sigma(leaf)
 
 
@@ -394,3 +413,110 @@ def test_set_bits_matches_a_per_bit_scan(mask):
     expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
     assert set_bits(mask) == expected
     assert leaves_of(mask) == tuple(i + 1 for i in expected)
+
+
+class Leaf(IntEnum):
+    ONE = 1
+    FIVE = 5
+
+
+def arguments(ints):
+    """ints, or a value the integer rule refuses: a bool, a float, an IntEnum member, a string or None."""
+    return st.one_of(ints, st.booleans(), st.floats(), st.sampled_from(Leaf), st.text(max_size=2), st.none())
+
+
+ANY, MASK = arguments(st.integers(-3, 70)), arguments(st.integers(-3, 300))
+CENSUS_N, LINK_N = arguments(st.integers(-2, 8)), arguments(st.integers(-2, 9))  # the builds stay small
+LINK7, SIGMA5 = build_link_graph(7), Permutation.from_cycles(5, (1, 2))
+
+# every public call whose arguments the integer rule checks, with the strategy of each argument
+INTEGER_ENTRY_POINTS = [
+    (check_leaf_count, [ANY]),
+    (Topology, [ANY]),
+    (enumerate_binary_topologies, [CENSUS_N]),
+    (build_link_graph, [LINK_N]),
+    (Split, [ANY, MASK]),
+    (split_of_mask, [MASK, ANY]),
+    (lambda a, b, n: make_split([a, b], n), [ANY, ANY, ANY]),
+    (lambda a, b, c: Permutation((a, b, c)), [ANY, ANY, ANY]),
+    (SIGMA5, [ANY]),
+    (lambda n, a, b: Permutation.from_cycles(n, (a, b)), [ANY, ANY, ANY]),
+    (lambda leaf: TreePoint(make_topology((), 5), {}, {leaf: 1.0}), [ANY]),
+    (double_factorial, [ANY]),
+    (degree_formula, [ANY, ANY]),
+    (lambda k: kneser_subgraph(LINK7, k), [ANY]),
+    (lambda k: ekr_independent_sets(LINK7, k), [ANY]),
+    (lambda m: euclidean_ball_volume(m, 0.1), [ANY]),
+    (lambda n, p: ball_volume_bounds(n, p, 0.1), [ANY, ANY]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_integer_argument_returns_or_raises_a_value_error(data):
+    # never a TypeError or AttributeError; and any argument that is not a plain int is refused
+    for call, strategies in INTEGER_ENTRY_POINTS:
+        args = [data.draw(strategy) for strategy in strategies]
+        if all(type(a) is int for a in args):
+            try:
+                call(*args)
+            except ValueError:
+                pass
+        else:
+            with pytest.raises(BhvError, match=r" must be "):
+                call(*args)
+
+
+def test_non_int_masks_and_cycle_lengths_raise_the_rule_error():
+    with pytest.raises(BhvError, match=r"^mask must be an int, got 3\.0$"):
+        Split(5, 3.0)
+    with pytest.raises(BhvError, match=r"^mask must be an int, got 3\.0$"):
+        split_of_mask(3.0, 5)
+    with pytest.raises(BhvError, match=r"^n must be an int, got 2\.5$"):
+        Permutation.from_cycles(2.5)
+    with pytest.raises(BhvError, match=r"^leaf count must be an int, got <Leaf\.FIVE: 5>$"):
+        make_split([1, 2], Leaf.FIVE)  # an int subclass is refused like any other non-int
+
+
+SIGMA6, SPLIT5, SPLIT6 = Permutation.from_cycles(6, (1, 2)), make_split({1, 2}, 5), make_split({1, 2}, 6)
+POINT5 = TreePoint(make_topology([SPLIT5], 5), {SPLIT5: 1.0})
+POINT6 = TreePoint(make_topology([SPLIT6], 6), {SPLIT6: 1.0})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: apply_permutation(SIGMA6, SPLIT5),
+    lambda: are_compatible(SPLIT6, SPLIT5),
+    lambda: Topology(5, {SPLIT6}),
+    lambda: Topology(5).permute(SIGMA6),
+    lambda: POINT5.permute(SIGMA6),
+    lambda: same_orthant_distance(POINT6, POINT5),
+    lambda: permutation_to_automorphism(SIGMA6, build_link_graph(5)),
+], ids=["apply_permutation", "are_compatible", "Topology", "Topology.permute", "TreePoint.permute",
+        "same_orthant", "permutation_to_automorphism"])
+def test_every_leaf_count_mismatch_has_one_message(call):
+    with pytest.raises(LeafCountMismatch, match=r"^leaf counts 6 and 5 do not match$"):
+        call()
+
+
+def test_integer_and_leaf_count_checks_stay_in_the_two_rules():
+    # each plain-int test and each leaf-count match in the package, by module and innermost function;
+    # _lengths (the length rule) and _resolve_labels (a Newick label map) keep tests of their own
+    package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
+    int_test = re.compile(r"\bis (not )?int\b|isinstance\([^)]*\b(int|bool)\b")
+    match_test = re.compile(r"raise LeafCountMismatch|\.n != .*\.n\b")
+    found = set()
+    for f in package.glob("*.py"):
+        text = f.read_text()
+        owner = {}
+        for node in ast.walk(ast.parse(text)):  # outer functions first: the innermost one wins
+            if isinstance(node, ast.FunctionDef):
+                owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+        for i, line in enumerate(text.splitlines(), 1):
+            found |= {(kind, f.name, owner.get(i)) for kind, test in (("int", int_test), ("match", match_test))
+                      if test.search(line)}
+    assert found == {
+        ("int", "splits.py", "check_int"),
+        ("int", "measure.py", "_lengths"),
+        ("int", "newick.py", "_resolve_labels"),
+        ("match", "splits.py", "check_same_n"),
+    }
