@@ -50,7 +50,6 @@ from .splits import (
     are_compatible,
     enumerate_splits,
     make_split,
-    split_of_mask,
 )
 from .topology import (
     Topology,

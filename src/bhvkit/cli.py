@@ -160,11 +160,7 @@ def cmd_count(args) -> int:
     sides = [] if args.refine is None else _decode(args.refine, "--refine")
     if not (isinstance(sides, list) and all(isinstance(side, list) for side in sides)):
         raise ValueError("--refine must be a JSON list of leaf lists, e.g. [[1,2]]")
-    splits, seen = [make_split(side, args.n) for side in sides], set()
-    twice = next((s for s in splits if s in seen or seen.add(s)), None)
-    if twice is not None:  # either side of a split names it, as in a JSON tree
-        raise ValueError(f"--refine names split {twice} twice")
-    face = make_topology(splits, args.n)
+    face = make_topology([make_split(side, args.n) for side in sides], args.n)
     value = count_refining_orthants(face)
     if args.oracle:
         ok = len(enumerate_binary_refinements(face)) == value

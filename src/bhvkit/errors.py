@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all bhvkit modules.
 
-Every bhvkit error is a ValueError: BhvError (a refused integer or length, by
-splits.check_int or measure._lengths), its subclasses below, each kept where a
-caller tells it apart, and the plain ValueError of a few shape checks.
+Every bhvkit error is a ValueError: BhvError (a refused integer, container or
+length, by splits.check_int, splits.check_shape or measure._lengths), its
+subclasses below, each kept where a caller tells it apart, and the plain
+ValueError of a few shape checks.
 Every size cap raises TooLarge, the searches' NODE_CAP included.
 """
 

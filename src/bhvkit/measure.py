@@ -18,7 +18,8 @@ from types import MappingProxyType
 
 from .errors import BhvError, EpsilonTooLarge
 from .splits import (
-    Permutation, Split, apply_permutation, check_int, check_leaf_count, check_same_n, make_split, split_key
+    Permutation, Split, apply_permutation, check_int, check_leaf_count, check_same_n, check_shape, make_split,
+    split_key,
 )
 from .topology import Topology, _clade_tree, count_refining_orthants, double_factorial, make_topology
 
@@ -39,14 +40,17 @@ class TreePoint:
     leaf_lengths: Mapping[int, float] | None = None
 
     def __post_init__(self):
-        lengths = dict(self.lengths)
+        copy = type(self.lengths) in (dict, MappingProxyType)  # .copy() keeps the keys' hashes
+        lengths = self.lengths.copy() if copy else check_shape(dict, self.lengths, "lengths", "a mapping")
+        if not isinstance(self.topology, Topology):
+            raise BhvError(f"topology must be a Topology, got {self.topology!r}")
         if frozenset(lengths) != self.topology.splits:  # from a dict: no Split.__hash__ calls
             raise ValueError("lengths must be keyed by exactly the topology's splits")
         object.__setattr__(self, "lengths", MappingProxyType(_lengths(lengths, "edge {} length")))
-        n = self.topology.n
-        for leaf in self.leaf_lengths or ():
-            check_int(leaf, 1, n, "leaf")  # to_json writes str(leaf)
-        leaf = self.leaf_lengths and _lengths(dict(self.leaf_lengths), "leaf {} length", zero_ok=True)
+        leaf = self.leaf_lengths and check_shape(dict, self.leaf_lengths, "leaf_lengths", "a mapping")
+        for key in leaf or ():
+            check_int(key, 1, self.topology.n, "leaf")  # to_json writes str(leaf)
+        leaf = leaf and _lengths(leaf, "leaf {} length", zero_ok=True)
         object.__setattr__(self, "leaf_lengths", MappingProxyType(leaf) if leaf else None)
 
     def __hash__(self) -> int:
@@ -89,21 +93,16 @@ class TreePoint:
     @classmethod
     def from_json(cls, obj: dict) -> "TreePoint":
         """Inverse of to_json, raising ValueError for a missing or mistyped field,
-        a bad length or a split given twice, by either side. leaf_lengths keys
-        must be plain decimal leaf labels."""
+        a bad length or a repeated split, by either side (make_topology's rule).
+        leaf_lengths keys must be plain decimal leaf labels."""
         try:
             n, edges = obj["n"], obj["edges"]
             ws = _lengths({i: e["length"] for i, e in enumerate(edges)}, "edges[{}].length")
-            lengths = {}
-            for e, w in zip(edges, ws.values()):
-                s = make_split(e["side"], n)
-                if s in lengths:  # either side of a split names it
-                    raise ValueError(f"edge {s} is given twice")
-                lengths[s] = w
+            splits = [make_split(e["side"], n) for e in edges]
             leaf = obj.get("leaf_lengths")
             if leaf is not None:
                 leaf = {_json_leaf(k): v for k, v in leaf.items()}
-            return cls(make_topology(lengths.keys(), n), lengths, leaf)
+            return cls(make_topology(splits, n), dict(zip(splits, ws.values())), leaf)
         except KeyError as exc:
             raise ValueError(f"JSON tree lacks field {exc}") from None
         except (TypeError, AttributeError) as exc:

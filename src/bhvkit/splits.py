@@ -5,16 +5,17 @@ internal edge of an unrooted tree. Only one side is stored, as a bitmask,
 canonicalized to the smaller side (ties at n/2 go to the side containing
 leaf 1). Everything in this module is immutable and pure.
 
-Split(...), split_of_mask and make_split check what they build; the one
-trusted path, Split._laminar, does not. Its callers, enumerate_splits and
+Split(n, mask), given either side, and make_split check what they build; the
+one trusted path, Split._laminar, does not. Its callers, enumerate_splits and
 parse_newick, give it sides of two or more leaves on a checked leaf count.
 
 check_int is the one rule for every integer argument of the package: a leaf
 count, a leaf, a mask, a permutation image, k, p, m. It takes a plain int in
 its range and raises BhvError otherwise, "{what} must be an int, got {value!r}"
 or "{what} must be in [{least}, {most}], got {value}"; a bool or any other int
-subclass is refused. check_same_n is the one leaf-count match, raising
-LeafCountMismatch wherever two values over different leaf counts meet.
+subclass is refused. check_shape is its like for a container argument, and
+check_same_n the one leaf-count match, raising LeafCountMismatch wherever two
+values over different leaf counts meet.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BhvError, LeafCountMismatch
 
@@ -39,6 +40,14 @@ def check_int(value: int, least: float, most: float, what: str) -> int:
     return value
 
 
+def check_shape(convert: Callable, value, what: str, shape: str):
+    """convert(value), such as iter(value), or BhvError where convert raises TypeError."""
+    try:
+        return convert(value)
+    except TypeError:
+        raise BhvError(f"{what} must be {shape}, got {value!r}") from None
+
+
 def check_same_n(n: int, m: int) -> None:
     """LeafCountMismatch unless two values combined are over the same number of leaves."""
     if n != m:
@@ -53,14 +62,6 @@ def check_leaf_count(n: int) -> int:
 def full_mask(n: int) -> int:
     """Bitmask with one bit per leaf, leaf i on bit i-1."""
     return (1 << n) - 1
-
-
-def mask_of(leaves: Iterable[int], n: int) -> int:
-    """Bitmask of a leaf subset, validating every element against {1, ..., n}."""
-    mask = 0
-    for leaf in leaves:
-        mask |= 1 << (check_int(leaf, 1, n, "leaf") - 1)
-    return mask
 
 
 def set_bits(mask: int) -> list[int]:
@@ -81,7 +82,7 @@ def leaves_of(mask: int) -> tuple[int, ...]:
 class Split:
     """One side of a leaf bipartition in canonical form.
 
-    Construct via make_split unless the mask is already canonical. Splits
+    Split(n, mask) takes either side as a mask, make_split as leaves. Splits
     sort by (n, side size, lexicographic side), the enumeration order used
     throughout the package; split_key is that order within one n.
     """
@@ -90,12 +91,11 @@ class Split:
     mask: int
 
     def __post_init__(self):
-        check_int(self.mask, 0, full_mask(check_leaf_count(self.n)), "mask")
-        size = self.mask.bit_count()
+        mask = _canonical_side(check_int(self.mask, 0, full_mask(check_leaf_count(self.n)), "mask"), self.n)
+        size = mask.bit_count()
         if size < 2:
             raise BhvError(f"a split needs >= 2 leaves on each side, got sides of {size} and {self.n - size}")
-        if _canonical_side(self.mask, self.n) != self.mask:
-            raise BhvError(f"side of {size} is not canonical for n={self.n}; use make_split")
+        _SET_MASK(self, mask)
 
     @property
     def side(self) -> tuple[int, ...]:
@@ -122,7 +122,7 @@ class Split:
 
     @classmethod
     def _laminar(cls, mask: int, n: int) -> "Split":
-        """split_of_mask without the checks, for sides of two or more leaves."""
+        """Split(n, mask) without the checks, for sides of two or more leaves."""
         s = object.__new__(cls)
         _SET_N(s, n)  # slot setters: cheaper than object.__setattr__
         _SET_MASK(s, _canonical_side(mask, n))
@@ -151,13 +151,11 @@ def split_key(s: Split) -> tuple[int, bytes]:
 
 
 def make_split(subset: Iterable[int], n: int) -> Split:
-    """Build the canonical Split for a leaf subset of {1, ..., n}.
-
-    The stored side is the smaller of subset/complement; on a size tie the
-    side containing leaf 1 wins. Raises BhvError unless both sides
-    have at least two leaves.
-    """
-    return Split(n, _canonical_side(mask_of(subset, check_leaf_count(n)), n))
+    """The Split of either side of a bipartition of {1, ..., n}, given as leaves."""
+    mask, n = 0, check_leaf_count(n)
+    for leaf in check_shape(iter, subset, "subset", "iterable"):
+        mask |= 1 << (check_int(leaf, 1, n, "leaf") - 1)
+    return Split(n, mask)
 
 
 def _canonical_side(mask: int, n: int) -> int:
@@ -167,16 +165,6 @@ def _canonical_side(mask: int, n: int) -> int:
     if 2 * size > n or (2 * size == n and not mask & 1):
         return full_mask(n) ^ mask
     return mask
-
-
-def split_of_mask(mask: int, n: int) -> Split:
-    """The canonical Split of either side of a bipartition, given as a leaf
-    mask within full_mask(n).
-
-    Keeps the smaller side; on a size tie, the side containing leaf 1.
-    Split raises BhvError unless that side has at least two leaves.
-    """
-    return Split(n, _canonical_side(check_int(mask, 0, full_mask(check_leaf_count(n)), "mask"), n))
 
 
 def are_compatible(a: Split, b: Split) -> bool:
@@ -211,7 +199,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", check_shape(tuple, self.images, "images", "iterable"))
         n = len(self.images)
         for image in self.images:
             check_int(image, 1, n, "image")
@@ -227,10 +215,10 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, *cycles: Iterable[int]) -> "Permutation":
-        """Permutation of 1..n from disjoint cycles, e.g. from_cycles(6, (1, 6))."""
+        """Permutation of 1..n from disjoint cycles, e.g. from_cycles(6, (1, 6)); no entry wraps around."""
         images = list(range(1, check_int(n, 0, math.inf, "n") + 1))
         for cycle in cycles:
-            cycle = tuple(check_int(x, 1, n, "cycle entry") for x in cycle)  # no wrap-around
+            cycle = tuple(check_int(x, 1, n, "cycle entry") for x in check_shape(iter, cycle, "cycle", "iterable"))
             for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
                 images[src - 1] = dst
         return cls(tuple(images))
@@ -248,4 +236,4 @@ def apply_permutation(sigma: Permutation, s: Split) -> Split:
     """Relabel a split's leaves through sigma and re-canonicalize."""
     check_same_n(sigma.n, s.n)
     moved = sum(1 << (sigma.images[i] - 1) for i in set_bits(s.mask))  # distinct bits: the sum is their OR
-    return split_of_mask(moved, s.n)
+    return Split(s.n, moved)

@@ -16,11 +16,11 @@ made in one batch. A read-only index maps each split mask
 to the bitset of census trees holding it, so enumerating the refinements of
 a face, still an exhaustive filter over the census, is an AND of bitsets.
 
-Topology(...) and make_topology check every split set they are given; the
-one trusted path, Topology._laminar, does not. Its callers give it laminar
-families on a checked leaf count: the census, all trees in one call, the
-clades of trees grown by leaf insertion; parse_newick, the clades of the
-one tree it parsed.
+Topology(...) and make_topology check every split set they are given, and
+make_topology alone refuses a split given twice; the one trusted path,
+Topology._laminar, does not. Its callers give it laminar families on a
+checked leaf count: the census, all trees in one call, the clades of trees
+grown by leaf insertion; parse_newick, the clades of the one tree it parsed.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .splits import (
     apply_permutation,
     are_compatible,
     check_int,
+    check_shape,
     check_leaf_count,
     check_same_n,
     enumerate_splits,
@@ -67,11 +68,12 @@ def double_factorial(m: int) -> int:
 class Topology:
     """A face of tree space: n leaves plus a pairwise-compatible split set.
 
-    The constructor checks the leaf count, each split's n and the n-3 bound,
-    and keeps the clade tree whose walk decides compatibility. _laminar (see
-    the module docstring) builds equal values without the checks or the tree;
-    a value's first reader walks it: one idempotent write from immutable data
-    to a slot no caller reaches, so a Topology is still safe to share.
+    The constructor checks the leaf count, that each split is a Split on n
+    leaves and the n-3 bound, and keeps the clade tree whose walk decides
+    compatibility. _laminar (see the module docstring) builds equal values
+    without the checks or the tree; a value's first reader walks it: one
+    idempotent write from immutable data to a slot no caller reaches, so a
+    Topology is still safe to share.
     """
 
     n: int
@@ -79,7 +81,7 @@ class Topology:
     _tree: dict[int, list[int]] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "splits", frozenset(self.splits))  # no caller's set to change
+        _SET_SPLITS(self, _split_set(self.splits))  # no caller's set to change
         check_leaf_count(self.n)
         for n in {s.n for s in self.splits}:
             check_same_n(n, self.n)
@@ -153,13 +155,27 @@ class Topology:
 _SET_N, _SET_SPLITS, _SET_TREE = Topology.n.__set__, Topology.splits.__set__, Topology._tree.__set__
 
 
+def _split_set(splits) -> frozenset[Split]:
+    """splits as a frozenset, itself if it is one: no Split is hashed again."""
+    out = check_shape(frozenset, splits, "splits", "an iterable of Splits")
+    if all(map(isinstance, out, repeat(Split))):
+        return out
+    raise BhvError(f"splits must be an iterable of Splits, got {splits!r}")
+
+
 def make_topology(splits, n: int) -> Topology:
     """Validate a split collection and wrap it as a Topology.
 
-    Raises IncompatiblePair naming the first violating pair (in canonical
-    split order) and BhvError when the count exceeds n-3.
+    The one reader that refuses a split given twice, by either side, before
+    Topology's checks. Raises IncompatiblePair naming the first violating pair
+    (in canonical split order) and BhvError when the count exceeds n-3.
     """
-    return Topology(n, splits)
+    splits = check_shape(list, splits, "splits", "an iterable of Splits")
+    unique = _split_set(splits)
+    if len(unique) < len(splits):  # name the first to repeat; set.add returns None
+        seen: set[Split] = set()
+        raise BhvError(f"{next(s for s in splits if s in seen or seen.add(s))} is given twice")
+    return Topology(n, unique)
 
 
 def is_binary(t: Topology) -> bool:

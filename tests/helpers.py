@@ -29,7 +29,7 @@ from bhvkit import (
     permutation_to_automorphism,
 )
 from bhvkit.newick import _resolve_labels
-from bhvkit.splits import MAX_LEAVES, full_mask, leaves_of, mask_of, set_bits, split_of_mask
+from bhvkit.splits import MAX_LEAVES, full_mask, leaves_of, set_bits
 
 
 @lru_cache(maxsize=8)
@@ -704,7 +704,7 @@ def splits_from_tree(root: NewickNode, leaf_index: dict[str, int]) -> set[tuple[
 
     def below(node: NewickNode, at_root: bool) -> int:
         if node.is_leaf:
-            return mask_of([leaf_index[node.label]], n)
+            return 1 << (leaf_index[node.label] - 1)
         if len(node.children) < 2 and not at_root:
             raise DegreeTwoInternal(None)
         mask = 0
@@ -715,7 +715,7 @@ def splits_from_tree(root: NewickNode, leaf_index: dict[str, int]) -> set[tuple[
                 length = child.length if child.length is not None else 0.0
                 if length < 0:
                     raise NegativeLength(f"negative branch length {child.length}")
-                records.add((split_of_mask(child_mask, n), length))
+                records.add((Split(n, child_mask), length))
         return mask
 
     below(root, True)

@@ -495,7 +495,7 @@ def test_count_refine_rejects_a_split_named_twice(capsys, refine):
     # by either side, as a JSON tree is; a set would have merged the two
     code, out, err = run(capsys, "count", "5", "--refine", refine)
     assert_rejected(code, out, err)
-    assert err == "error: --refine names split Split({1,2}, n=5) twice\n"
+    assert err == "error: Split({1,2}, n=5) is given twice\n"
 
 
 @pytest.mark.parametrize("side", ["[1]", "[1,2,3,4,5]"])
@@ -740,7 +740,7 @@ def test_public_api_inventory():
         "enumerate_splits", "euclidean_ball_volume", "is_binary", "is_cone_point",
         "kneser_subgraph", "make_split", "make_topology",
         "maximum_independent_sets", "parse_newick", "permutation_to_automorphism",
-        "same_orthant_distance", "split_of_mask", "to_newick", "verify_degrees",
+        "same_orthant_distance", "to_newick", "verify_degrees",
     ]
 
 

@@ -14,6 +14,7 @@ from bhvkit import (
     EpsilonTooLarge,
     LeafCountMismatch,
     Permutation,
+    Split,
     Topology,
     TreePoint,
     are_compatible,
@@ -25,6 +26,7 @@ from bhvkit import (
     is_cone_point,
     make_split,
     make_topology,
+    parse_newick,
     same_orthant_distance,
 )
 from helpers import LENGTHS, all_faces, cone_point, random_face
@@ -149,6 +151,18 @@ def test_tree_point_rejects_negative_or_non_finite_leaf_lengths(w, says):
 def test_tree_point_rejects_leaf_lengths_off_the_leaf_set(leaf):
     with pytest.raises(BhvError, match=rf"^leaf must be in \[1, 5\], got {leaf}$"):
         TreePoint(make_topology((), 5), {}, {leaf: 1.0})
+
+
+def test_rebuilding_a_point_from_its_maps_hashes_no_split(monkeypatch):
+    x = parse_newick("((1:1,2:1):1,((3:1,4:1):2,5:1):3,(6:1,(7:1,8:1):4):5);")
+    lengths = dict(x.lengths)
+    assert x.p == 5 and x.leaf_lengths
+    calls = []
+    monkeypatch.setattr(Split, "__hash__", lambda s: calls.append(s) or hash(s.mask))
+    points = [TreePoint(x.topology, x.lengths, x.leaf_lengths), TreePoint(x.topology, lengths, x.leaf_lengths)]
+    assert calls == []  # the read-only map and the plain dict are copied with the hashes they hold
+    monkeypatch.undo()
+    assert points == [x, x]
 
 
 def test_tree_point_accepts_zero_leaf_length():

@@ -33,9 +33,8 @@ from bhvkit import (
     make_topology,
     permutation_to_automorphism,
     same_orthant_distance,
-    split_of_mask,
 )
-from bhvkit.splits import check_leaf_count, leaves_of, mask_of, set_bits, split_key
+from bhvkit.splits import check_leaf_count, full_mask, leaves_of, set_bits, split_key
 from bhvkit.topology import _clade_tree
 from helpers import compatible_disjoint_or_nested, compose_permutations
 
@@ -57,17 +56,18 @@ def test_equal_splits_hash_equal():
             assert hash(a) == hash(b) == hash(Split(n, a.mask)) == hash(a.mask)
 
 
-def test_split_of_mask_agrees_with_make_split():
+def test_split_of_either_side_agrees_with_make_split():
     for n in (4, 5, 6, 7):
         for mask in range(1, 1 << n):
             if 2 <= mask.bit_count() <= n - 2:
                 side = [i + 1 for i in range(n) if mask >> i & 1]
-                assert split_of_mask(mask, n) == make_split(side, n)
+                assert Split(n, mask) == Split(n, full_mask(n) ^ mask) == make_split(side, n)
             else:
                 small = min(mask.bit_count(), n - mask.bit_count())
                 sizes = f"got sides of {small} and {n - small}$"
-                with pytest.raises(BhvError, match="^a split needs >= 2 leaves on each side, " + sizes):
-                    split_of_mask(mask, n)
+                for either in (mask, full_mask(n) ^ mask):
+                    with pytest.raises(BhvError, match="^a split needs >= 2 leaves on each side, " + sizes):
+                        Split(n, either)
 
 
 def test_clade_is_the_side_without_leaf_one():
@@ -77,7 +77,7 @@ def test_clade_is_the_side_without_leaf_one():
     for n in (4, 5, 6, 7):
         for s in enumerate_splits(n):
             assert not s.clade & 1
-            assert split_of_mask(s.clade, n) == s
+            assert Split(n, s.clade) == s
 
 
 def test_make_split_half_size_tie_goes_to_leaf_one():
@@ -106,17 +106,15 @@ def test_leaf_count_bounds():
         make_split({1, 2}, 65)
 
 
-def test_split_constructor_rejects_noncanonical_mask():
-    with pytest.raises(BhvError, match=r"^side of 4 is not canonical for n=6; use make_split$"):
-        Split(6, 0b111100)  # {3,4,5,6}: larger side stored directly
+def test_split_constructor_takes_the_larger_side():
+    s = Split(6, 0b111100)  # {3,4,5,6}: the larger side names the same split
+    assert (s, s.mask, s.side) == (make_split({1, 2}, 6), 0b000011, (1, 2))
 
 
 @pytest.mark.parametrize("mask", [0b100011, 1 << 63 | 0b11, -1])
 def test_split_constructor_rejects_bits_past_n(mask):
     with pytest.raises(BhvError, match=rf"^mask must be in \[0, 31\], got {mask}$"):
-        Split(5, mask)
-    with pytest.raises(BhvError, match=rf"^mask must be in \[0, 31\], got {mask}$"):
-        split_of_mask(mask, 5)  # checked as given, before it is canonicalized
+        Split(5, mask)  # checked as given, before it is canonicalized
 
 
 def test_compatible_nested_pair():
@@ -161,10 +159,10 @@ def split_lists(draw):
     for n in draw(st.lists(st.integers(4, 64), min_size=2, max_size=2, unique=True)):
         any_side = st.integers(0, (1 << n) - 1).filter(lambda m, n=n: 2 <= m.bit_count() <= n - 2)
         half = st.sets(st.integers(1, n), min_size=n // 2, max_size=n // 2).map(
-            lambda x, n=n: mask_of(x, n)
+            lambda x: sum(1 << (leaf - 1) for leaf in x)
         )
         masks = draw(st.lists(st.one_of(any_side, half) if n % 2 == 0 else any_side, max_size=30))
-        out += [split_of_mask(m, n) for m in masks]
+        out += [Split(n, m) for m in masks]
     return draw(st.permutations(out))
 
 
@@ -436,7 +434,6 @@ INTEGER_ENTRY_POINTS = [
     (enumerate_binary_topologies, [CENSUS_N]),
     (build_link_graph, [LINK_N]),
     (Split, [ANY, MASK]),
-    (split_of_mask, [MASK, ANY]),
     (lambda a, b, n: make_split([a, b], n), [ANY, ANY, ANY]),
     (lambda a, b, c: Permutation((a, b, c)), [ANY, ANY, ANY]),
     (SIGMA5, [ANY]),
@@ -470,12 +467,25 @@ def test_every_integer_argument_returns_or_raises_a_value_error(data):
 def test_non_int_masks_and_cycle_lengths_raise_the_rule_error():
     with pytest.raises(BhvError, match=r"^mask must be an int, got 3\.0$"):
         Split(5, 3.0)
-    with pytest.raises(BhvError, match=r"^mask must be an int, got 3\.0$"):
-        split_of_mask(3.0, 5)
     with pytest.raises(BhvError, match=r"^n must be an int, got 2\.5$"):
         Permutation.from_cycles(2.5)
     with pytest.raises(BhvError, match=r"^leaf count must be an int, got <Leaf\.FIVE: 5>$"):
         make_split([1, 2], Leaf.FIVE)  # an int subclass is refused like any other non-int
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_split(5, 6), "subset must be iterable, got 5"),
+    (lambda: Permutation(5), "images must be iterable, got 5"),
+    (lambda: Permutation.from_cycles(6, 3), "cycle must be iterable, got 3"),
+    (lambda: Topology(6, [1, 2]), "splits must be an iterable of Splits, got [1, 2]"),
+    (lambda: make_topology([(1, 2)], 6), "splits must be an iterable of Splits, got [(1, 2)]"),
+    (lambda: TreePoint(Topology(6), None), "lengths must be a mapping, got None"),
+], ids=["make_split", "Permutation", "from_cycles", "Topology", "make_topology", "TreePoint"])
+def test_a_wrong_shaped_container_argument_is_refused_by_name(call, message):
+    # a TypeError or AttributeError here would get past a caller's except ValueError
+    with pytest.raises(BhvError) as info:
+        call()
+    assert str(info.value) == message
 
 
 SIGMA6, SPLIT5, SPLIT6 = Permutation.from_cycles(6, (1, 2)), make_split({1, 2}, 5), make_split({1, 2}, 6)

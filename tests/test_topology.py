@@ -35,7 +35,6 @@ from bhvkit import (
     make_split,
     make_topology,
     parse_newick,
-    split_of_mask,
     to_newick,
 )
 from bhvkit import topology
@@ -97,6 +96,21 @@ def test_incompatible_pair_names_the_pair():
     with pytest.raises(IncompatiblePair) as exc:
         make_topology(splits(6, {1, 2}, {2, 3}), 6)
     assert {exc.value.a.side, exc.value.b.side} == {(1, 2), (2, 3)}
+
+
+@pytest.mark.parametrize("again", [{1, 2}, {3, 4, 5, 6}], ids=["same side", "other side"])
+def test_make_topology_refuses_a_split_given_twice_before_a_crossing_pair(again):
+    first, crossing = make_split({1, 2}, 6), make_split({2, 3}, 6)
+    for given in ([first, crossing, make_split(again, 6)], [crossing, first, make_split(again, 6)]):
+        with pytest.raises(BhvError, match=r"^Split\(\{1,2\}, n=6\) is given twice$") as info:
+            make_topology(given, 6)
+        assert type(info.value) is BhvError  # not the IncompatiblePair of the same list
+    assert Topology(6, [first, make_split(again, 6)]).splits == {first}  # the constructor merges a repeat
+
+
+def test_repeated_split_rule_stays_in_make_topology():
+    package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
+    assert {f.name for f in package.glob("*.py") if "given twice" in f.read_text()} == {"topology.py"}
 
 
 def test_too_many_splits():
@@ -604,7 +618,7 @@ def test_clade_tree_walk_decides_compatibility(n, keep, extra, rnd):
             mask = clade ^ (clade & -clade) ^ (1 << rnd.choice([i for i in range(n) if not clade >> i & 1]))
         else:
             mask = sum(1 << i for i in rnd.sample(range(n), rnd.randint(2, n - 2)))
-        chosen.add(split_of_mask(mask, n))
+        chosen.add(Split(n, mask))
     tree = _clade_tree([s.clade for s in chosen], n)
     assert (tree is not None) == all(are_compatible(a, b) for a, b in combinations(chosen, 2))
     if tree is None:
@@ -659,7 +673,7 @@ def test_topology_keeps_no_caller_container():
 def test_laminar_split_equals_split_of_mask(n):
     for mask in range(1 << n):
         if 2 <= mask.bit_count() <= n - 2:
-            s, checked = Split._laminar(mask, n), split_of_mask(mask, n)
+            s, checked = Split._laminar(mask, n), Split(n, mask)
             assert (type(s), s.n, s.mask, hash(s)) == (Split, n, checked.mask, hash(checked))
             assert s == checked
 
@@ -707,7 +721,7 @@ def incompatible_split_sets(draw):
     """n <= 12 and at most n - 3 distinct splits, at least two of them incompatible."""
     n = draw(st.integers(5, 12))
     sides = st.integers(1, (1 << n) - 1).filter(lambda m: 2 <= m.bit_count() <= n - 2)
-    chosen = {split_of_mask(m, n) for m in draw(st.lists(sides, min_size=2, max_size=n - 3))}
+    chosen = {Split(n, m) for m in draw(st.lists(sides, min_size=2, max_size=n - 3))}
     assume(not all(are_compatible(a, b) for a, b in combinations(chosen, 2)))
     return n, chosen
 
