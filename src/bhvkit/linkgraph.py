@@ -19,7 +19,6 @@ bound on either search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import TooLarge
@@ -32,6 +31,7 @@ from .splits import (
     enumerate_splits,
     full_mask,
     set_bits,
+    _FrozenValue,
 )
 
 MAX_LINK_LEAVES = 12
@@ -41,19 +41,15 @@ ELEMENT_CAP = 10_000  # lists the 7! elements at n=7; 8! would outcost the searc
 VertexPerm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LinkGraph:
+class LinkGraph(_FrozenValue):
     """Undirected graph over splits; adjacency rows are vertex-index bitmasks."""
 
-    n: int
-    vertices: tuple[Split, ...]
-    adjacency: tuple[int, ...]
+    _fields = __match_args__ = ("n", "vertices", "adjacency")
     # each side mask and its complement -> vertex index, filled in by the first relabel
-    _index: dict[int, int] | None = field(default=None, init=False, compare=False, repr=False)
+    _index: dict[int, int] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))  # no caller's list to change
-        object.__setattr__(self, "adjacency", tuple(self.adjacency))
+    def __init__(self, n: int, vertices: tuple[Split, ...], adjacency: tuple[int, ...]):
+        self._set(n, tuple(vertices), tuple(adjacency))  # no caller's list to change
 
     @property
     def vertex_count(self) -> int:
@@ -191,14 +187,15 @@ def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
     return sets
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
+class AutomorphismGroup(_FrozenValue):
     """Search result: group order, a generating set, and (when the order is
     at most ELEMENT_CAP) the complete element list as vertex permutations."""
 
-    order: int
-    generators: tuple[VertexPerm, ...]
-    elements: tuple[VertexPerm, ...] | None
+    _fields = __match_args__ = ("order", "generators", "elements")
+
+    def __init__(self, order: int, generators: tuple[VertexPerm, ...],
+                 elements: tuple[VertexPerm, ...] | None):
+        self._set(order, generators, elements)
 
 
 def _compose(p: VertexPerm, q: VertexPerm) -> VertexPerm:

@@ -12,20 +12,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import BhvError, EpsilonTooLarge
 from .splits import (
-    Permutation, Split, apply_permutation, check_int, check_leaf_count, check_same_n, check_shape, make_split,
-    split_key,
+    Permutation, Split, check_int, check_leaf_count, check_same_n, check_shape, check_type, make_split,
+    split_key, _FrozenValue, _relabel,
 )
 from .topology import Topology, _clade_tree, count_refining_orthants, double_factorial, make_topology
 
 
-@dataclass(frozen=True)
-class TreePoint:
+class TreePoint(_FrozenValue):
     """A topology with a positive finite length per split.
 
     Finite non-negative leaf-edge lengths may ride along as metadata but
@@ -35,27 +32,29 @@ class TreePoint:
     maps are read-only copies of the mappings passed in.
     """
 
-    topology: Topology
-    lengths: Mapping[Split, float] = field(default_factory=dict)
-    leaf_lengths: Mapping[int, float] | None = None
+    _fields = __match_args__ = ("topology", "lengths", "leaf_lengths")
 
-    def __post_init__(self):
-        copy = type(self.lengths) in (dict, MappingProxyType)  # .copy() keeps the keys' hashes
-        lengths = self.lengths.copy() if copy else check_shape(dict, self.lengths, "lengths", "a mapping")
-        if not isinstance(self.topology, Topology):
-            raise BhvError(f"topology must be a Topology, got {self.topology!r}")
-        if frozenset(lengths) != self.topology.splits:  # from a dict: no Split.__hash__ calls
+    def __init__(self, topology: Topology, lengths: Mapping[Split, float] = MappingProxyType({}),
+                 leaf_lengths: Mapping[int, float] | None = None):
+        copy = type(lengths) in (dict, MappingProxyType)  # .copy() keeps the keys' hashes
+        lengths = lengths.copy() if copy else check_shape(dict, lengths, "lengths", "a mapping")
+        topology = check_type(topology, Topology, "topology")
+        if frozenset(lengths) != topology.splits:  # from a dict: no Split.__hash__ calls
             raise ValueError("lengths must be keyed by exactly the topology's splits")
-        object.__setattr__(self, "lengths", MappingProxyType(_lengths(lengths, "edge {} length")))
-        leaf = self.leaf_lengths and check_shape(dict, self.leaf_lengths, "leaf_lengths", "a mapping")
+        lengths = MappingProxyType(_lengths(lengths, "edge {} length"))
+        leaf = leaf_lengths and check_shape(dict, leaf_lengths, "leaf_lengths", "a mapping")
         for key in leaf or ():
-            check_int(key, 1, self.topology.n, "leaf")  # to_json writes str(leaf)
+            check_int(key, 1, topology.n, "leaf")  # to_json writes str(leaf)
         leaf = leaf and _lengths(leaf, "leaf {} length", zero_ok=True)
-        object.__setattr__(self, "leaf_lengths", MappingProxyType(leaf) if leaf else None)
+        self._set(topology, lengths, MappingProxyType(leaf) if leaf else None)
 
     def __hash__(self) -> int:
         leaf = None if self.leaf_lengths is None else frozenset(self.leaf_lengths.items())
         return hash((self.topology, frozenset(self.lengths.items()), leaf))
+
+    def __reduce__(self):  # through plain dicts: a mappingproxy does not pickle
+        leaf = self.leaf_lengths and self.leaf_lengths.copy()
+        return type(self), (self.topology, self.lengths.copy(), leaf)
 
     @property
     def n(self) -> int:
@@ -78,8 +77,8 @@ class TreePoint:
     def permute(self, sigma: Permutation) -> "TreePoint":
         """Relabel leaves through sigma, a permutation of the same n leaves;
         lengths follow their splits, each relabeled once."""
-        check_same_n(sigma.n, self.n)
-        lengths = {apply_permutation(sigma, s): w for s, w in self.lengths.items()}
+        check_same_n(check_type(sigma, Permutation, "sigma").n, self.n)
+        lengths = {_relabel(sigma, s): w for s, w in self.lengths.items()}
         leaf = None if self.leaf_lengths is None else {sigma(i): w for i, w in self.leaf_lengths.items()}
         return TreePoint(Topology(self.n, lengths), lengths, leaf)
 
@@ -160,17 +159,21 @@ def is_cone_point(x: TreePoint) -> bool:
     return x.p == 0
 
 
-@dataclass(frozen=True)
-class BallVolume:
-    """Volume of a small ball, with the exact rational coefficient that
-    multiplies the Euclidean ball volume A_(n-3)(eps)."""
+class BallVolume(_FrozenValue):
+    """Volume of a small ball, with the exact rational coefficient, a Fraction,
+    that multiplies the Euclidean ball volume A_(n-3)(eps)."""
 
-    value: float
-    n: int
-    p: int
-    s_f: int
-    epsilon: float
-    coefficient: Fraction
+    _fields = __match_args__ = ("value", "n", "p", "s_f", "epsilon", "coefficient")
+
+    def __init__(self, value: float, n: int, p: int, s_f: int, epsilon: float, coefficient):
+        self._set(value, n, p, s_f, epsilon, coefficient)
+
+
+def _fraction(numerator: int, denominator: int):
+    """Fraction(numerator, denominator); the first call imports fractions and rebinds this name to it."""
+    global _fraction
+    from fractions import Fraction as _fraction
+    return _fraction(numerator, denominator)
 
 
 def euclidean_ball_volume(m: int, eps: float) -> float:
@@ -199,12 +202,12 @@ def ball_volume(x: TreePoint, eps: float) -> BallVolume:
     than returning a silently wrong number.
     """
     eps = _lengths({0: eps}, "radius")[0]  # before min_edge: EpsilonTooLarge wins over the volume's overflow
-    min_edge = x.min_edge
+    min_edge = check_type(x, TreePoint, "x").min_edge
     if min_edge is not None and eps >= min_edge:
         raise EpsilonTooLarge(min_edge)
     n, p = x.n, x.p
     s_f = count_refining_orthants(x.topology)
-    coefficient = Fraction(s_f, 2 ** (n - 3 - p))
+    coefficient = _fraction(s_f, 2 ** (n - 3 - p))
     a = _ball(n - 3, eps)
     value = _finite("ball volume", lambda: float(coefficient) * a)
     return BallVolume(value, n, p, s_f, eps, coefficient)
@@ -219,7 +222,7 @@ def ball_volume_bounds(n: int, p: int, eps: float) -> tuple[float, float]:
     """
     check_int(p, 0, check_leaf_count(n) - 3, "p")
     a = euclidean_ball_volume(n - 3, eps)
-    upper_coeff = Fraction(double_factorial(2 * n - 2 * p - 5) * 2**p, 2 ** (n - 3))
+    upper_coeff = _fraction(double_factorial(2 * n - 2 * p - 5) * 2**p, 2 ** (n - 3))
     return a, _finite("volume upper bound", lambda: float(upper_coeff) * a)
 
 

@@ -42,7 +42,7 @@ from .errors import (
     UnknownLeafName,
 )
 from .measure import TreePoint
-from .splits import MAX_LEAVES, Split, check_leaf_count, full_mask
+from .splits import MAX_LEAVES, Split, check_leaf_count, check_shape, check_type, full_mask
 from .topology import Topology
 
 # Punctuation, a ':' with its number (matched as a prefix), labels, and the
@@ -160,6 +160,7 @@ def _resolve_labels(names: list[str], label_map: dict[str, int] | None) -> dict[
     """
     n = len(names)
     if label_map is not None:
+        label_map = check_shape(dict, label_map, "label_map", "a mapping")
         wrong = [value for value in label_map.values() if type(value) is not int]
         if wrong:
             raise UnknownLeafName(f"label map values must be ints, got {wrong[0]!r}")
@@ -196,7 +197,7 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
     by the trusted Split._laminar and the topology by Topology._laminar;
     the leaf count is checked here, and TreePoint checks the lengths.
     """
-    names, items = _scan(text)
+    names, items = _scan(check_type(text, str, "text"))
     if len(set(names)) < len(names):  # name the first to repeat; set.add returns None
         seen = set()
         raise DuplicateLeaf(next(name for name in names if name in seen or seen.add(name)))

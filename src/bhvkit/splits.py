@@ -13,17 +13,18 @@ check_int is the one rule for every integer argument of the package: a leaf
 count, a leaf, a mask, a permutation image, k, p, m. It takes a plain int in
 its range and raises BhvError otherwise, "{what} must be an int, got {value!r}"
 or "{what} must be in [{least}, {most}], got {value}"; a bool or any other int
-subclass is refused. check_shape is its like for a container argument, and
-check_same_n the one leaf-count match, raising LeafCountMismatch wherever two
-values over different leaf counts meet.
+subclass is refused. check_shape is its like for a container argument,
+check_type for a bhvkit value or a string, and check_same_n the one
+leaf-count match, raising LeafCountMismatch wherever two values over
+different leaf counts meet. The seven value types share _FrozenValue's
+equality, hash, repr, pickling and frozen attributes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator
 
 from .errors import BhvError, LeafCountMismatch
 
@@ -46,6 +47,13 @@ def check_shape(convert: Callable, value, what: str, shape: str):
         return convert(value)
     except TypeError:
         raise BhvError(f"{what} must be {shape}, got {value!r}") from None
+
+
+def check_type(value, kind: type, what: str):
+    """value if it is a kind, else BhvError naming it by what."""
+    if isinstance(value, kind):
+        return value
+    raise BhvError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 def check_same_n(n: int, m: int) -> None:
@@ -78,8 +86,40 @@ def leaves_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in set_bits(mask))
 
 
-@dataclass(frozen=True, slots=True)
-class Split:
+class _FrozenValue:
+    """An immutable value: the fields its class names in _fields decide its equality, hash,
+    repr and pickled form, rebuilt through the checked constructor. __init__ sets them with
+    _set or slot setters; assigning or deleting any attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # rebuilt through the checked constructor
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Split(_FrozenValue):
     """One side of a leaf bipartition in canonical form.
 
     Split(n, mask) takes either side as a mask, make_split as leaves. Splits
@@ -87,14 +127,14 @@ class Split:
     throughout the package; split_key is that order within one n.
     """
 
-    n: int
-    mask: int
+    __slots__ = _fields = __match_args__ = ("n", "mask")
 
-    def __post_init__(self):
-        mask = _canonical_side(check_int(self.mask, 0, full_mask(check_leaf_count(self.n)), "mask"), self.n)
+    def __init__(self, n: int, mask: int):
+        mask = _canonical_side(check_int(mask, 0, full_mask(check_leaf_count(n)), "mask"), n)
         size = mask.bit_count()
         if size < 2:
-            raise BhvError(f"a split needs >= 2 leaves on each side, got sides of {size} and {self.n - size}")
+            raise BhvError(f"a split needs >= 2 leaves on each side, got sides of {size} and {n - size}")
+        _SET_N(self, n)
         _SET_MASK(self, mask)
 
     @property
@@ -127,6 +167,10 @@ class Split:
         _SET_N(s, n)  # slot setters: cheaper than object.__setattr__
         _SET_MASK(s, _canonical_side(mask, n))
         return s
+
+    def __eq__(self, other) -> bool:  # no tuples built: sets compare the splits of one hash
+        same = other.__class__ is self.__class__
+        return self.mask == other.mask and self.n == other.n if same else NotImplemented
 
     def __hash__(self) -> int:  # equal splits have equal masks
         return hash(self.mask)
@@ -174,7 +218,7 @@ def are_compatible(a: Split, b: Split) -> bool:
     pairwise intersections of sides must be empty. Whole sets are decided
     by the clade-tree walk of bhvkit.topology; this names a crossing pair.
     """
-    check_same_n(a.n, b.n)
+    check_same_n(check_type(a, Split, "a").n, check_type(b, Split, "b").n)
     am, bm = a.mask, b.mask
     ac, bc = a.complement_mask, b.complement_mask
     return not (am & bm) or not (am & bc) or not (ac & bm) or not (ac & bc)
@@ -192,19 +236,19 @@ def enumerate_splits(n: int) -> list[Split]:
     return out
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_FrozenValue):
     """A bijection of {1, ..., n}, stored as the image tuple of plain ints (images[i-1] = sigma(i))."""
 
-    images: tuple[int, ...]
+    _fields = __match_args__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", check_shape(tuple, self.images, "images", "iterable"))
-        n = len(self.images)
-        for image in self.images:
+    def __init__(self, images: tuple[int, ...]):
+        images = check_shape(tuple, images, "images", "iterable")
+        n = len(images)
+        for image in images:
             check_int(image, 1, n, "image")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        self._set(images)
 
     @property
     def n(self) -> int:
@@ -234,6 +278,11 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 def apply_permutation(sigma: Permutation, s: Split) -> Split:
     """Relabel a split's leaves through sigma and re-canonicalize."""
-    check_same_n(sigma.n, s.n)
+    check_same_n(check_type(sigma, Permutation, "sigma").n, check_type(s, Split, "s").n)
+    return _relabel(sigma, s)
+
+
+def _relabel(sigma: Permutation, s: Split) -> Split:
+    """apply_permutation of a checked pair, for the callers that check sigma once for many splits."""
     moved = sum(1 << (sigma.images[i] - 1) for i in set_bits(s.mask))  # distinct bits: the sum is their OR
     return Split(s.n, moved)

@@ -30,7 +30,6 @@ import sys
 import threading
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, compress, repeat
 from math import inf, prod
@@ -40,15 +39,17 @@ from .errors import BhvError, IncompatiblePair, TooLarge
 from .splits import (
     Permutation,
     Split,
-    apply_permutation,
     are_compatible,
     check_int,
     check_shape,
+    check_type,
     check_leaf_count,
     check_same_n,
     enumerate_splits,
     full_mask,
     split_key,
+    _FrozenValue,
+    _relabel,
 )
 
 MAX_CENSUS_LEAVES = 10  # 15!! = 2,027,025 trees; n=11 would hold 17!! = 34,459,425
@@ -64,38 +65,43 @@ def double_factorial(m: int) -> int:
     return prod(range(m, 0, -2))
 
 
-@dataclass(frozen=True, slots=True)
-class Topology:
+class Topology(_FrozenValue):
     """A face of tree space: n leaves plus a pairwise-compatible split set.
 
-    The constructor checks the leaf count, that each split is a Split on n
-    leaves and the n-3 bound, and keeps the clade tree whose walk decides
-    compatibility. _laminar (see the module docstring) builds equal values
-    without the checks or the tree; a value's first reader walks it: one
-    idempotent write from immutable data to a slot no caller reaches, so a
-    Topology is still safe to share.
+    The constructor checks that each split is a Split, the leaf count, that
+    each split is on n leaves and the n-3 bound, and keeps the clade tree
+    whose walk decides compatibility. _laminar (see the module docstring)
+    builds equal values without the checks or the tree; a value's first
+    reader walks it: one idempotent write from immutable data to a slot no
+    caller reaches, so a Topology is still safe to share.
     """
 
-    n: int
-    splits: frozenset[Split] = field(default_factory=frozenset)
-    _tree: dict[int, list[int]] | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("n", "splits", "_tree")
+    _fields = __match_args__ = ("n", "splits")
 
-    def __post_init__(self):
-        _SET_SPLITS(self, _split_set(self.splits))  # no caller's set to change
-        check_leaf_count(self.n)
-        for n in {s.n for s in self.splits}:
-            check_same_n(n, self.n)
-        if len(self.splits) > self.n - 3:
-            raise BhvError(f"{len(self.splits)} splits exceed n-3 = {self.n - 3}")
+    def __init__(self, n: int, splits: frozenset[Split] = frozenset()):
+        self._check(n, _split_set(splits))  # no caller's set to change
+
+    def _check(self, n: int, splits: frozenset[Split]) -> "Topology":
+        """self, set to n and a frozenset of Splits after Topology's own checks on them."""
+        _SET_N(self, n)
+        _SET_SPLITS(self, splits)
+        _SET_TREE(self, None)
+        check_leaf_count(n)
+        for m in {s.n for s in splits}:
+            check_same_n(m, n)
+        if len(splits) > n - 3:
+            raise BhvError(f"{len(splits)} splits exceed n-3 = {n - 3}")
         if self._clades() is None:  # two clades cross: name the first such pair in canonical order
-            ordered = sorted(self.splits, key=split_key)
+            ordered = sorted(splits, key=split_key)
             raise IncompatiblePair(*next(p for p in combinations(ordered, 2) if not are_compatible(*p)))
+        return self
 
     @classmethod
     def _laminar(cls, n: int, split_sets: list[frozenset[Split]]) -> tuple["Topology", ...]:
         """One Topology per frozenset in split_sets, each of splits on n leaves
         that are pairwise compatible by construction, built without the checks
-        of __post_init__ in one batch of C-level maps."""
+        of __init__ in one batch of C-level maps."""
         trees = tuple(map(object.__new__, repeat(cls, len(split_sets))))
         deque(map(_SET_N, trees, repeat(n)), 0)  # slot setters: cheaper than object.__setattr__
         deque(map(_SET_SPLITS, trees, split_sets), 0)
@@ -105,7 +111,7 @@ class Topology:
     def _clades(self) -> dict[int, list[int]] | None:
         """_clade_tree of the splits, walked at most once per Topology; read-only."""
         if self._tree is None:
-            object.__setattr__(self, "_tree", _clade_tree([s.clade for s in self.splits], self.n))
+            _SET_TREE(self, _clade_tree([s.clade for s in self.splits], self.n))
         return self._tree
 
     @property
@@ -119,8 +125,15 @@ class Topology:
 
     def permute(self, sigma: Permutation) -> "Topology":
         """Relabel all leaves through sigma, a permutation of the same n leaves."""
-        check_same_n(sigma.n, self.n)
-        return Topology(self.n, frozenset(apply_permutation(sigma, s) for s in self.splits))
+        check_same_n(check_type(sigma, Permutation, "sigma").n, self.n)
+        return Topology(self.n, frozenset(_relabel(sigma, s) for s in self.splits))
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return self.n == other.n and self.splits == other.splits if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.splits))
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, s.side)) + "}" for s in self.sorted_splits)
@@ -170,12 +183,13 @@ def make_topology(splits, n: int) -> Topology:
     Topology's checks. Raises IncompatiblePair naming the first violating pair
     (in canonical split order) and BhvError when the count exceeds n-3.
     """
-    splits = check_shape(list, splits, "splits", "an iterable of Splits")
+    if not hasattr(splits, "__len__"):  # an iterator, kept to find a repeat in
+        splits = check_shape(list, splits, "splits", "an iterable of Splits")
     unique = _split_set(splits)
     if len(unique) < len(splits):  # name the first to repeat; set.add returns None
         seen: set[Split] = set()
         raise BhvError(f"{next(s for s in splits if s in seen or seen.add(s))} is given twice")
-    return Topology(n, unique)
+    return object.__new__(Topology)._check(n, unique)  # its members are checked: Topology's other checks
 
 
 def is_binary(t: Topology) -> bool:
@@ -222,7 +236,7 @@ def degree_sequence(t: Topology) -> tuple[int, ...]:
     """Internal-node degrees of the realized tree, sorted descending: per
     node, its child edges, its own leaves and, below the root, its parent
     edge."""
-    root = full_mask(t.n)
+    root = full_mask(check_type(t, Topology, "t").n)
     degrees = [len(items) + (node != root) for node, items in t._clades().items()]
     return tuple(sorted(degrees, reverse=True))
 

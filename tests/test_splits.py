@@ -20,9 +20,11 @@ from bhvkit import (
     all_permutations,
     apply_permutation,
     are_compatible,
+    ball_volume,
     ball_volume_bounds,
     build_link_graph,
     degree_formula,
+    degree_sequence,
     double_factorial,
     ekr_independent_sets,
     enumerate_binary_topologies,
@@ -31,6 +33,7 @@ from bhvkit import (
     kneser_subgraph,
     make_split,
     make_topology,
+    parse_newick,
     permutation_to_automorphism,
     same_orthant_distance,
 )
@@ -491,6 +494,23 @@ def test_a_wrong_shaped_container_argument_is_refused_by_name(call, message):
 SIGMA6, SPLIT5, SPLIT6 = Permutation.from_cycles(6, (1, 2)), make_split({1, 2}, 5), make_split({1, 2}, 6)
 POINT5 = TreePoint(make_topology([SPLIT5], 5), {SPLIT5: 1.0})
 POINT6 = TreePoint(make_topology([SPLIT6], 6), {SPLIT6: 1.0})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_newick(5), "text must be a str, got 5"),
+    (lambda: parse_newick("(a,b,c);", label_map=5), "label_map must be a mapping, got 5"),
+    (lambda: ball_volume(None, 0.1), "x must be a TreePoint, got None"),
+    (lambda: are_compatible(1, 2), "a must be a Split, got 1"),
+    (lambda: apply_permutation(None, SPLIT6), "sigma must be a Permutation, got None"),
+    (lambda: degree_sequence(None), "t must be a Topology, got None"),
+    (lambda: Topology(5).permute(None), "sigma must be a Permutation, got None"),
+], ids=["parse_newick", "label_map", "ball_volume", "are_compatible", "apply_permutation", "degree_sequence",
+        "Topology.permute"])
+def test_a_wrong_typed_value_argument_is_refused_by_name(call, message):
+    # a TypeError or AttributeError here would get past a caller's except ValueError
+    with pytest.raises(BhvError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("call", [
