@@ -110,7 +110,7 @@ class _FrozenValue:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self):  # rebuilt through the checked constructor
+    def __reduce__(self):
         return type(self), self._values()
 
     def __setattr__(self, name: str, *value) -> None:
