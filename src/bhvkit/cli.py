@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .errors import EpsilonTooLarge, LeafCountMismatch, TooLarge
 from .linkgraph import build_link_graph, certify_aut, verify_degrees
@@ -64,7 +63,8 @@ def _emit(text: str, path: str):
         print(text)
         return
     try:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -92,7 +92,11 @@ def _load_trees(arg: str) -> list[TreePoint]:
     source with no tree is an error."""
     if arg != "-" and not os.path.isfile(arg):
         return [_parse_tree_line(arg)]
-    content = sys.stdin.read() if arg == "-" else Path(arg).read_text(encoding="utf-8")
+    if arg == "-":
+        content = sys.stdin.read()
+    else:
+        with open(arg, encoding="utf-8") as source:
+            content = source.read()
     content = content.removeprefix("\ufeff")
     trees = [_parse_tree_line(line) for line in iter_newick_lines(content)]
     if not trees:

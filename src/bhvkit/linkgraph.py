@@ -5,9 +5,9 @@ The size-k layers are Kneser graphs, whose maximum independent sets are the
 leaf stars, and the full automorphism group is realized by leaf relabelings;
 both facts are checked by exact search on the built graph, not assumed.
 Adjacency rows are vertex-index bitmasks, each read off subset tables of
-per-leaf bitsets, one per half of the leaves. A leaf relabeling moves each
-side through like tables of leaf bits and finds its image with one lookup
-in an index that the graph's first relabel fills in. certify_aut proves
+per-leaf bitsets, one per half of the leaves. A leaf relabeling moves every
+side at once, as lanes of one int, and finds each image with one lookup in
+an index that the graph's first relabel fills in. certify_aut proves
 Aut = S_n by the paper's lemma chain, never by degree_formula: the size
 layers are kept, the pair layer's maximum independent sets are the leaf
 stars, and the pair layer pins every vertex; bit-matrix transposition
@@ -19,19 +19,22 @@ bound on either search.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from array import array
+from operator import itemgetter, lshift
 
-from .errors import TooLarge
+from .errors import BhvError, TooLarge
 from .splits import (
     Permutation,
     Split,
     check_int,
     check_leaf_count,
     check_same_n,
+    check_type,
     enumerate_splits,
     full_mask,
     set_bits,
     _FrozenValue,
+    _words,
 )
 
 MAX_LINK_LEAVES = 12
@@ -45,8 +48,8 @@ class LinkGraph(_FrozenValue):
     """Undirected graph over splits; adjacency rows are vertex-index bitmasks."""
 
     _fields = __match_args__ = ("n", "vertices", "adjacency")
-    # each side mask and its complement -> vertex index, filled in by the first relabel
-    _index: dict[int, int] | None = None
+    # side masks and complements -> vertex index, lane typecode, leaf columns; filled by the first relabel
+    _index: tuple[dict[int, int], str, tuple[int, ...]] | None = None
 
     def __init__(self, n: int, vertices: tuple[Split, ...], adjacency: tuple[int, ...]):
         self._set(n, tuple(vertices), tuple(adjacency))  # no caller's list to change
@@ -119,7 +122,7 @@ def degree_formula(n: int, k: int) -> int:
 
 def verify_degrees(g: LinkGraph) -> bool:
     """True when every vertex degree matches the closed-form formula, taken once per side size."""
-    sizes = [v.mask.bit_count() for v in g.vertices]
+    sizes = [v.mask.bit_count() for v in check_type(g, LinkGraph, "g").vertices]
     want = {k: degree_formula(g.n, k) for k in set(sizes)}
     return list(map(int.bit_count, g.adjacency)) == list(map(want.__getitem__, sizes))
 
@@ -130,7 +133,7 @@ def kneser_subgraph(g: LinkGraph, k: int) -> LinkGraph:
     For k < n/2 this is the Kneser graph on k-subsets: adjacency within the
     layer is exactly disjointness of sides.
     """
-    check_int(k, 2, g.n // 2, "k")
+    check_int(k, 2, check_type(g, LinkGraph, "g").n // 2, "k")
     keep = [i for i, v in enumerate(g.vertices) if v.size == k]
     position, layer = {u: j for j, u in enumerate(keep)}, sum(1 << u for u in keep)
     rows = (sum(1 << position[u] for u in set_bits(g.adjacency[i] & layer)) for i in keep)
@@ -141,7 +144,7 @@ def ekr_independent_sets(g: LinkGraph, k: int) -> list[frozenset[Split]]:
     """The n leaf stars in the size-k layer: for each leaf i, all size-k
     splits whose side contains i. Each has size C(n-1, k-1) and is
     independent (shared leaf forces intersecting sides)."""
-    check_int(k, 2, (g.n - 1) // 2, "k")
+    check_int(k, 2, (check_type(g, LinkGraph, "g").n - 1) // 2, "k")
     layer = [v for v in g.vertices if v.size == k]
     return [frozenset(v for v in layer if v.contains(i)) for i in range(1, g.n + 1)]
 
@@ -156,7 +159,7 @@ def maximum_independent_sets(g: LinkGraph) -> list[frozenset[Split]]:
     its only bound, since its cost tracks the nodes it expands, not the
     vertex count.
     """
-    nv, adj = g.vertex_count, g.adjacency
+    nv, adj = check_type(g, LinkGraph, "g").vertex_count, g.adjacency
     order = sorted(range(nv), key=lambda v: adj[v].bit_count(), reverse=True)
     best, results, budget = 0, [], NODE_CAP
 
@@ -273,7 +276,7 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
     orbit representative per level. The probes together raise
     TooLarge after NODE_CAP nodes.
     """
-    nv, adj, budget = g.vertex_count, g.adjacency, NODE_CAP
+    nv, adj, budget = check_type(g, LinkGraph, "g").vertex_count, g.adjacency, NODE_CAP
     all_mask = (1 << nv) - 1
 
     def fix(cand: list[int], rest: int, v: int, w: int) -> tuple[list[int], int] | None:
@@ -359,21 +362,30 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
 def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
     """The vertex permutation induced by relabeling leaves through sigma.
 
-    Each side mask is relabeled through two lookup tables, one per half of
-    the leaves, then looked up once in g's index of every side and its
-    complement: only a half-size side can relabel to a non-canonical mask.
-    The first relabel of g fills that index in, one idempotent write from
-    immutable vertices to a slot no caller reaches.
+    Every side moves at once, as one lane of an int in the narrowest array
+    word of n bits: column l holds leaf l + 1's bit of every side, and the
+    columns shifted to their images sum to the relabeled sides, each looked
+    up in g's index of every side and its complement (only a half-size side
+    relabels to a non-canonical mask). The first relabel of g fills in the
+    index and columns, one idempotent write from immutable vertices to a
+    slot no caller reaches.
     """
-    check_same_n(sigma.n, g.n)
+    check_same_n(check_type(sigma, Permutation, "sigma").n, check_type(g, LinkGraph, "g").n)
     if g._index is None:
-        sides = [v.mask for v in g.vertices]
-        sides += [full_mask(g.n) ^ m for m in sides]
-        object.__setattr__(g, "_index", dict(zip(sides, [*range(g.vertex_count)] * 2)))
-    moved, half = [1 << (image - 1) for image in sigma.images], g.n // 2
-    low, high = _subset_images(moved[:half]), _subset_images(moved[half:])
-    cut, index = (1 << half) - 1, g._index
-    return tuple([index[low[v.mask & cut] | high[v.mask >> half]] for v in g.vertices])
+        sides, nv = [v.mask for v in g.vertices], g.vertex_count
+        code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= g.n)  # a narrower lane carries into the next
+        size = array(code).itemsize
+        packed = int.from_bytes(b"".join([m.to_bytes(size, "little") for m in sides]), "little")
+        ones = ((1 << 8 * size * nv) - 1) // ((1 << 8 * size) - 1)  # bit 0 of every lane
+        index = dict(zip(sides + [full_mask(g.n) ^ m for m in sides], [*range(nv)] * 2))
+        object.__setattr__(g, "_index", (index, code, tuple(packed >> l & ones for l in range(g.n))))
+    index, code, columns = g._index
+    # bit sigma(l + 1) of a lane, then one shift down for all: lane bit n is the next lane's unset bit 0
+    lanes = _words(sum(map(lshift, columns, sigma.images)) >> 1, code, g.vertex_count)
+    try:
+        return tuple(map(index.__getitem__, lanes))
+    except KeyError as exc:
+        raise BhvError(f"sigma takes a side to {Split(g.n, exc.args[0])}, which is not a vertex of g") from None
 
 
 def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:
@@ -388,7 +400,7 @@ def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:
     two relabelings, which generate S_n, are automorphisms: |Aut| >= n!;
     are_automorphisms checks both on the rows by bit-matrix transposition.
     """
-    n, adj = g.n, g.adjacency
+    n, adj = check_type(g, LinkGraph, "g").n, g.adjacency
     if n < 5:
         return None
     size_of: dict[int, int] = {}

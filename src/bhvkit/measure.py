@@ -156,7 +156,7 @@ def _euclidean(what: str, coordinates: list[float]) -> float:
 
 
 def is_cone_point(x: TreePoint) -> bool:
-    return x.p == 0
+    return check_type(x, TreePoint, "x").p == 0
 
 
 class BallVolume(_FrozenValue):
@@ -228,7 +228,7 @@ def ball_volume_bounds(n: int, p: int, eps: float) -> tuple[float, float]:
 
 def _same_orthant(a: TreePoint, b: TreePoint) -> tuple[float | None, list[float], list[float]]:
     """same_orthant_distance, and both points' coordinates on their splits' union, in order."""
-    check_same_n(a.n, b.n)
+    check_same_n(check_type(a, TreePoint, "a").n, check_type(b, TreePoint, "b").n)
     union = sorted(a.topology.splits | b.topology.splits, key=split_key)
     xa, xb = ([x.lengths.get(s, 0.0) for s in union] for x in (a, b))
     if _clade_tree([s.clade for s in union], a.n) is None:

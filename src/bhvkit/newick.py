@@ -206,14 +206,15 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
     below = [0]  # below[i]: the index bits of the first i leaves of the text
     for name in names:
         below.append(below[-1] | 1 << (index[name] - 1))
-    lengths = {}
-    leaf_lengths = {}
+    masks, ws, leaf_lengths = [], [], {}
     for first, end, w in items:
         if end - first == 1:
             if w is not None:
                 leaf_lengths[index[names[first]]] = w
         elif w:
-            lengths[Split._laminar(below[end] ^ below[first], n)] = w
+            masks.append(below[end] ^ below[first])
+            ws.append(w)
+    lengths = dict(zip(Split._laminar(n, masks), ws))
     return TreePoint(Topology._laminar(n, [frozenset(lengths)])[0], lengths, leaf_lengths)
 
 
@@ -221,7 +222,7 @@ def to_newick(x: TreePoint) -> str:
     """Canonical Newick string: rooted at the internal node holding leaf 1,
     children ordered by smallest descendant leaf, shortest round-trip
     lengths. parse_newick(to_newick(x)) reproduces x."""
-    tree = x.topology._clades()
+    tree = check_type(x, TreePoint, "x").topology._clades()
     # each item's ':' and length, if it has one; a clade has two or more bits, a leaf one
     suffix = {s.clade: f":{float(w)!r}" for s, w in x.lengths.items()}
     suffix.update({1 << leaf - 1: f":{float(w)!r}" for leaf, w in (x.leaf_lengths or {}).items()})

@@ -23,8 +23,11 @@ equality, hash, repr, pickling and frozen attributes.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 
 from .errors import BhvError, LeafCountMismatch
 
@@ -84,6 +87,15 @@ def set_bits(mask: int) -> list[int]:
 def leaves_of(mask: int) -> tuple[int, ...]:
     """Sorted leaf labels encoded in a bitmask."""
     return tuple(i + 1 for i in set_bits(mask))
+
+
+def _words(value: int, code: str, count: int) -> array:
+    """The count lowest words of a non-negative int, lowest first, as an array of typecode code."""
+    words = array(code)
+    words.frombytes(value.to_bytes(count * words.itemsize, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 class _FrozenValue:
@@ -161,12 +173,13 @@ class Split(_FrozenValue):
         return bool(self.mask >> (leaf - 1) & 1)
 
     @classmethod
-    def _laminar(cls, mask: int, n: int) -> "Split":
-        """Split(n, mask) without the checks, for sides of two or more leaves."""
-        s = object.__new__(cls)
-        _SET_N(s, n)  # slot setters: cheaper than object.__setattr__
-        _SET_MASK(s, _canonical_side(mask, n))
-        return s
+    def _laminar(cls, n: int, masks: list[int]) -> list["Split"]:
+        """Split(n, mask) for each of masks, sides of two or more leaves, built
+        without the checks in one batch of C-level maps."""
+        splits = list(map(object.__new__, repeat(cls, len(masks))))
+        deque(map(_SET_N, splits, repeat(n)), 0)  # slot setters: cheaper than object.__setattr__
+        deque(map(_SET_MASK, splits, map(_canonical_side, masks, repeat(n))), 0)
+        return splits
 
     def __eq__(self, other) -> bool:  # no tuples built: sets compare the splits of one hash
         same = other.__class__ is self.__class__
@@ -230,10 +243,12 @@ def enumerate_splits(n: int) -> list[Split]:
     This is the vertex set of the link graph; its length is 2^(n-1) - n - 1.
     """
     bits = [1 << i for i in range(check_leaf_count(n))]  # leaf i on bit i-1
-    out: list[Split] = []
-    for k in range(2, n // 2 + 1):  # a side of n/2 leaves is canonical when it holds leaf 1
-        out += [Split._laminar(sum(side), n) for side in combinations(bits, k) if 2 * k < n or side[0] == 1]
-    return out
+    masks: list[int] = []
+    for k in range(2, (n - 1) // 2 + 1):
+        masks += map(sum, combinations(bits, k))
+    if n % 2 == 0:  # a side of n/2 leaves is canonical when it holds leaf 1
+        masks += map(sum, combinations(bits[1:], n // 2 - 1), repeat(1))
+    return Split._laminar(n, masks)
 
 
 class Permutation(_FrozenValue):

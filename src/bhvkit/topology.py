@@ -26,9 +26,7 @@ grown by leaf insertion; parse_newick, the clades of the one tree it parsed.
 from __future__ import annotations
 
 import gc
-import sys
 import threading
-from array import array
 from collections import deque
 from functools import lru_cache
 from itertools import combinations, compress, repeat
@@ -50,6 +48,7 @@ from .splits import (
     split_key,
     _FrozenValue,
     _relabel,
+    _words,
 )
 
 MAX_CENSUS_LEAVES = 10  # 15!! = 2,027,025 trees; n=11 would hold 17!! = 34,459,425
@@ -194,7 +193,7 @@ def make_topology(splits, n: int) -> Topology:
 
 def is_binary(t: Topology) -> bool:
     """A topology is binary when it has the full complement of n-3 splits."""
-    return t.p == t.n - 3
+    return check_type(t, Topology, "t").p == t.n - 3
 
 
 def _clade_tree(clades, n: int) -> dict[int, list[int]] | None:
@@ -229,7 +228,8 @@ def clade_children(t: Topology) -> dict[int, list[int]]:
     node to the clades of its child edges, in order of lowest leaf. A node is
     named by its clade: the full leaf mask for the root (the node holding leaf
     1) and Split.clade for the node below each split's edge."""
-    return {node: [c for c in items if c & c - 1] for node, items in t._clades().items()}
+    tree = check_type(t, Topology, "t")._clades()
+    return {node: [c for c in items if c & c - 1] for node, items in tree.items()}
 
 
 def degree_sequence(t: Topology) -> tuple[int, ...]:
@@ -343,9 +343,7 @@ def _select(items: tuple, bits: int) -> list:
     """
     if bits.bit_count() * _DENSE > len(items):
         return list(compress(items, format(bits, "b")[::-1].encode().translate(_DIGIT_BYTES)))
-    words = array("Q", bits.to_bytes((bits.bit_length() + 63) // 64 * 8, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
+    words = _words(bits, "Q", (bits.bit_length() + 63) // 64)
     out = []
     for j in compress(_word_indices(len(items)), words):
         word, base = words[j], 64 * j

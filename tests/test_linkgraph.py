@@ -399,6 +399,25 @@ def test_relabeling_a_half_size_layer_matches_make_split_oracle(n):
         assert permutation_to_automorphism(sigma, layer) == relabel_by_make_split(sigma, layer)
 
 
+@pytest.mark.parametrize("n", [16, 17, 33, 64])
+def test_relabeling_fills_lanes_as_wide_as_the_leaf_count(n):
+    # pair splits built by hand hold leaf n, the top bit of the narrowest word holding n bits at 16 and 64
+    pairs = [make_split(pair, n) for pair in combinations(range(1, n + 1), 2)]
+    g = LinkGraph(n, pairs, [0] * len(pairs))
+    rng = random.Random(n)
+    sigmas = [Permutation.from_cycles(n, cycle) for cycle in (range(1, n + 1), (n - 1, n))]
+    sigmas += [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(4)]
+    for sigma in sigmas:
+        assert permutation_to_automorphism(sigma, g) == relabel_by_make_split(sigma, g)
+
+
+def test_a_relabel_that_leaves_the_graph_names_the_side():
+    g = LinkGraph(6, enumerate_splits(6)[:7], [0] * 7)  # the pairs holding leaf 1, then {2,3} and {2,4}
+    message = r"^sigma takes a side to Split\(\{2,6\}, n=6\), which is not a vertex of g$"
+    with pytest.raises(BhvError, match=message):
+        permutation_to_automorphism(Permutation.from_cycles(6, (1, 6)), g)
+
+
 def test_first_relabel_leaves_the_graph_equal_to_a_fresh_build():
     g, fresh = build_link_graph(7), build_link_graph(7)
     before = hash(g)

@@ -22,20 +22,30 @@ from bhvkit import (
     are_compatible,
     ball_volume,
     ball_volume_bounds,
+    brute_force_automorphisms,
     build_link_graph,
+    certify_aut,
+    clade_children,
     degree_formula,
     degree_sequence,
+    distance_upper_bound,
     double_factorial,
     ekr_independent_sets,
+    enumerate_binary_refinements,
     enumerate_binary_topologies,
     enumerate_splits,
     euclidean_ball_volume,
+    is_binary,
+    is_cone_point,
     kneser_subgraph,
     make_split,
     make_topology,
+    maximum_independent_sets,
     parse_newick,
     permutation_to_automorphism,
     same_orthant_distance,
+    to_newick,
+    verify_degrees,
 )
 from bhvkit.splits import check_leaf_count, full_mask, leaves_of, set_bits, split_key
 from bhvkit.topology import _clade_tree
@@ -494,6 +504,7 @@ def test_a_wrong_shaped_container_argument_is_refused_by_name(call, message):
 SIGMA6, SPLIT5, SPLIT6 = Permutation.from_cycles(6, (1, 2)), make_split({1, 2}, 5), make_split({1, 2}, 6)
 POINT5 = TreePoint(make_topology([SPLIT5], 5), {SPLIT5: 1.0})
 POINT6 = TreePoint(make_topology([SPLIT6], 6), {SPLIT6: 1.0})
+LINK6 = build_link_graph(6)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -504,8 +515,26 @@ POINT6 = TreePoint(make_topology([SPLIT6], 6), {SPLIT6: 1.0})
     (lambda: apply_permutation(None, SPLIT6), "sigma must be a Permutation, got None"),
     (lambda: degree_sequence(None), "t must be a Topology, got None"),
     (lambda: Topology(5).permute(None), "sigma must be a Permutation, got None"),
+    (lambda: permutation_to_automorphism(None, LINK6), "sigma must be a Permutation, got None"),
+    (lambda: permutation_to_automorphism(SIGMA6, None), "g must be a LinkGraph, got None"),
+    (lambda: certify_aut(None), "g must be a LinkGraph, got None"),
+    (lambda: verify_degrees(None), "g must be a LinkGraph, got None"),
+    (lambda: kneser_subgraph(None, 2), "g must be a LinkGraph, got None"),
+    (lambda: maximum_independent_sets(None), "g must be a LinkGraph, got None"),
+    (lambda: ekr_independent_sets(None, 2), "g must be a LinkGraph, got None"),
+    (lambda: brute_force_automorphisms(None), "g must be a LinkGraph, got None"),
+    (lambda: same_orthant_distance(None, POINT6), "a must be a TreePoint, got None"),
+    (lambda: distance_upper_bound(POINT6, None), "b must be a TreePoint, got None"),
+    (lambda: to_newick(None), "x must be a TreePoint, got None"),
+    (lambda: is_binary(None), "t must be a Topology, got None"),
+    (lambda: is_cone_point(None), "x must be a TreePoint, got None"),
+    (lambda: enumerate_binary_refinements(None), "t must be a Topology, got None"),
+    (lambda: clade_children(None), "t must be a Topology, got None"),
 ], ids=["parse_newick", "label_map", "ball_volume", "are_compatible", "apply_permutation", "degree_sequence",
-        "Topology.permute"])
+        "Topology.permute", "permutation_to_automorphism-sigma", "permutation_to_automorphism-g", "certify_aut",
+        "verify_degrees", "kneser_subgraph", "maximum_independent_sets", "ekr_independent_sets",
+        "brute_force_automorphisms", "same_orthant_distance", "distance_upper_bound", "to_newick", "is_binary",
+        "is_cone_point", "enumerate_binary_refinements", "clade_children"])
 def test_a_wrong_typed_value_argument_is_refused_by_name(call, message):
     # a TypeError or AttributeError here would get past a caller's except ValueError
     with pytest.raises(BhvError) as info:

@@ -682,11 +682,11 @@ def test_topology_keeps_no_caller_container():
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_laminar_split_equals_split_of_mask(n):
-    for mask in range(1 << n):
-        if 2 <= mask.bit_count() <= n - 2:
-            s, checked = Split._laminar(mask, n), Split(n, mask)
-            assert (type(s), s.n, s.mask, hash(s)) == (Split, n, checked.mask, hash(checked))
-            assert s == checked
+    masks = [mask for mask in range(1 << n) if 2 <= mask.bit_count() <= n - 2]
+    for mask, s in zip(masks, Split._laminar(n, masks), strict=True):  # one batch, either side
+        checked = Split(n, mask)
+        assert (type(s), s.n, s.mask, hash(s)) == (Split, n, checked.mask, hash(checked))
+        assert s == checked
 
 
 def assert_splits_pass_every_check(splits):

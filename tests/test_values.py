@@ -104,7 +104,7 @@ def test_importing_the_cli_loads_no_dataclasses_fractions_or_typing():
     # -S keeps the environment's site hooks out, so only bhvkit's own imports count
     package_root = str(Path(bhvkit.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    unwanted = "{'dataclasses', 'inspect', 'fractions', 'decimal', 'typing'}"
+    unwanted = "{'dataclasses', 'inspect', 'fractions', 'decimal', 'typing', 'pathlib'}"
     code = f"import sys, bhvkit.cli; print(sorted({unwanted} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
