@@ -362,13 +362,11 @@ def brute_force_automorphisms(g: LinkGraph) -> AutomorphismGroup:
 def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
     """The vertex permutation induced by relabeling leaves through sigma.
 
-    Every side moves at once, as one lane of an int in the narrowest array
-    word of n bits: column l holds leaf l + 1's bit of every side, and the
-    columns shifted to their images sum to the relabeled sides, each looked
-    up in g's index of every side and its complement (only a half-size side
-    relabels to a non-canonical mask). The first relabel of g fills in the
-    index and columns, one idempotent write from immutable vertices to a
-    slot no caller reaches.
+    Every side moves at once. g's first relabel stores n leaf columns, column
+    l an int whose lane i, an array word of at least n bits, holds bit l of
+    vertex i's side, and an index of every side and its complement (only a
+    half-size side relabels to a non-canonical mask): one idempotent write to
+    a slot no caller reaches. A call sums the columns shifted to their images.
     """
     check_same_n(check_type(sigma, Permutation, "sigma").n, check_type(g, LinkGraph, "g").n)
     if g._index is None:

@@ -246,7 +246,7 @@ def enumerate_splits(n: int) -> list[Split]:
     masks: list[int] = []
     for k in range(2, (n - 1) // 2 + 1):
         masks += map(sum, combinations(bits, k))
-    if n % 2 == 0:  # a side of n/2 leaves is canonical when it holds leaf 1
+    if n % 2 == 0:  # a side of n/2 leaves is canonical when it holds leaf 1: 1 plus n/2 - 1 others
         masks += map(sum, combinations(bits[1:], n // 2 - 1), repeat(1))
     return Split._laminar(n, masks)
 
