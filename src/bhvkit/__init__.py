@@ -8,15 +8,11 @@ bound has a brute-force oracle in the test suite.
 
 from .errors import (
     BhvError,
-    DegreeTwoInternal,
-    DuplicateLeaf,
     EpsilonTooLarge,
     IncompatiblePair,
     LeafCountMismatch,
-    NegativeLength,
     NewickSyntaxError,
     TooLarge,
-    UnknownLeafName,
 )
 from .linkgraph import (
     AutomorphismGroup,

@@ -52,7 +52,7 @@ class LinkGraph(_FrozenValue):
     _index: tuple[dict[int, int], str, tuple[int, ...]] | None = None
 
     def __init__(self, n: int, vertices: tuple[Split, ...], adjacency: tuple[int, ...]):
-        self._set(n, tuple(vertices), tuple(adjacency))  # no caller's list to change
+        self._set(check_leaf_count(n), tuple(vertices), tuple(adjacency))  # no caller's list to change
 
     @property
     def vertex_count(self) -> int:
@@ -388,7 +388,8 @@ def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
 
 def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:
     """The relabelings by (1 2) and (1 2 ... n) when four checks on g prove
-    that Aut(g) is S_n acting on the leaves, else None (always for n < 5).
+    that Aut(g) is S_n acting on the leaves, else None (always for n < 5 and
+    for vertices other than enumerate_splits(n), in its order).
 
     (a) Each degree class lies in one size layer, so automorphisms keep the
     layers. (b) The pair layer's maximum independent sets are the n leaf
@@ -399,7 +400,7 @@ def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:
     are_automorphisms checks both on the rows by bit-matrix transposition.
     """
     n, adj = check_type(g, LinkGraph, "g").n, g.adjacency
-    if n < 5:
+    if n < 5 or g.vertices != tuple(enumerate_splits(n)):
         return None
     size_of: dict[int, int] = {}
     if any(size_of.setdefault(g.degree(i), v.size) != v.size for i, v in enumerate(g.vertices)):

@@ -10,9 +10,11 @@ rejected rather than skipped):
 
 Whitespace (space, tab, CR, LF) may stand between any two tokens and ends
 a label. A branch length is the longest number at the head of the text
-after the ':'. A node with a single child breaks the grammar and is
-reported as DegreeTwoInternal at its ')'; nesting deeper than 65 levels is
-a syntax error: no valid tree on at most 64 leaves goes deeper.
+after the ':'. Text outside the grammar raises NewickSyntaxError at an
+offset: a node with a single child at its ')' and a negative length at
+its ':'. So does nesting deeper than 65 levels, at the 66th '(': no valid
+tree on at most 64 leaves goes deeper. A repeated leaf name, or names that
+resolve to no leaf indices, raise BhvError.
 
 Parsing is one pass over one regex tokenizer with an explicit stack of open
 nodes and no node objects. Leaf i of the text is bit i of a clade, and the
@@ -34,13 +36,7 @@ import re
 from itertools import islice
 from operator import length_hint
 
-from .errors import (
-    DegreeTwoInternal,
-    DuplicateLeaf,
-    NegativeLength,
-    NewickSyntaxError,
-    UnknownLeafName,
-)
+from .errors import BhvError, NewickSyntaxError
 from .measure import TreePoint
 from .splits import MAX_LEAVES, Split, check_leaf_count, check_shape, check_type, full_mask
 from .topology import Topology
@@ -114,7 +110,7 @@ def _scan(text: str) -> tuple[list[str], list[_Item]]:
                 raise NewickSyntaxError("expected a branch length", token_at().end())
             length = float(number)
             if length < 0:
-                raise NegativeLength(f"negative branch length {number}")
+                raise NewickSyntaxError(f"negative branch length {number}", token_at().start())
             state = _MEASURED
         elif c == "," and stack:
             stack[-1].append((first, end, length))
@@ -123,7 +119,7 @@ def _scan(text: str) -> tuple[list[str], list[_Item]]:
             kids = stack.pop()
             kids.append((first, end, length))
             if len(kids) == 1:
-                raise DegreeTwoInternal(token_at().start())
+                raise NewickSyntaxError("node with a single child", token_at().start())
             if stack:
                 items += kids
             else:
@@ -163,26 +159,20 @@ def _resolve_labels(names: list[str], label_map: dict[str, int] | None) -> dict[
         label_map = check_shape(dict, label_map, "label_map", "a mapping")
         wrong = [value for value in label_map.values() if type(value) is not int]
         if wrong:
-            raise UnknownLeafName(f"label map values must be ints, got {wrong[0]!r}")
+            raise BhvError(f"label map values must be ints, got {wrong[0]!r}")
         if sorted(label_map.values()) != list(range(1, n + 1)):
-            raise UnknownLeafName(
-                f"label map must cover exactly 1..{n}, got values {sorted(label_map.values())}"
-            )
+            raise BhvError(f"label map must cover exactly 1..{n}, got values {sorted(label_map.values())}")
         missing = [name for name in names if name not in label_map]
         if missing:
-            raise UnknownLeafName(f"leaf name {missing[0]!r} not in label map")
+            raise BhvError(f"leaf name {missing[0]!r} not in label map")
         return {name: label_map[name] for name in names}
     numeric = [name for name in names if name.isascii() and name.isdigit()]
     if numeric:
         if len(numeric) != n:
-            raise UnknownLeafName(
-                "mixed numeric and non-numeric leaf names need an explicit label map"
-            )
+            raise BhvError("mixed numeric and non-numeric leaf names need an explicit label map")
         index = {name: int(name) for name in names}
         if sorted(index.values()) != list(range(1, n + 1)):
-            raise UnknownLeafName(
-                f"numeric leaf names must be exactly 1..{n}; pass a label map instead"
-            )
+            raise BhvError(f"numeric leaf names must be exactly 1..{n}; pass a label map instead")
         return index
     return {name: i for i, name in enumerate(sorted(names), start=1)}
 
@@ -200,7 +190,8 @@ def parse_newick(text: str, label_map: dict[str, int] | None = None) -> TreePoin
     names, items = _scan(check_type(text, str, "text"))
     if len(set(names)) < len(names):  # name the first to repeat; set.add returns None
         seen = set()
-        raise DuplicateLeaf(next(name for name in names if name in seen or seen.add(name)))
+        name = next(name for name in names if name in seen or seen.add(name))
+        raise BhvError(f"duplicate leaf name {name!r}")
     index = _resolve_labels(names, label_map)
     n = check_leaf_count(len(names))
     below = [0]  # below[i]: the index bits of the first i leaves of the text

@@ -10,11 +10,9 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from bhvkit import (
-    DegreeTwoInternal,
-    DuplicateLeaf,
+    BhvError,
     LeafCountMismatch,
     LinkGraph,
-    NegativeLength,
     NewickSyntaxError,
     Permutation,
     Split,
@@ -625,6 +623,7 @@ class _Parser:
     def maybe_length(self) -> float | None:
         if self.peek() != ":":
             return None
+        colon = self.pos
         self.pos += 1
         self.skip_ws()
         m = _NUMBER.match(self.text, self.pos)
@@ -633,7 +632,7 @@ class _Parser:
         self.pos = m.end()
         value = float(m.group())
         if value < 0:
-            raise NegativeLength(f"negative branch length {m.group()}")
+            raise NewickSyntaxError(f"negative branch length {m.group()}", colon)
         return value
 
     def subtree(self) -> NewickNode:
@@ -695,9 +694,8 @@ def splits_from_tree(root: NewickNode, leaf_index: dict[str, int]) -> set[tuple[
     """One (split, length) pair per internal edge of an unrooted node tree.
 
     The split side is the leaf set cut off below the edge; missing lengths
-    count as zero. Raises DegreeTwoInternal (with no text offset) for a
-    non-root single-child node and NegativeLength for hand-built nodes with
-    negative lengths.
+    count as zero. Raises NewickSyntaxError, with no text offset, for a
+    non-root single-child node and, on hand-built nodes, a negative length.
     """
     n = len(leaf_index)
     records: set[tuple[Split, float]] = set()
@@ -706,7 +704,7 @@ def splits_from_tree(root: NewickNode, leaf_index: dict[str, int]) -> set[tuple[
         if node.is_leaf:
             return 1 << (leaf_index[node.label] - 1)
         if len(node.children) < 2 and not at_root:
-            raise DegreeTwoInternal(None)
+            raise NewickSyntaxError("node with a single child", None)
         mask = 0
         for child in node.children:
             child_mask = below(child, False)
@@ -714,7 +712,7 @@ def splits_from_tree(root: NewickNode, leaf_index: dict[str, int]) -> set[tuple[
             if not child.is_leaf:
                 length = child.length if child.length is not None else 0.0
                 if length < 0:
-                    raise NegativeLength(f"negative branch length {child.length}")
+                    raise NewickSyntaxError(f"negative branch length {child.length}", None)
                 records.add((Split(n, child_mask), length))
         return mask
 
@@ -732,7 +730,7 @@ def parse_newick_by_tree(text: str, label_map: dict[str, int] | None = None) -> 
     seen = set()
     for name in names:
         if name in seen:
-            raise DuplicateLeaf(name)
+            raise BhvError(f"duplicate leaf name {name!r}")
         seen.add(name)
     leaf_index = _resolve_labels(names, label_map)
     records = splits_from_tree(root, leaf_index)
@@ -817,7 +815,7 @@ def scan_with_offsets(text: str) -> tuple[list[str], list[tuple]]:
                 raise NewickSyntaxError("expected a branch length", pos)
             length = float(number)
             if length < 0:
-                raise NegativeLength(f"negative branch length {number}")
+                raise NewickSyntaxError(f"negative branch length {number}", at)
             state = _SCAN_MEASURED
         elif state == _SCAN_CLOSED and c not in "(),;":
             state = _SCAN_LABELED  # internal node labels are read and ignored
@@ -828,7 +826,7 @@ def scan_with_offsets(text: str) -> tuple[list[str], list[tuple]]:
             kids = stack.pop()
             kids.append((first, end, length))
             if len(kids) == 1:
-                raise DegreeTwoInternal(at)
+                raise NewickSyntaxError("node with a single child", at)
             if stack:
                 items += kids
             else:

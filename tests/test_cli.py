@@ -729,10 +729,9 @@ def test_public_api_inventory():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert exported == [
-        "AutomorphismGroup", "BallVolume", "BhvError", "DegreeTwoInternal", "DuplicateLeaf",
-        "EpsilonTooLarge", "IncompatiblePair", "LeafCountMismatch", "LinkGraph",
-        "NegativeLength", "NewickSyntaxError", "Permutation", "Split", "TooLarge", "Topology",
-        "TreePoint", "UnknownLeafName", "all_permutations", "apply_permutation",
+        "AutomorphismGroup", "BallVolume", "BhvError", "EpsilonTooLarge", "IncompatiblePair",
+        "LeafCountMismatch", "LinkGraph", "NewickSyntaxError", "Permutation", "Split",
+        "TooLarge", "Topology", "TreePoint", "all_permutations", "apply_permutation",
         "are_compatible", "ball_volume", "ball_volume_bounds", "brute_force_automorphisms",
         "build_link_graph", "certify_aut", "clade_children", "count_refining_orthants",
         "degree_formula", "degree_sequence", "distance_upper_bound", "double_factorial",
@@ -746,9 +745,13 @@ def test_public_api_inventory():
 
 def test_every_exported_error_is_a_value_error():
     """main reports any ValueError, so every bhvkit error must be one; each class
-    beside BhvError is one a caller tells apart, by exit code or attribute."""
-    errors = [v for v in vars(bhvkit).values() if inspect.isclass(v) and issubclass(v, BaseException)]
-    assert len(errors) == 10
+    beside BhvError is one a caller tells apart, by exit code or attribute; a
+    new class needs a deliberate edit here."""
+    errors = {v for v in vars(bhvkit).values() if inspect.isclass(v) and issubclass(v, BaseException)}
+    assert errors == {
+        bhvkit.BhvError, bhvkit.EpsilonTooLarge, bhvkit.IncompatiblePair,
+        bhvkit.LeafCountMismatch, bhvkit.NewickSyntaxError, bhvkit.TooLarge,
+    }
     assert all(issubclass(e, bhvkit.BhvError) and issubclass(e, ValueError) for e in errors)
 
 

@@ -566,6 +566,20 @@ def test_certify_aut_refuses_n_below_5():
         assert certify_aut(build_link_graph(n)) is None
 
 
+def test_certify_aut_refuses_the_empty_graph():
+    # each of the four checks passes vacuously on no vertices; Aut is the trivial group, not S_5
+    assert certify_aut(LinkGraph(5, (), ())) is None
+
+
+def test_certify_aut_refuses_a_graph_missing_a_vertex(link6):
+    # the half-size side {1,5,6}, the last vertex, dropped with its row and its bit; the
+    # relabel by (1 2) takes the vertex {1,3,4} to {2,3,4}, whose complement is no vertex now
+    assert link6.vertices[-1] == make_split({1, 5, 6}, 6)
+    keep = (1 << link6.vertex_count - 1) - 1
+    g = LinkGraph(6, link6.vertices[:-1], [row & keep for row in link6.adjacency[:-1]])
+    assert certify_aut(g) is None
+
+
 @pytest.mark.parametrize("check", "abcd")
 def test_certify_aut_rejects_a_graph_failing_one_check(link7, check):
     h = doctored(link7, check)
@@ -722,6 +736,13 @@ def test_dot_export(link5):
     dot = link5.to_dot()
     assert dot.startswith("graph link {")
     assert '"1,2" -- "3,4";' in dot
+
+
+def test_link_graph_checks_its_leaf_count():
+    with pytest.raises(BhvError, match=r"^leaf count must be an int, got True$"):
+        LinkGraph(True, (), ())
+    with pytest.raises(BhvError, match=r"^leaf count must be in \[3, 64\], got 2$"):
+        LinkGraph(2, (), ())
 
 
 def test_link_graph_keeps_no_caller_container():

@@ -5,12 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhvkit import (
-    DegreeTwoInternal,
-    DuplicateLeaf,
-    NegativeLength,
+    BhvError,
     NewickSyntaxError,
     TreePoint,
-    UnknownLeafName,
     enumerate_binary_topologies,
     is_binary,
     is_cone_point,
@@ -108,14 +105,14 @@ def test_quoted_labels_and_comments_rejected():
 
 
 def test_duplicate_leaf_rejected():
-    with pytest.raises(DuplicateLeaf) as exc:
+    with pytest.raises(BhvError, match=r"^duplicate leaf name '2'$"):
         parse_newick("(1,2,2,4);")
-    assert exc.value.name == "2"
 
 
 def test_negative_length_rejected():
-    with pytest.raises(NegativeLength):
+    with pytest.raises(NewickSyntaxError, match=r"^negative branch length -0\.5 \(at offset 6\)$") as exc:
         parse_newick("((1,2):-0.5,3,4,5);")
+    assert exc.value.position == 6  # the ':'
 
 
 @pytest.mark.parametrize(
@@ -127,16 +124,16 @@ def test_negative_length_rejected():
     ],
 )
 def test_single_child_node_rejected_at_its_close(text, offset):
-    with pytest.raises(DegreeTwoInternal) as exc:
+    with pytest.raises(NewickSyntaxError, match=f"^node with a single child \\(at offset {offset}\\)$") as exc:
         parse_newick(text)
     assert exc.value.position == offset
     assert text[offset] == ")"
 
 
 def test_single_child_node_reported_before_later_faults():
-    with pytest.raises(DegreeTwoInternal):
+    with pytest.raises(NewickSyntaxError, match="node with a single child"):
         parse_newick("((1),1,2,3);")  # also a duplicate leaf
-    with pytest.raises(DegreeTwoInternal):
+    with pytest.raises(NewickSyntaxError, match="node with a single child"):
         parse_newick("((1),2,3,x);")  # also mixed names
 
 
@@ -145,8 +142,9 @@ def test_degree_two_internal_from_hand_built_node():
     # trees of the oracle can still be built by hand with one
     chain = NewickNode([NewickNode([NewickNode(label="1"), NewickNode(label="2")], None, 0.5)], None, None)
     root = NewickNode([chain, NewickNode(label="3"), NewickNode(label="4")])
-    with pytest.raises(DegreeTwoInternal):
+    with pytest.raises(NewickSyntaxError, match="node with a single child") as exc:
         splits_from_tree(root, {"1": 1, "2": 2, "3": 3, "4": 4})
+    assert exc.value.position is None  # a node tree holds no text
 
 
 def test_explicit_label_map():
@@ -155,17 +153,17 @@ def test_explicit_label_map():
 
 
 def test_label_map_must_cover_all_leaves():
-    with pytest.raises(UnknownLeafName):
+    with pytest.raises(BhvError, match=r"^label map must cover exactly 1\.\.4, got values \[1, 2, 3\]$"):
         parse_newick("((ape,bee):0.5,cat,dog);", {"ape": 1, "bee": 2, "cat": 3})
-    with pytest.raises(UnknownLeafName):
+    with pytest.raises(BhvError, match=r"^leaf name 'dog' not in label map$"):
         parse_newick("((ape,bee):0.5,cat,dog);", {"ape": 1, "bee": 2, "cat": 3, "fox": 4})
 
 
 @pytest.mark.parametrize("value", [1.0, True, "1", None])
 def test_label_map_values_must_be_plain_ints(value):
-    with pytest.raises(UnknownLeafName, match="must be ints"):
+    with pytest.raises(BhvError, match="must be ints"):
         parse_newick("(a,b,c);", {"a": value, "b": 2, "c": 3})
-    with pytest.raises(UnknownLeafName):
+    with pytest.raises(BhvError, match=r"^label map values must be ints, got 1\.0$"):
         parse_newick("(a,b,c);", {"a": 1.0, "b": 2.0, "c": 3.0})
 
 
@@ -176,20 +174,20 @@ def test_lexicographic_assignment_for_names():
 
 
 def test_mixed_names_require_map():
-    with pytest.raises(UnknownLeafName):
+    with pytest.raises(BhvError, match="^mixed numeric and non-numeric leaf names need an explicit label map$"):
         parse_newick("((1,bee):0.5,cat,dog);")
 
 
 def test_unicode_digits_are_not_numeric_names():
     # "²".isdigit() is true, but int("²") fails
-    with pytest.raises(UnknownLeafName):
+    with pytest.raises(BhvError, match="^mixed numeric and non-numeric leaf names"):
         parse_newick("(²,1,2,3);")
     x = parse_newick("((²,³):0.5,a,b);")
     assert x.topology.splits == {make_split({3, 4}, 4)}  # sorted: a b ² ³
 
 
 def test_numeric_names_must_be_complete_range():
-    with pytest.raises(UnknownLeafName):
+    with pytest.raises(BhvError, match=r"^numeric leaf names must be exactly 1\.\.4; pass a label map instead$"):
         parse_newick("((2,3):0.5,4,5);")
 
 
@@ -250,7 +248,7 @@ def test_deep_nesting_is_a_syntax_error():
 
 
 def test_nesting_bound_is_65_levels():
-    with pytest.raises(DegreeTwoInternal):  # 65 levels pass the depth bound
+    with pytest.raises(NewickSyntaxError, match="node with a single child"):  # 65 levels pass the depth bound
         parse_newick("(" * 65 + "1,2" + ")" * 65 + ";")
     with pytest.raises(NewickSyntaxError) as exc:
         parse_newick("(" * 66 + "1,2" + ")" * 66 + ";")
@@ -289,8 +287,8 @@ def test_leaf_count_outside_3_to_64_is_rejected(text):
         ("1;", None, ValueError, r"leaf count must be in \[3, 64\], got 1"),
         ("A:1.5;", None, ValueError, r"leaf count must be in \[3, 64\], got 1"),
         ("A;", {"A": 1}, ValueError, r"leaf count must be in \[3, 64\], got 1"),
-        ("2;", None, UnknownLeafName, r"numeric leaf names must be exactly 1\.\.1"),
-        ("A;", {"A": 3}, UnknownLeafName, r"label map must cover exactly 1\.\.1, got values \[3\]"),
+        ("2;", None, BhvError, r"numeric leaf names must be exactly 1\.\.1"),
+        ("A;", {"A": 3}, BhvError, r"label map must cover exactly 1\.\.1, got values \[3\]"),
     ],
 )
 def test_one_leaf_statement_is_rejected(text, label_map, error, message):
@@ -408,7 +406,8 @@ def test_parse_mutants_match_node_tree_oracle(n, style, rooted, rnd, edit, ch):
     if got != want:
         # a single-child node is reported at its ')', before faults the
         # oracle finds first
-        assert isinstance(got, tuple) and got[0] is DegreeTwoInternal
+        with pytest.raises(NewickSyntaxError, match="node with a single child"):
+            parse_newick(text, label_map)
         assert has_single_child_node(text)
 
 

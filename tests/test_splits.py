@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bhvkit import (
     BhvError,
     LeafCountMismatch,
+    LinkGraph,
     Permutation,
     Split,
     Topology,
@@ -446,6 +447,7 @@ INTEGER_ENTRY_POINTS = [
     (Topology, [ANY]),
     (enumerate_binary_topologies, [CENSUS_N]),
     (build_link_graph, [LINK_N]),
+    (lambda n: LinkGraph(n, (), ()), [ANY]),
     (Split, [ANY, MASK]),
     (lambda a, b, n: make_split([a, b], n), [ANY, ANY, ANY]),
     (lambda a, b, c: Permutation((a, b, c)), [ANY, ANY, ANY]),
