@@ -287,8 +287,22 @@ def test_leaf_count_outside_3_to_64_is_rejected(text):
         ("1;", None, ValueError, r"leaf count must be in \[3, 64\], got 1"),
         ("A:1.5;", None, ValueError, r"leaf count must be in \[3, 64\], got 1"),
         ("A;", {"A": 1}, ValueError, r"leaf count must be in \[3, 64\], got 1"),
-        ("2;", None, BhvError, r"numeric leaf names must be exactly 1\.\.1"),
-        ("A;", {"A": 3}, BhvError, r"label map must cover exactly 1\.\.1, got values \[3\]"),
+        # the leaf-name faults raise a plain BhvError; their ids keep the
+        # fault's name, "UnknownLeafName", so each case reads as before
+        pytest.param(
+            "2;",
+            None,
+            BhvError,
+            r"numeric leaf names must be exactly 1\.\.1",
+            id=r"2;-None-UnknownLeafName-numeric leaf names must be exactly 1\.\.1",
+        ),
+        pytest.param(
+            "A;",
+            {"A": 3},
+            BhvError,
+            r"label map must cover exactly 1\.\.1, got values \[3\]",
+            id=r"A;-label_map5-UnknownLeafName-label map must cover exactly 1\.\.1, got values \[3\]",
+        ),
     ],
 )
 def test_one_leaf_statement_is_rejected(text, label_map, error, message):
