@@ -31,11 +31,11 @@ from .measure import TreePoint, _distances, ball_volume, ball_volume_bounds, is_
 from .newick import iter_newick_lines, parse_newick, to_newick
 from .splits import check_leaf_count, make_split
 from .topology import (
+    Topology,
     count_refining_orthants,
     degree_sequence,
     enumerate_binary_refinements,
     is_binary,
-    make_topology,
 )
 
 EXIT_OK = 0
@@ -164,7 +164,7 @@ def cmd_count(args) -> int:
     sides = [] if args.refine is None else _decode(args.refine, "--refine")
     if not (isinstance(sides, list) and all(isinstance(side, list) for side in sides)):
         raise ValueError("--refine must be a JSON list of leaf lists, e.g. [[1,2]]")
-    face = make_topology([make_split(side, args.n) for side in sides], args.n)
+    face = Topology(args.n, [make_split(side, args.n) for side in sides])
     value = count_refining_orthants(face)
     if args.oracle:
         ok = len(enumerate_binary_refinements(face)) == value

@@ -19,7 +19,7 @@ from .splits import (
     Permutation, Split, check_int, check_leaf_count, check_same_n, check_shape, check_type, make_split,
     split_key, _FrozenValue, _relabel,
 )
-from .topology import Topology, _clade_tree, count_refining_orthants, double_factorial, make_topology
+from .topology import Topology, _clade_tree, count_refining_orthants, double_factorial
 
 
 class TreePoint(_FrozenValue):
@@ -92,7 +92,7 @@ class TreePoint(_FrozenValue):
     @classmethod
     def from_json(cls, obj: dict) -> "TreePoint":
         """Inverse of to_json, raising ValueError for a missing or mistyped field,
-        a bad length or a repeated split, by either side (make_topology's rule).
+        a bad length or a repeated split, by either side (Topology's rule).
         leaf_lengths keys must be plain decimal leaf labels."""
         try:
             n, edges = obj["n"], obj["edges"]
@@ -101,7 +101,7 @@ class TreePoint(_FrozenValue):
             leaf = obj.get("leaf_lengths")
             if leaf is not None:
                 leaf = {_json_leaf(k): v for k, v in leaf.items()}
-            return cls(make_topology(splits, n), dict(zip(splits, ws.values())), leaf)
+            return cls(Topology(n, splits), dict(zip(splits, ws.values())), leaf)
         except KeyError as exc:
             raise ValueError(f"JSON tree lacks field {exc}") from None
         except (TypeError, AttributeError) as exc:

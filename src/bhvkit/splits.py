@@ -274,11 +274,16 @@ class Permutation(_FrozenValue):
 
     @classmethod
     def from_cycles(cls, n: int, *cycles: Iterable[int]) -> "Permutation":
-        """Permutation of 1..n from disjoint cycles, e.g. from_cycles(6, (1, 6)); no entry wraps around."""
+        """Permutation of 1..n from disjoint cycles, e.g. from_cycles(6, (1, 6)); no entry wraps
+        around, and an entry in two places, in one cycle or across cycles, is refused."""
         images = list(range(1, check_int(n, 0, math.inf, "n") + 1))
+        seen: set[int] = set()
         for cycle in cycles:
             cycle = tuple(check_int(x, 1, n, "cycle entry") for x in check_shape(iter, cycle, "cycle", "iterable"))
             for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+                if src in seen:
+                    raise BhvError(f"cycle entry {src} appears twice")
+                seen.add(src)
                 images[src - 1] = dst
         return cls(tuple(images))
 

@@ -16,9 +16,9 @@ made in one batch. A read-only index maps each split mask
 to the bitset of census trees holding it, so enumerating the refinements of
 a face, still an exhaustive filter over the census, is an AND of bitsets.
 
-Topology(...) and make_topology check every split set they are given, and
-make_topology alone refuses a split given twice; the one trusted path,
-Topology._laminar, does not. Its callers give it laminar families on a
+Topology(n, splits) is the one checked reader of a split set; make_topology
+is that reader with make_split's argument order. The trusted path,
+Topology._laminar, checks nothing: its callers give it laminar families on a
 checked leaf count: the census, all trees in one call, the clades of trees
 grown by leaf insertion; parse_newick, the clades of the one tree it parsed.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 import gc
 import threading
 from collections import deque
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import combinations, compress, repeat
 from math import inf, prod
@@ -67,34 +68,38 @@ def double_factorial(m: int) -> int:
 class Topology(_FrozenValue):
     """A face of tree space: n leaves plus a pairwise-compatible split set.
 
-    The constructor checks that each split is a Split, the leaf count, that
-    each split is on n leaves and the n-3 bound, and keeps the clade tree
-    whose walk decides compatibility. _laminar (see the module docstring)
-    builds equal values without the checks or the tree; a value's first
-    reader walks it: one idempotent write from immutable data to a slot no
-    caller reaches, so a Topology is still safe to share.
+    The constructor reads any iterable of Splits and checks, in this order,
+    that it is one, that no split is given twice (by either side), the leaf
+    count, that each split is on n leaves, the n-3 bound and compatibility,
+    keeping the clade tree whose walk decides it. _laminar (see the module
+    docstring) builds equal values without the checks or the tree; a value's
+    first reader walks it: one idempotent write from immutable data to a slot
+    no caller reaches, so a Topology is still safe to share.
     """
 
     __slots__ = ("n", "splits", "_tree")
     _fields = __match_args__ = ("n", "splits")
 
-    def __init__(self, n: int, splits: frozenset[Split] = frozenset()):
-        self._check(n, _split_set(splits))  # no caller's set to change
-
-    def _check(self, n: int, splits: frozenset[Split]) -> "Topology":
-        """self, set to n and a frozenset of Splits after Topology's own checks on them."""
+    def __init__(self, n: int, splits: Iterable[Split] = frozenset()):
+        if not hasattr(splits, "__len__"):  # an iterator, kept to find a repeat in
+            splits = check_shape(list, splits, "splits", "an iterable of Splits")
+        unique = check_shape(frozenset, splits, "splits", "an iterable of Splits")  # a frozenset is kept as is
+        if not all(map(isinstance, unique, repeat(Split))):
+            raise BhvError(f"splits must be an iterable of Splits, got {splits!r}")
+        if len(unique) < len(splits):  # name the first to repeat; set.add returns None
+            seen: set[Split] = set()
+            raise BhvError(f"{next(s for s in splits if s in seen or seen.add(s))} is given twice")
         _SET_N(self, n)
-        _SET_SPLITS(self, splits)
+        _SET_SPLITS(self, unique)
         _SET_TREE(self, None)
         check_leaf_count(n)
-        for m in {s.n for s in splits}:
+        for m in {s.n for s in unique}:
             check_same_n(m, n)
-        if len(splits) > n - 3:
-            raise BhvError(f"{len(splits)} splits exceed n-3 = {n - 3}")
+        if len(unique) > n - 3:
+            raise BhvError(f"{len(unique)} splits exceed n-3 = {n - 3}")
         if self._clades() is None:  # two clades cross: name the first such pair in canonical order
-            ordered = sorted(splits, key=split_key)
+            ordered = sorted(unique, key=split_key)
             raise IncompatiblePair(*next(p for p in combinations(ordered, 2) if not are_compatible(*p)))
-        return self
 
     @classmethod
     def _laminar(cls, n: int, split_sets: list[frozenset[Split]]) -> tuple["Topology", ...]:
@@ -126,13 +131,6 @@ class Topology(_FrozenValue):
         """Relabel all leaves through sigma, a permutation of the same n leaves."""
         check_same_n(check_type(sigma, Permutation, "sigma").n, self.n)
         return Topology(self.n, frozenset(_relabel(sigma, s) for s in self.splits))
-
-    def __eq__(self, other) -> bool:
-        same = other.__class__ is self.__class__
-        return self.n == other.n and self.splits == other.splits if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.splits))
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, s.side)) + "}" for s in self.sorted_splits)
@@ -167,28 +165,9 @@ class Topology(_FrozenValue):
 _SET_N, _SET_SPLITS, _SET_TREE = Topology.n.__set__, Topology.splits.__set__, Topology._tree.__set__
 
 
-def _split_set(splits) -> frozenset[Split]:
-    """splits as a frozenset, itself if it is one: no Split is hashed again."""
-    out = check_shape(frozenset, splits, "splits", "an iterable of Splits")
-    if all(map(isinstance, out, repeat(Split))):
-        return out
-    raise BhvError(f"splits must be an iterable of Splits, got {splits!r}")
-
-
 def make_topology(splits, n: int) -> Topology:
-    """Validate a split collection and wrap it as a Topology.
-
-    The one reader that refuses a split given twice, by either side, before
-    Topology's checks. Raises IncompatiblePair naming the first violating pair
-    (in canonical split order) and BhvError when the count exceeds n-3.
-    """
-    if not hasattr(splits, "__len__"):  # an iterator, kept to find a repeat in
-        splits = check_shape(list, splits, "splits", "an iterable of Splits")
-    unique = _split_set(splits)
-    if len(unique) < len(splits):  # name the first to repeat; set.add returns None
-        seen: set[Split] = set()
-        raise BhvError(f"{next(s for s in splits if s in seen or seen.add(s))} is given twice")
-    return object.__new__(Topology)._check(n, unique)  # its members are checked: Topology's other checks
+    """Topology(n, splits), with make_split's argument order: the collection, then n."""
+    return Topology(n, splits)
 
 
 def is_binary(t: Topology) -> bool:

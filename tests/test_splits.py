@@ -342,6 +342,13 @@ def test_from_cycles_names_a_bad_entry(cycle, bad):
         Permutation.from_cycles(6, cycle)
 
 
+def test_from_cycles_refuses_an_entry_in_two_places():
+    # once the identity, a transposition, and a refusal of the images (2, 3, 2, 4, 5, 6)
+    for cycles, entry in [(((1, 1),), 1), (((1, 2), (2, 1)), 2), (((1, 2), (2, 3)), 2)]:
+        with pytest.raises(BhvError, match=rf"^cycle entry {entry} appears twice$"):
+            Permutation.from_cycles(6, *cycles)
+
+
 def test_permutation_action_is_group_action():
     rng = random.Random(202)
     splits = enumerate_splits(6)
