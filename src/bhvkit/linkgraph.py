@@ -6,8 +6,9 @@ leaf stars, and the full automorphism group is realized by leaf relabelings;
 both facts are checked by exact search on the built graph, not assumed.
 Adjacency rows are vertex-index bitmasks, each read off subset tables of
 per-leaf bitsets, one per half of the leaves. A leaf relabeling moves every
-side at once, as lanes of one int, and finds each image with one lookup in
-an index that the graph's first relabel fills in. certify_aut proves
+side at once, as lanes of one int, and reads every image back through an
+index that the graph's first relabel fills in: a 256-byte table for one-byte
+lanes (n <= 8), a dict for wider ones. certify_aut proves
 Aut = S_n by the paper's lemma chain, never by degree_formula: the size
 layers are kept, the pair layer's maximum independent sets are the leaf
 stars, and the pair layer pins every vertex; bit-matrix transposition
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import repeat
 from operator import itemgetter, lshift
 
 from .errors import BhvError, TooLarge
@@ -29,6 +31,7 @@ from .splits import (
     check_int,
     check_leaf_count,
     check_same_n,
+    check_shape,
     check_type,
     enumerate_splits,
     full_mask,
@@ -45,14 +48,36 @@ VertexPerm = tuple[int, ...]
 
 
 class LinkGraph(_FrozenValue):
-    """Undirected graph over splits; adjacency rows are vertex-index bitmasks."""
+    """Undirected graph over splits; adjacency rows are vertex-index bitmasks.
+
+    It takes distinct Splits of n and one row per vertex, an int in [0, 2^nv)
+    without its own bit; rows need not be symmetric. Distinct vertices number
+    at most 119 for n <= 8, so one byte below 0xFF indexes each of them.
+    """
 
     _fields = __match_args__ = ("n", "vertices", "adjacency")
-    # side masks and complements -> vertex index, lane typecode, leaf columns; filled by the first relabel
-    _index: tuple[dict[int, int], str, tuple[int, ...]] | None = None
+    # side masks and complements -> vertex index, lane typecode, leaf columns; filled by the first relabel.
+    # The index is a 256-byte table, 0xFF where a mask is no vertex, for one-byte lanes, else a dict.
+    _index: tuple[bytes | dict[int, int], str, tuple[int, ...]] | None = None
 
     def __init__(self, n: int, vertices: tuple[Split, ...], adjacency: tuple[int, ...]):
-        self._set(check_leaf_count(n), tuple(vertices), tuple(adjacency))  # no caller's list to change
+        n = check_leaf_count(n)
+        vertices = check_shape(tuple, vertices, "vertices", "an iterable of Splits")  # no caller's list to change
+        adjacency = check_shape(tuple, adjacency, "adjacency", "an iterable of ints")
+        if not all(map(isinstance, vertices, repeat(Split))):
+            raise BhvError(f"vertices must be Splits, got {next(v for v in vertices if not isinstance(v, Split))!r}")
+        for m in {v.n for v in vertices}:
+            check_same_n(m, n)
+        if len({v.mask for v in vertices}) < len(vertices):  # int hashes, not Split.__hash__
+            last = {v.mask: i for i, v in enumerate(vertices)}
+            raise BhvError(f"{next(v for i, v in enumerate(vertices) if last[v.mask] != i)} is a vertex twice")
+        if len(adjacency) != len(vertices):
+            raise BhvError(f"adjacency has {len(adjacency)} rows for {len(vertices)} vertices")
+        top = (1 << len(vertices)) - 1
+        for i, row in enumerate(adjacency):
+            if check_int(row, 0, top, "adjacency row") >> i & 1:
+                raise BhvError(f"adjacency row {i} joins vertex {i} to itself")
+        self._set(n, vertices, adjacency)
 
     @property
     def vertex_count(self) -> int:
@@ -367,23 +392,38 @@ def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
     vertex i's side, and an index of every side and its complement (only a
     half-size side relabels to a non-canonical mask): one idempotent write to
     a slot no caller reaches. A call sums the columns shifted to their images.
+    One-byte lanes (n <= 8) are read back as bytes translated through a
+    256-byte table, which makes no object per vertex; wider lanes are read as
+    array words and looked up in a dict.
     """
     check_same_n(check_type(sigma, Permutation, "sigma").n, check_type(g, LinkGraph, "g").n)
+    nv = g.vertex_count
     if g._index is None:
-        sides, nv = [v.mask for v in g.vertices], g.vertex_count
+        sides, full = [v.mask for v in g.vertices], full_mask(g.n)
         code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= g.n)  # a narrower lane carries into the next
         size = array(code).itemsize
         packed = int.from_bytes(b"".join([m.to_bytes(size, "little") for m in sides]), "little")
         ones = ((1 << 8 * size * nv) - 1) // ((1 << 8 * size) - 1)  # bit 0 of every lane
-        index = dict(zip(sides + [full_mask(g.n) ^ m for m in sides], [*range(nv)] * 2))
+        index = dict(zip(sides + [full ^ m for m in sides], [*range(nv)] * 2))
+        if size == 1:  # distinct vertices: at most 119 at n = 8, so no index is the 0xFF of a non-vertex
+            index = bytes(map(index.get, range(256), repeat(0xFF)))
         object.__setattr__(g, "_index", (index, code, tuple(packed >> l & ones for l in range(g.n))))
     index, code, columns = g._index
     # bit sigma(l + 1) of a lane, then one shift down for all: lane bit n is the next lane's unset bit 0
-    lanes = _words(sum(map(lshift, columns, sigma.images)) >> 1, code, g.vertex_count)
-    try:
-        return tuple(map(index.__getitem__, lanes))
-    except KeyError as exc:
-        raise BhvError(f"sigma takes a side to {Split(g.n, exc.args[0])}, which is not a vertex of g") from None
+    moved = sum(map(lshift, columns, sigma.images)) >> 1
+    if code == "B":
+        lanes = moved.to_bytes(nv, "little")
+        image = lanes.translate(index)
+        first = image.find(0xFF)
+        if first < 0:
+            return tuple(image)
+        mask = lanes[first]
+    else:
+        try:
+            return tuple(map(index.__getitem__, _words(moved, code, nv)))
+        except KeyError as exc:
+            mask = exc.args[0]
+    raise BhvError(f"sigma takes a side to {Split(g.n, mask)}, which is not a vertex of g")
 
 
 def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:

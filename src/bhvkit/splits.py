@@ -28,6 +28,7 @@ from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations, permutations, repeat
+from operator import attrgetter
 
 from .errors import BhvError, LeafCountMismatch
 
@@ -109,21 +110,26 @@ class _FrozenValue:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
+    def __init_subclass__(cls) -> None:
+        if len(cls._fields) > 1:  # the field tuple read in C; attrgetter gives one field bare
+            cls._values = attrgetter(*cls._fields)
+
+    @staticmethod
+    def _values(self) -> tuple:  # a static slot, as the attrgetter that replaces it: call as x._values(x)
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other) -> bool:
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -412,10 +412,24 @@ def test_relabeling_fills_lanes_as_wide_as_the_leaf_count(n):
 
 
 def test_a_relabel_that_leaves_the_graph_names_the_side():
-    g = LinkGraph(6, enumerate_splits(6)[:7], [0] * 7)  # the pairs holding leaf 1, then {2,3} and {2,4}
-    message = r"^sigma takes a side to Split\(\{2,6\}, n=6\), which is not a vertex of g$"
-    with pytest.raises(BhvError, match=message):
-        permutation_to_automorphism(Permutation.from_cycles(6, (1, 6)), g)
+    # the pairs holding leaf 1, then {2,3} and {2,4}: one-byte lanes at n = 6, two-byte ones at n = 9;
+    # (1 n) moves the first vertex out of the graph, (2 n) only the first without leaf 1
+    for n, cycle, side in [(6, (1, 6), "2,6"), (6, (2, 6), "3,6"), (9, (1, 9), "2,9"), (9, (2, 9), "3,9")]:
+        g = LinkGraph(n, enumerate_splits(n)[: n + 1], [0] * (n + 1))
+        message = rf"^sigma takes a side to Split\(\{{{side}\}}, n={n}\), which is not a vertex of g$"
+        with pytest.raises(BhvError, match=message):
+            permutation_to_automorphism(Permutation.from_cycles(n, cycle), g)
+
+
+@pytest.mark.parametrize("n, code, index", [(8, "B", bytes), (9, "H", dict)])
+def test_relabeling_every_vertex_at_the_last_one_byte_lane_and_the_first_wide_one(n, code, index):
+    g = build_link_graph(n)  # not relabeled yet: the first relabel here picks the index
+    rng = random.Random(n)
+    sigmas = [Permutation.from_cycles(n, range(1, n + 1))]
+    sigmas += [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(4)]
+    for sigma in sigmas:
+        assert permutation_to_automorphism(sigma, g) == relabel_by_make_split(sigma, g)
+    assert g._index[1] == code and type(g._index[0]) is index
 
 
 def test_first_relabel_leaves_the_graph_equal_to_a_fresh_build():
@@ -753,3 +767,54 @@ def test_link_graph_keeps_no_caller_container():
     adjacency[0] = 1
     assert g.vertices == (s,) and g.adjacency == (0,)
     assert hash(g) == hash(LinkGraph(5, (s,), (0,)))
+
+
+def test_link_graph_refuses_a_vertex_that_is_not_a_split_of_n():
+    with pytest.raises(BhvError, match=r"^vertices must be Splits, got 1$"):
+        LinkGraph(6, [1, 2], [0, 0])
+    with pytest.raises(BhvError, match=r"^vertices must be Splits, got '12'$"):
+        LinkGraph(6, [make_split({1, 2}, 6), "12"], [0, 0])
+    with pytest.raises(LeafCountMismatch, match=r"^leaf counts 5 and 6 do not match$"):
+        LinkGraph(6, [make_split({1, 2}, 5)], [0])
+    with pytest.raises(BhvError, match=r"^vertices must be an iterable of Splits, got 5$"):
+        LinkGraph(6, 5, [0])
+
+
+def test_link_graph_refuses_a_repeated_vertex():
+    # 300 vertices at n = 8 would pass the 0xFF that marks a non-vertex in the one-byte relabel table
+    s12 = make_split({1, 2}, 8)
+    with pytest.raises(BhvError, match=r"^Split\(\{1,2\}, n=8\) is a vertex twice$"):
+        LinkGraph(8, [s12] * 300, [0] * 300)
+    with pytest.raises(BhvError, match=r"^Split\(\{1,3\}, n=8\) is a vertex twice$"):
+        LinkGraph(8, [make_split(side, 8) for side in ({1, 3}, {1, 2}, {2, 4, 5, 6, 7, 8}, {1, 2})], [0] * 4)
+
+
+def test_link_graph_refuses_an_adjacency_of_another_length():
+    with pytest.raises(BhvError, match=r"^adjacency has 0 rows for 1 vertices$"):
+        LinkGraph(6, [make_split({1, 2}, 6)], [])
+    with pytest.raises(BhvError, match=r"^adjacency has 2 rows for 1 vertices$"):
+        LinkGraph(6, [make_split({1, 2}, 6)], [0, 0])
+    with pytest.raises(BhvError, match=r"^adjacency must be an iterable of ints, got 3$"):
+        LinkGraph(6, [make_split({1, 2}, 6)], 3)
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param(True, r"must be an int, got True", id="bool"),
+    pytest.param(2.0, r"must be an int, got 2\.0", id="float"),
+    pytest.param(-1, r"must be in \[0, 3\], got -1", id="negative"),
+    pytest.param(4, r"must be in \[0, 3\], got 4", id="past-the-last-vertex"),
+])
+def test_link_graph_refuses_a_row_outside_the_integer_rule(row, message):
+    vertices = [make_split({1, 2}, 6), make_split({3, 4}, 6)]
+    with pytest.raises(BhvError, match=rf"^adjacency row {message}$"):
+        LinkGraph(6, vertices, [2, row])
+
+
+def test_link_graph_refuses_a_loop():
+    with pytest.raises(BhvError, match=r"^adjacency row 0 joins vertex 0 to itself$"):
+        LinkGraph(5, [make_split({1, 2}, 5)], [1])
+    g = cached_link_graph(7)
+    rows = list(g.adjacency)
+    rows[40] |= 1 << 40
+    with pytest.raises(BhvError, match=r"^adjacency row 40 joins vertex 40 to itself$"):
+        LinkGraph(7, g.vertices, rows)

@@ -121,7 +121,7 @@ def test_make_topology_reads_any_iterable_of_splits():
             build(iter([first, 3, first]), 6)  # the member test comes before the repeat
 
 
-def test_repeated_split_rule_stays_in_make_topology():
+def test_repeated_split_rule_stays_in_the_topology_constructor():
     package = Path(__file__).resolve().parent.parent / "src" / "bhvkit"
     assert {f.name for f in package.glob("*.py") if "given twice" in f.read_text()} == {"topology.py"}
 

@@ -74,6 +74,13 @@ def test_copy_deepcopy_and_pickle_give_an_equal_value(value):
         assert repr(twin) == repr(value)
 
 
+@pytest.mark.parametrize("name", [name for name, value in VALUES.items() if "__hash__" not in vars(type(value))])
+def test_a_value_hashes_as_the_tuple_of_its_fields(name):
+    # the shared hash, as a tuple of every field read at once; a one-field value keeps its one-tuple
+    value = VALUES[name]
+    assert hash(value) == hash(tuple(getattr(value, field) for field in type(value).__match_args__))
+
+
 def test_a_pickled_topology_walks_its_tree_again():
     twin = pickle.loads(pickle.dumps(FACE))
     assert twin._tree == FACE._clades()  # rebuilt through the checked constructor
