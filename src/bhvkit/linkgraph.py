@@ -49,16 +49,13 @@ VertexPerm = tuple[int, ...]
 
 class LinkGraph(_FrozenValue):
     """Undirected graph over splits; adjacency rows are vertex-index bitmasks.
-
     It takes distinct Splits of n and one row per vertex, an int in [0, 2^nv)
-    without its own bit; rows need not be symmetric. Distinct vertices number
-    at most 119 for n <= 8, so one byte below 0xFF indexes each of them.
-    """
+    without its own bit; rows need not be symmetric."""
 
     _fields = __match_args__ = ("n", "vertices", "adjacency")
-    # side masks and complements -> vertex index, lane typecode, leaf columns; filled by the first relabel.
-    # The index is a 256-byte table, 0xFF where a mask is no vertex, for one-byte lanes, else a dict.
-    _index: tuple[bytes | dict[int, int], str, tuple[int, ...]] | None = None
+    # side masks and complements -> vertex index, the same as a 256-byte table for one-byte lanes
+    # (else None), lane typecode, leaf columns; filled by the first relabel
+    _index: tuple[dict[int, int], bytes | None, str, tuple[int, ...]] | None = None
 
     def __init__(self, n: int, vertices: tuple[Split, ...], adjacency: tuple[int, ...]):
         n = check_leaf_count(n)
@@ -392,38 +389,32 @@ def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
     vertex i's side, and an index of every side and its complement (only a
     half-size side relabels to a non-canonical mask): one idempotent write to
     a slot no caller reaches. A call sums the columns shifted to their images.
-    One-byte lanes (n <= 8) are read back as bytes translated through a
-    256-byte table, which makes no object per vertex; wider lanes are read as
-    array words and looked up in a dict.
+    One-byte lanes (n <= 8) are read back as bytes through a 256-byte table,
+    which makes no object per vertex; wider ones as array words, through the dict.
     """
     check_same_n(check_type(sigma, Permutation, "sigma").n, check_type(g, LinkGraph, "g").n)
     nv = g.vertex_count
     if g._index is None:
-        sides, full = [v.mask for v in g.vertices], full_mask(g.n)
+        sides = [v.mask for v in g.vertices]
         code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= g.n)  # a narrower lane carries into the next
         size = array(code).itemsize
         packed = int.from_bytes(b"".join([m.to_bytes(size, "little") for m in sides]), "little")
         ones = ((1 << 8 * size * nv) - 1) // ((1 << 8 * size) - 1)  # bit 0 of every lane
-        index = dict(zip(sides + [full ^ m for m in sides], [*range(nv)] * 2))
-        if size == 1:  # distinct vertices: at most 119 at n = 8, so no index is the 0xFF of a non-vertex
-            index = bytes(map(index.get, range(256), repeat(0xFF)))
-        object.__setattr__(g, "_index", (index, code, tuple(packed >> l & ones for l in range(g.n))))
-    index, code, columns = g._index
+        index = dict(zip(sides + [full_mask(g.n) ^ m for m in sides], [*range(nv)] * 2))
+        # distinct vertices number at most 119 at n = 8, so no vertex index is the 0xFF of a non-vertex
+        table = bytes(map(index.get, range(256), repeat(0xFF))) if size == 1 else None
+        object.__setattr__(g, "_index", (index, table, code, tuple(packed >> l & ones for l in range(g.n))))
+    index, table, code, columns = g._index
     # bit sigma(l + 1) of a lane, then one shift down for all: lane bit n is the next lane's unset bit 0
     moved = sum(map(lshift, columns, sigma.images)) >> 1
-    if code == "B":
-        lanes = moved.to_bytes(nv, "little")
-        image = lanes.translate(index)
-        first = image.find(0xFF)
-        if first < 0:
+    if table is not None:
+        image = moved.to_bytes(nv, "little").translate(table)
+        if 0xFF not in image:
             return tuple(image)
-        mask = lanes[first]
-    else:
-        try:
-            return tuple(map(index.__getitem__, _words(moved, code, nv)))
-        except KeyError as exc:
-            mask = exc.args[0]
-    raise BhvError(f"sigma takes a side to {Split(g.n, mask)}, which is not a vertex of g")
+    try:  # wider lanes, or a side that is no vertex: the dict names the first
+        return tuple(map(index.__getitem__, _words(moved, code, nv)))
+    except KeyError as exc:
+        raise BhvError(f"sigma takes a side to {Split(g.n, exc.args[0])}, which is not a vertex of g") from None
 
 
 def certify_aut(g: LinkGraph) -> tuple[VertexPerm, VertexPerm] | None:

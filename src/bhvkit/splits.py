@@ -111,25 +111,25 @@ class _FrozenValue:
             object.__setattr__(self, name, value)
 
     def __init_subclass__(cls) -> None:
-        if len(cls._fields) > 1:  # the field tuple read in C; attrgetter gives one field bare
-            cls._values = attrgetter(*cls._fields)
+        if len(cls._fields) > 1:  # the fields read in C; for one field attrgetter gives no tuple
+            cls._values = property(attrgetter(*cls._fields))
 
-    @staticmethod
-    def _values(self) -> tuple:  # a static slot, as the attrgetter that replaces it: call as x._values(x)
+    @property
+    def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other) -> bool:
-        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values(self)
+        return type(self), self._values
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -421,15 +421,15 @@ def test_a_relabel_that_leaves_the_graph_names_the_side():
             permutation_to_automorphism(Permutation.from_cycles(n, cycle), g)
 
 
-@pytest.mark.parametrize("n, code, index", [(8, "B", bytes), (9, "H", dict)])
-def test_relabeling_every_vertex_at_the_last_one_byte_lane_and_the_first_wide_one(n, code, index):
+@pytest.mark.parametrize("n, code, table", [(8, "B", bytes), (9, "H", type(None))])
+def test_relabeling_every_vertex_at_the_last_one_byte_lane_and_the_first_wide_one(n, code, table):
     g = build_link_graph(n)  # not relabeled yet: the first relabel here picks the index
     rng = random.Random(n)
     sigmas = [Permutation.from_cycles(n, range(1, n + 1))]
     sigmas += [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(4)]
     for sigma in sigmas:
         assert permutation_to_automorphism(sigma, g) == relabel_by_make_split(sigma, g)
-    assert g._index[1] == code and type(g._index[0]) is index
+    assert type(g._index[1]) is table and g._index[2] == code
 
 
 def test_first_relabel_leaves_the_graph_equal_to_a_fresh_build():
