@@ -76,6 +76,14 @@ class LinkGraph(_FrozenValue):
                 raise BhvError(f"adjacency row {i} joins vertex {i} to itself")
         self._set(n, vertices, adjacency)
 
+    @classmethod
+    def _unchecked(cls, n: int, vertices: tuple[Split, ...], adjacency: tuple[int, ...]) -> "LinkGraph":
+        """The graph built without the checks, for this module's builders: their vertices are
+        distinct Splits of n and their rows loop-free ints by construction."""
+        g = object.__new__(cls)
+        g._set(n, vertices, adjacency)
+        return g
+
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -125,7 +133,7 @@ def build_link_graph(n: int) -> LinkGraph:
         meets, lacks = meets_lo[lo] | meets_hi[hi], lacks_lo[lo] | lacks_hi[hi]
         outside = meets_lo[c & cut] | meets_hi[c >> half]
         rows.append(all_mask ^ (meets & lacks & outside | 1 << i))  # a side meets and covers itself
-    return LinkGraph(n, vertices, tuple(rows))
+    return LinkGraph._unchecked(n, vertices, tuple(rows))
 
 
 def _subset_images(bits: list[int]) -> list[int]:
@@ -159,7 +167,7 @@ def kneser_subgraph(g: LinkGraph, k: int) -> LinkGraph:
     keep = [i for i, v in enumerate(g.vertices) if v.size == k]
     position, layer = {u: j for j, u in enumerate(keep)}, sum(1 << u for u in keep)
     rows = (sum(1 << position[u] for u in set_bits(g.adjacency[i] & layer)) for i in keep)
-    return LinkGraph(g.n, tuple(g.vertices[i] for i in keep), tuple(rows))
+    return LinkGraph._unchecked(g.n, tuple(g.vertices[i] for i in keep), tuple(rows))
 
 
 def ekr_independent_sets(g: LinkGraph, k: int) -> list[frozenset[Split]]:

@@ -594,6 +594,40 @@ def test_certify_aut_refuses_a_graph_missing_a_vertex(link6):
     assert certify_aut(g) is None
 
 
+@st.composite
+def hand_built_graphs(draw):
+    """A graph on n = 5..7 leaves: every canonical split in order, or a random
+    subset of them, joined as in the link graph or not at all, with a few
+    vertex pairs then toggled in both rows."""
+    n = draw(st.integers(5, 7))
+    g = cached_link_graph(n)
+    keep = range(g.vertex_count)
+    if draw(st.booleans()):
+        keep = sorted(draw(st.sets(st.sampled_from(keep), max_size=len(keep))))
+    built = draw(st.booleans())
+    rows = [sum(1 << j for j, v in enumerate(keep) if built and g.adjacent(u, v)) for u in keep]
+    pairs = list(combinations(range(len(keep)), 2))
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else ():
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+    return LinkGraph(n, [g.vertices[u] for u in keep], rows)
+
+
+@lru_cache(maxsize=None)
+def acts_as_s_n(g) -> bool:
+    """The graph's automorphisms, found by search, are n! in number and are the
+    relabelings through make_split, one for each permutation of the leaves."""
+    relabelings = {relabel_by_make_split(sigma, g) for sigma in all_permutations(g.n)}
+    return len(relabelings) == math.factorial(g.n) and sorted(relabelings) == enumerate_automorphisms(g)
+
+
+@settings(deadline=None)
+@given(hand_built_graphs())
+def test_certify_aut_certifies_only_the_faithful_action_of_s_n(g):
+    if certify_aut(g) is not None:
+        assert acts_as_s_n(g)
+
+
 @pytest.mark.parametrize("check", "abcd")
 def test_certify_aut_rejects_a_graph_failing_one_check(link7, check):
     h = doctored(link7, check)
@@ -818,3 +852,10 @@ def test_link_graph_refuses_a_loop():
     rows[40] |= 1 << 40
     with pytest.raises(BhvError, match=r"^adjacency row 40 joins vertex 40 to itself$"):
         LinkGraph(7, g.vertices, rows)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_the_unchecked_builders_make_graphs_the_checked_constructor_accepts(n):
+    g = cached_link_graph(n)
+    for h in [g, *(kneser_subgraph(g, k) for k in range(2, n // 2 + 1))]:
+        assert LinkGraph(h.n, h.vertices, h.adjacency) == h
