@@ -25,7 +25,7 @@ PACKAGE = ROOT / "src" / "bhvkit"
 # path:line -> why tier-1 cannot reach it in-process
 ALLOWED = {
     "cli.py:256": "the python -m entry point; tier-1 runs it only in a child process",
-    "linkgraph.py:334": "a forced step that empties a candidate set; the lemma chain leaves none on built graphs",
+    "linkgraph.py:342": "a forced step that empties a candidate set; the lemma chain leaves none on built graphs",
     "splits.py:98": "the byteswap of a big-endian host; tier-1 runs on little-endian ones",
 }
 
