@@ -53,9 +53,9 @@ class LinkGraph(_FrozenValue):
     without its own bit; rows need not be symmetric."""
 
     _fields = __match_args__ = ("n", "vertices", "adjacency")
-    # side masks and complements -> vertex index, the same as a 256-byte table for one-byte lanes
-    # (else None), lane typecode, leaf columns; filled by the first relabel
-    _index: tuple[dict[int, int], bytes | None, str, tuple[int, ...]] | None = None
+    # _index: side masks and complements -> vertex index, the same as a 256-byte table for one-byte
+    # lanes (else None), lane typecode, leaf columns; None until the first relabel fills it
+    __slots__ = (*_fields, "_index")
 
     def __init__(self, n: int, vertices: tuple[Split, ...], adjacency: tuple[int, ...]):
         n = check_leaf_count(n)
@@ -75,6 +75,7 @@ class LinkGraph(_FrozenValue):
             if check_int(row, 0, top, "adjacency row") >> i & 1:
                 raise BhvError(f"adjacency row {i} joins vertex {i} to itself")
         self._set(n, vertices, adjacency)
+        _SET_INDEX(self, None)
 
     @classmethod
     def _unchecked(cls, n: int, vertices: tuple[Split, ...], adjacency: tuple[int, ...]) -> "LinkGraph":
@@ -82,6 +83,7 @@ class LinkGraph(_FrozenValue):
         distinct Splits of n and their rows loop-free ints by construction."""
         g = object.__new__(cls)
         g._set(n, vertices, adjacency)
+        _SET_INDEX(g, None)
         return g
 
     @property
@@ -104,6 +106,9 @@ class LinkGraph(_FrozenValue):
         for i, row in enumerate(self.adjacency):
             lines += [f"  {names[i]} -- {names[i + 1 + j]};" for j in set_bits(row >> i + 1)]
         return "\n".join([*lines, "}"])
+
+
+_SET_INDEX = LinkGraph._index.__set__
 
 
 def build_link_graph(n: int) -> LinkGraph:
@@ -224,7 +229,7 @@ class AutomorphismGroup(_FrozenValue):
     """Search result: group order, a generating set, and (when the order is
     at most ELEMENT_CAP) the complete element list as vertex permutations."""
 
-    _fields = __match_args__ = ("order", "generators", "elements")
+    __slots__ = _fields = __match_args__ = ("order", "generators", "elements")
 
     def __init__(self, order: int, generators: tuple[VertexPerm, ...],
                  elements: tuple[VertexPerm, ...] | None):
@@ -411,7 +416,7 @@ def permutation_to_automorphism(sigma: Permutation, g: LinkGraph) -> VertexPerm:
         index = dict(zip(sides + [full_mask(g.n) ^ m for m in sides], [*range(nv)] * 2))
         # distinct vertices number at most 119 at n = 8, so no vertex index is the 0xFF of a non-vertex
         table = bytes(map(index.get, range(256), repeat(0xFF))) if size == 1 else None
-        object.__setattr__(g, "_index", (index, table, code, tuple(packed >> l & ones for l in range(g.n))))
+        _SET_INDEX(g, (index, table, code, tuple(packed >> l & ones for l in range(g.n))))
     index, table, code, columns = g._index
     # bit sigma(l + 1) of a lane, then one shift down for all: lane bit n is the next lane's unset bit 0
     moved = sum(map(lshift, columns, sigma.images)) >> 1

@@ -32,7 +32,7 @@ class TreePoint(_FrozenValue):
     maps are read-only copies of the mappings passed in.
     """
 
-    _fields = __match_args__ = ("topology", "lengths", "leaf_lengths")
+    __slots__ = _fields = __match_args__ = ("topology", "lengths", "leaf_lengths")
 
     def __init__(self, topology: Topology, lengths: Mapping[Split, float] = MappingProxyType({}),
                  leaf_lengths: Mapping[int, float] | None = None):
@@ -163,7 +163,7 @@ class BallVolume(_FrozenValue):
     """Volume of a small ball, with the exact rational coefficient, a Fraction,
     that multiplies the Euclidean ball volume A_(n-3)(eps)."""
 
-    _fields = __match_args__ = ("value", "n", "p", "s_f", "epsilon", "coefficient")
+    __slots__ = _fields = __match_args__ = ("value", "n", "p", "s_f", "epsilon", "coefficient")
 
     def __init__(self, value: float, n: int, p: int, s_f: int, epsilon: float, coefficient):
         self._set(value, n, p, s_f, epsilon, coefficient)

@@ -12,7 +12,8 @@ parse_newick, give it sides of two or more leaves on a checked leaf count.
 check_int is the one rule for every integer argument of the package: a leaf
 count, a leaf, a mask, a permutation image, k, p, m. It takes a plain int in
 its range and raises BhvError otherwise, "{what} must be an int, got {value!r}"
-or "{what} must be in [{least}, {most}], got {value}"; a bool or any other int
+or "{what} must be in [{least}, {most}], got {value}", where an int with too
+many digits for str() reads as its bit length; a bool or any other int
 subclass is refused. check_shape is its like for a container argument,
 check_type for a bhvkit value or a string, and check_same_n the one
 leaf-count match, raising LeafCountMismatch wherever two values over
@@ -41,8 +42,16 @@ def check_int(value: int, least: float, most: float, what: str) -> int:
     if type(value) is not int:
         raise BhvError(f"{what} must be an int, got {value!r}")
     if not least <= value <= most:
-        raise BhvError(f"{what} must be in [{least}, {most}], got {value}")
+        raise BhvError(f"{what} must be in [{_digits(least)}, {_digits(most)}], got {_digits(value)}")
     return value
+
+
+def _digits(x: float) -> str:
+    """str(x) of an int or a float, or an int's sign and bit length where it has too many digits for str()."""
+    try:
+        return str(x)
+    except ValueError:  # past sys.get_int_max_str_digits(); no float gets here
+        return f"{'a negative' if x < 0 else 'an'} int of {x.bit_length()} bits"
 
 
 def check_shape(convert: Callable, value, what: str, shape: str):
@@ -260,7 +269,7 @@ def enumerate_splits(n: int) -> list[Split]:
 class Permutation(_FrozenValue):
     """A bijection of {1, ..., n}, stored as the image tuple of plain ints (images[i-1] = sigma(i))."""
 
-    _fields = __match_args__ = ("images",)
+    __slots__ = _fields = __match_args__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
         images = check_shape(tuple, images, "images", "iterable")

@@ -250,9 +250,14 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
     set `| cherry[c]`, the split the new edge adds; the sets of one tree's
     children are made in one map and then set their bits in the index rows.
 
-    The cyclic GC is paused for the walk and the batch (they make no cycles)
-    and the caller's setting restored after, also on an error; another
-    thread's gc.enable() or gc.disable() meanwhile may be overridden.
+    The cyclic GC collects the young generations first, is paused for the
+    walk and the batch (they make no cycles) and the caller's setting
+    restored after, also on an error; another thread's gc.enable() or
+    gc.disable() meanwhile may be overridden. The batch is then tenured:
+    gc.freeze() and gc.unfreeze() move every tracked object to the oldest
+    generation, so no young collection walks the new trees. With objects
+    already frozen this step is skipped, so none is thawed; another
+    thread's gc.freeze() during a build may be thawed.
     """
     if n > MAX_CENSUS_LEAVES:
         raise TooLarge(f"census capped at n = {MAX_CENSUS_LEAVES}, got {n}: "
@@ -290,10 +295,14 @@ def _census(n: int) -> tuple[tuple[Topology, ...], MappingProxyType]:
                 rows[s.mask][byte] |= bit
 
     enabled = gc.isenabled()
+    gc.collect(1)  # young garbage goes now, not to the oldest generation with the census
     gc.disable()  # the build's frozensets and trees form no cycles; refcounting still frees
     try:
         grow(4, [0b10, 0b100, 0b110], [2, 2, -1])  # hung from leaf 1, the root edge has clade 0b110
         trees = Topology._laminar(n, sets)
+        if not gc.get_freeze_count():  # tenure: no young collection walks the batch
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if enabled:
             gc.enable()
@@ -308,8 +317,8 @@ def _word_indices(nitems: int) -> tuple[int, ...]:
     return tuple(range((nitems + 63) // 64))
 
 
-def _select(items: tuple, bits: int) -> list:
-    """The items at the set bits of a non-negative int below 2**len(items), in order.
+def _select(items: tuple, bits: int) -> tuple:
+    """The items at the set bits of a non-negative int below 2**len(items), in order, as a tuple.
 
     Dense answers, more than one set bit per _DENSE items, take one C pass:
     the reversed binary digits, translated to a byte mask, go to
@@ -321,7 +330,7 @@ def _select(items: tuple, bits: int) -> list:
     258 of the 2,112 words, {8,9} all), so a word count would peel {1,2}.
     """
     if bits.bit_count() * _DENSE > len(items):
-        return list(compress(items, format(bits, "b")[::-1].encode().translate(_DIGIT_BYTES)))
+        return tuple(compress(items, format(bits, "b")[::-1].encode().translate(_DIGIT_BYTES)))
     words = _words(bits, "Q", (bits.bit_length() + 63) // 64)
     out = []
     for j in compress(_word_indices(len(items)), words):
@@ -330,7 +339,7 @@ def _select(items: tuple, bits: int) -> list:
             low = word & -word
             out.append(items[base + low.bit_length() - 1])
             word ^= low
-    return out
+    return tuple(out)
 
 
 def enumerate_binary_topologies(n: int):
@@ -344,22 +353,23 @@ def enumerate_binary_topologies(n: int):
         return iter(_census(check_leaf_count(n))[0])
 
 
-def enumerate_binary_refinements(t: Topology) -> list[Topology]:
-    """All binary topologies whose split sets contain t.splits, in census order.
+def enumerate_binary_refinements(t: Topology) -> tuple[Topology, ...]:
+    """All binary topologies whose split sets contain t.splits, as a tuple in census order.
 
     Still an exhaustive filter over the full binary census, independent of
     the (2d-5)!! formula it checks: the census index gives, per split, the
     bitset of census trees holding it, and the trees at the set bits of
     their AND are returned. Serves as the brute-force oracle for
-    count_refining_orthants. A binary t is its own only refinement; any
-    other t raises TooLarge for t.n > MAX_CENSUS_LEAVES.
+    count_refining_orthants. A binary t is its own only refinement, and the
+    cone point's tuple is the cached census itself, shared as its trees are;
+    any other t raises TooLarge for t.n > MAX_CENSUS_LEAVES.
     """
     if is_binary(t):
-        return [t]
+        return (t,)
     with _CENSUS_LOCK:
         trees, index = _census(t.n)
     if not t.splits:
-        return list(trees)
+        return trees
     first, *rest = t.splits
     bits = index[first.mask]
     for s in rest:

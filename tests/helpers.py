@@ -98,9 +98,10 @@ def pairwise_adjacency(vertices) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def maximal_cliques(adjacency: tuple[int, ...]) -> list[int]:
+def maximal_cliques(adjacency: tuple[int, ...], among: int | None = None) -> list[int]:
     """Every maximal clique of a graph given by vertex-bitset adjacency rows,
     each once, as a vertex bitset: Bron–Kerbosch with a pivot, on bitsets.
+    With among, a vertex bitset, those of the subgraph it induces.
 
     A clique r grows by the candidates p adjacent to all of it; x holds the
     vertices already tried, so a clique is maximal when p and x are empty.
@@ -120,7 +121,7 @@ def maximal_cliques(adjacency: tuple[int, ...]) -> list[int]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand(0, (1 << len(adjacency)) - 1, 0)
+    expand(0, (1 << len(adjacency)) - 1 if among is None else among, 0)
     return out
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from types import SimpleNamespace
@@ -16,14 +17,19 @@ from bhvkit import (
     LinkGraph,
     Permutation,
     TooLarge,
+    TreePoint,
     all_permutations,
     are_compatible,
+    ball_volume,
     brute_force_automorphisms,
     build_link_graph,
     certify_aut,
+    count_refining_orthants,
     degree_formula,
+    degree_sequence,
     double_factorial,
     ekr_independent_sets,
+    enumerate_binary_refinements,
     enumerate_binary_topologies,
     enumerate_splits,
     kneser_subgraph,
@@ -38,6 +44,7 @@ from bhvkit.linkgraph import are_automorphisms
 from bhvkit.splits import set_bits
 from helpers import (
     DOCTORS,
+    all_faces,
     compose,
     compose_permutations,
     concurrently,
@@ -48,6 +55,7 @@ from helpers import (
     neighbors_of_size,
     pairwise_adjacency,
     preserves_adjacency_pairwise,
+    random_face,
     relabel_by_make_split,
 )
 
@@ -778,6 +786,62 @@ def test_maximal_cliques_are_exactly_the_binary_topologies(n):
     as_splits = {frozenset(g.vertices[i] for i in set_bits(c)) for c in cliques}
     assert len(as_splits) == len(cliques)
     assert as_splits == {t.splits for t in enumerate_binary_topologies(n)}
+
+
+def _link_of_face(g, t) -> int:
+    """The vertices of g compatible with every split of face t, less t's own, as a bitset:
+    a vertex's row lacks its own bit, so the AND of the face's rows drops the face."""
+    index = {v.mask: i for i, v in enumerate(g.vertices)}
+    among = (1 << g.vertex_count) - 1
+    for s in t.splits:
+        among &= g.adjacency[index[s.mask]]
+    return among
+
+
+def _component_sizes_of_the_complement(g, among: int) -> list[int]:
+    """The vertex counts of the components of the complement of the subgraph among induces."""
+    sizes = []
+    while among:
+        component = frontier = among & -among
+        while frontier:
+            v = frontier.bit_length() - 1
+            new = among & ~g.adjacency[v] & ~component  # g has no loops, so v is already in component
+            component |= new
+            frontier = (frontier ^ 1 << v) | new
+        sizes.append(component.bit_count())
+        among &= ~component
+    return sizes
+
+
+def _faces_for_the_link_oracle():
+    rnd = random.Random(9109)
+    faces = [t for n in range(3, 8) for t in all_faces(n)]
+    faces += [random_face(rnd, 8) for _ in range(40)]
+    return faces + [random_face(rnd, 9, keep) for keep in [0.85] * 8 + [0.5] * 4]
+
+
+def test_the_link_of_each_face_counts_its_orthants_and_reads_its_degrees():
+    # the eps-ball around a point of face F lies in R^p times the cone over F's link: the clique
+    # complex on the vertices compatible with all of F, less F's own. (i) Its maximal cliques are the
+    # binary orthants refining F; (ii) the ball fills a 2^-(n-3-p) share of each; (iii) the link is a
+    # join, the complement of its graph one component of 2^(d-1) - d - 1 vertices per internal node
+    # of degree d >= 4 of F's tree. Expected values come from the built rows alone.
+    star_degree = {2 ** (d - 1) - d - 1: d for d in range(4, 10)}
+    faces = _faces_for_the_link_oracle()
+    assert len(faces) == 1 + 4 + 26 + 236 + 2752 + 40 + 12
+    for t in faces:
+        g = cached_link_graph(t.n)
+        link = _link_of_face(g, t)
+        cliques = maximal_cliques(g.adjacency, link)
+        free = t.n - 3 - t.p
+        assert all(c.bit_count() == free for c in cliques)
+        refinements = enumerate_binary_refinements(t)
+        assert len(cliques) == count_refining_orthants(t) == len(refinements)
+        assert {t.splits | {g.vertices[i] for i in set_bits(c)} for c in cliques} == {b.splits for b in refinements}
+        x = TreePoint(t, dict.fromkeys(t.splits, 1.0))
+        assert ball_volume(x, 0.5).coefficient == Fraction(len(cliques), 2**free)
+        degrees = [star_degree[size] for size in _component_sizes_of_the_complement(g, link)]
+        assert tuple(sorted(degrees + [3] * (t.p + 1 - len(degrees)), reverse=True)) == degree_sequence(t)
 
 
 def test_dot_export(link5):

@@ -2,6 +2,7 @@ import ast
 import math
 import random
 import re
+import sys
 from enum import IntEnum
 from itertools import combinations, permutations
 from pathlib import Path
@@ -48,7 +49,7 @@ from bhvkit import (
     to_newick,
     verify_degrees,
 )
-from bhvkit.splits import check_leaf_count, full_mask, leaves_of, set_bits, split_key
+from bhvkit.splits import check_int, check_leaf_count, full_mask, leaves_of, set_bits, split_key
 from bhvkit.topology import _clade_tree
 from helpers import compatible_disjoint_or_nested, compose_permutations
 
@@ -111,6 +112,25 @@ def test_make_split_rejects_out_of_range_leaves():
         make_split({1, 7}, 6)
     with pytest.raises(BhvError, match=r"^leaf must be in \[1, 6\], got 0$"):
         make_split({0, 1}, 6)
+
+
+BIG = 10**5000  # 16,610 bits, past the default limit of 4,300 digits for str()
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300, reason="needs the default limit")
+@pytest.mark.parametrize("call, message", [
+    (lambda: Split(5, BIG), "mask must be in [0, 31], got an int of 16610 bits"),
+    (lambda: Split(5, -BIG), "mask must be in [0, 31], got a negative int of 16610 bits"),
+    (lambda: Permutation((1, BIG)), "image must be in [1, 2], got an int of 16610 bits"),
+    (lambda: check_int(-1, 0, BIG, "row"), "row must be in [0, an int of 16610 bits], got -1"),
+    (lambda: check_int(BIG, -BIG, 0, "row"), "row must be in [a negative int of 16610 bits, 0], got an int of 16610 bits"),
+    (lambda: Split(5, 10**4299), f"mask must be in [0, 31], got 1{'0' * 4299}"),  # 4,300 digits still print
+], ids=["split", "split-negative", "permutation", "bound", "both", "at-the-limit"])
+def test_an_int_too_long_to_print_is_named_by_its_bit_length(call, message):
+    # str() of the int would raise Python's own ValueError in place of the rule's BhvError line
+    with pytest.raises(BhvError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_leaf_count_bounds():

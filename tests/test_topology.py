@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+import weakref
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -16,14 +17,18 @@ from bhvkit import (
     BhvError,
     IncompatiblePair,
     LeafCountMismatch,
+    LinkGraph,
     Permutation,
     Split,
     TooLarge,
     Topology,
     TreePoint,
+    all_permutations,
     apply_permutation,
     are_compatible,
     ball_volume,
+    brute_force_automorphisms,
+    build_link_graph,
     clade_children,
     count_refining_orthants,
     degree_sequence,
@@ -186,7 +191,7 @@ def test_refining_orthants_examples():
 
 def test_refinements_of_binary_topology_is_itself():
     t = make_topology(splits(6, {1, 2}, {1, 2, 3}, {5, 6}), 6)
-    assert enumerate_binary_refinements(t) == [t]
+    assert enumerate_binary_refinements(t) == (t,)
 
 
 def test_refinement_counts_at_n5():
@@ -235,19 +240,27 @@ def test_census_index_rows_hold_the_trees_with_each_split(n):
     assert dict(index) == {mask: int.from_bytes(row, "little") for mask, row in rows.items()}
 
 
-def test_empty_face_returns_a_fresh_copy_of_the_census():
-    census = list(enumerate_binary_topologies(7))
+def test_cone_point_returns_the_census_tuple_itself():
+    # shared, not copied: a tuple of frozen trees that no caller can clear
     face = make_topology((), 7)
     found = enumerate_binary_refinements(face)
-    assert found == census
-    found.clear()
-    assert enumerate_binary_refinements(face) == census
-    assert list(enumerate_binary_topologies(7)) == census
+    assert found is _census(7)[0] and type(found) is tuple
+    assert enumerate_binary_refinements(face) is found
+    assert list(enumerate_binary_topologies(7)) == list(found)
+    with pytest.raises(AttributeError):
+        found.clear()
 
 
-def test_split_and_topology_hold_no_instance_dict():
+def test_no_value_type_holds_an_instance_dict():
     t = next(enumerate_binary_topologies(6))
-    for obj in (t, make_topology(splits(6, {1, 2}), 6), make_split({1, 2, 3}, 6), *t.splits):
+    g = build_link_graph(5)
+    values = [t, make_topology(splits(6, {1, 2}), 6), make_split({1, 2, 3}, 6), *t.splits]
+    values += [Permutation((2, 1, 3)), next(all_permutations(4)), TreePoint(t, dict.fromkeys(t.splits, 1.0))]
+    values += [ball_volume(TreePoint(Topology(5)), 0.1), g, LinkGraph(5, g.vertices, g.adjacency)]
+    values += [brute_force_automorphisms(g)]
+    assert {type(v).__name__ for v in values} == {
+        "Split", "Permutation", "Topology", "TreePoint", "BallVolume", "LinkGraph", "AutomorphismGroup"}
+    for obj in values:
         assert not hasattr(obj, "__dict__")
 
 
@@ -341,6 +354,40 @@ def test_census_build_that_fails_restores_the_gc():
         gc.enable() if was else gc.disable()
 
 
+@pytest.mark.skipif(gc.get_freeze_count() > 0, reason="objects frozen at start-up: the build skips the tenure")
+def test_census_build_tenures_its_trees_and_collects_young_garbage_first():
+    class Cycle:
+        pass
+
+    was = gc.isenabled()
+    garbage = Cycle()
+    garbage.me = garbage
+    alive = weakref.ref(garbage)
+    del garbage
+    try:
+        gc.enable()
+        trees, _ = _census.__wrapped__(7)  # past the lru_cache: a fresh build
+        assert alive() is None  # collected before the build, not tenured with it
+        oldest = set(map(id, gc.get_objects(generation=2)))
+        assert all(id(t) in oldest and id(t.splits) in oldest for t in trees)
+        assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_census_build_thaws_no_frozen_object():
+    froze = gc.get_freeze_count() == 0  # 3.12 starts with objects frozen; elsewhere freeze some
+    if froze:
+        gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert len(_census.__wrapped__(7)[0]) == 945
+        assert gc.get_freeze_count() == frozen
+    finally:
+        if froze:
+            gc.unfreeze()
+
+
 def test_concurrent_first_callers_build_the_census_once():
     was, laminar, batches = gc.isenabled(), Topology._laminar.__func__, []
 
@@ -409,7 +456,7 @@ def test_refinements_match_census_filter():
     faces += random.Random(7401).sample(all_faces(7), 100)
     for t in faces:
         census = list(enumerate_binary_topologies(t.n))
-        assert enumerate_binary_refinements(t) == [b for b in census if t.splits <= b.splits]
+        assert enumerate_binary_refinements(t) == tuple(b for b in census if t.splits <= b.splits)
 
 
 def test_dense_faces_match_census_filter():
@@ -425,7 +472,7 @@ def test_dense_faces_match_census_filter():
     dense = 0
     for t in faces:
         census = census8 if t.n == 8 else census9
-        expected = [b for b in census if t.splits <= b.splits]
+        expected = tuple(b for b in census if t.splits <= b.splits)
         assert enumerate_binary_refinements(t) == expected
         dense += len(expected) * _DENSE > len(census)
     assert 0 < dense < len(faces)
@@ -466,7 +513,7 @@ def test_select_equals_the_naive_bit_filter(length, kind, seed):
         positions = rnd.sample(range(length), max(0, min(count, length)))
     bits = _bitset(positions, length)
     data = bits.to_bytes((length + 7) // 8, "little")
-    assert _select(items, bits) == [items[i] for i in range(length) if data[i >> 3] >> (i & 7) & 1]
+    assert _select(items, bits) == tuple(items[i] for i in range(length) if data[i >> 3] >> (i & 7) & 1)
 
 
 def test_orthant_maximum_over_degree_sequences():

@@ -102,6 +102,13 @@ def test_the_hot_values_carry_no_instance_dict(name):
     assert not hasattr(VALUES[name], "__dict__")
 
 
+@pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
+def test_vars_of_a_value_raises_type_error(value):
+    # no instance __dict__ to edit: vars(sigma)["images"] = ... would change a value and its hash in place
+    with pytest.raises(TypeError):
+        vars(value)
+
+
 def test_values_of_other_types_are_not_equal():
     assert S12 != S12.mask and FACE != (6, FACE.splits) and POINT != FACE
     assert Permutation((1, 2, 3)) != (1, 2, 3)
